@@ -52,7 +52,10 @@ from .fileio import format_rational
 
 def _format_scalar(value: Fraction, as_float: bool) -> str:
     if as_float:
-        return f"{float(value):.17g}"
+        try:
+            return f"{float(value):.17g}"
+        except OverflowError:
+            raise ValueError("value out of range for --float") from None
     return format_rational(value)
 
 
@@ -86,6 +89,10 @@ def _rand_multiindex(rng: random.Random, n: int, l: int) -> MultiIndex:
 def cmd_dims(args: argparse.Namespace) -> int:
     n = args.n
     kmax = args.l
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    if kmax < 0:
+        raise ValueError(f"--l must be non-negative, got {kmax}")
     print(f"{'l':>3} {'sym_dim':>10} {'dense_dim':>12} {'multiplicity_sum':>18} check")
     for l in range(kmax + 1):
         sym = sym_dim(n, l)

@@ -86,6 +86,12 @@ def parse_counts(text: str, n: int) -> CardinalityIndex:
     return CardinalityIndex(counts)
 
 
+def _json_object(value: Any, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, stable separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -125,7 +131,7 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
         degree = int(obj["degree"])
         variance = obj["variance"]
         storage = obj["storage"]
-        components = obj.get("components", {})
+        components = _json_object(obj.get("components", {}), "tensor components")
     except KeyError as exc:
         raise ValueError(f"tensor object missing field {exc}") from None
     if variance not in ("co", "contra"):
@@ -194,9 +200,15 @@ def field_from_obj(obj: dict) -> PolyField:
         components = obj["components"]
     except KeyError as exc:
         raise ValueError(f"field object missing field {exc}") from None
+    if not isinstance(components, list):
+        raise ValueError(f"field components must be a JSON list, got {type(components).__name__}")
     if len(components) != m:
         raise ValueError(f"expected {m} components, got {len(components)}")
-    return PolyField(n, m, tuple(polynomial_from_obj(entry, n) for entry in components))
+    polys = (
+        polynomial_from_obj(_json_object(entry, f"field component {alpha}"), n)
+        for alpha, entry in enumerate(components, start=1)
+    )
+    return PolyField(n, m, tuple(polys))
 
 
 def _jet_slot_key(alpha: int, card: CardinalityIndex) -> str:
@@ -239,7 +251,7 @@ def jet_from_obj(obj: dict) -> JetElement:
         m = int(obj["m"])
         k = int(obj["k"])
         x = obj["x"]
-        blocks_obj = obj.get("blocks", {})
+        blocks_obj = _json_object(obj.get("blocks", {}), "jet blocks")
     except KeyError as exc:
         raise ValueError(f"jet object missing field {exc}") from None
     point = Point(tuple(parse_rational(c) for c in x))
@@ -251,7 +263,7 @@ def jet_from_obj(obj: dict) -> JetElement:
             raise ValueError(f"bad block order {order_key!r}") from None
         if not 0 <= l <= k:
             raise ValueError(f"block order {l} out of range 0..{k}")
-        for key, text in entries.items():
+        for key, text in _json_object(entries, f"jet block {order_key!r}").items():
             alpha, card = _parse_jet_slot_key(key, n)
             if not 1 <= alpha <= m:
                 raise ValueError(f"component {alpha} out of range 1..{m}")
@@ -266,28 +278,21 @@ def jet_from_obj(obj: dict) -> JetElement:
 
 
 def stress_to_obj(stress: VariationalStressField | TractionStressField) -> dict:
-    blocks: dict[str, dict[str, str]] = {}
     if isinstance(stress, VariationalStressField):
-        kind = "variational"
-        for l in range(stress.k + 1):
-            cards = enumerate_nondecreasing(stress.n, l)
-            for alpha in range(1, stress.m + 1):
-                for card, poly in zip(cards, stress.blocks[l][alpha - 1]):
-                    if poly.terms:
-                        key = f"{alpha}|{axis_list_key(card.canonical())}"
-                        blocks[key] = _poly_value_obj(poly)
+        kind, parts = "variational", [(stress, "")]
     elif isinstance(stress, TractionStressField):
-        kind = "traction"
-        for l in range(stress.k):
-            cards = enumerate_nondecreasing(stress.n, l)
-            for alpha in range(1, stress.m + 1):
-                for j in range(1, stress.n + 1):
-                    for card, poly in zip(cards, stress.blocks[l][alpha - 1][j - 1]):
-                        if poly.terms:
-                            key = f"{alpha}|{axis_list_key(card.canonical())}|{j}"
-                            blocks[key] = _poly_value_obj(poly)
+        kind, parts = "traction", [(ax, f"|{j}") for j, ax in enumerate(stress.axes, start=1)]
     else:
         raise ValueError(f"unsupported stress type {type(stress).__name__}")
+    blocks: dict[str, dict[str, str]] = {}
+    for part, suffix in parts:
+        for l, block in enumerate(part.blocks):
+            cards = enumerate_nondecreasing(stress.n, l)
+            for alpha, row in enumerate(block, start=1):
+                for card, poly in zip(cards, row):
+                    if poly.terms:
+                        key = f"{alpha}|{axis_list_key(card.canonical())}{suffix}"
+                        blocks[key] = _poly_value_obj(poly)
     return {"n": stress.n, "m": stress.m, "k": stress.k, "kind": kind, "blocks": blocks}
 
 
@@ -299,6 +304,22 @@ def _poly_value_obj(poly: Polynomial) -> dict[str, str]:
     return out
 
 
+def _parse_stress_slot_key(key: str, n: int, kind: str) -> tuple:
+    """``(alpha, index class)`` from ``"alpha|axis list"``, plus ``j`` from ``"...|j"``."""
+    parts = key.split("|")
+    if len(parts) != (2 if kind == "variational" else 3):
+        raise ValueError(f"bad {kind} slot key {key!r}")
+    try:
+        alpha = int(parts[0])
+        index = parse_axis_list(parts[1], n)
+        axis = [int(j) for j in parts[2:]]
+    except ValueError as exc:
+        raise ValueError(f"bad {kind} slot key {key!r}: {exc}") from None
+    if not index.is_nondecreasing():
+        raise ValueError(f"slot key {key!r} must use non-decreasing axes")
+    return (alpha, cardinality(index), *axis)
+
+
 def stress_from_obj(obj: dict) -> VariationalStressField | TractionStressField:
     try:
         n = int(obj["n"])
@@ -308,32 +329,16 @@ def stress_from_obj(obj: dict) -> VariationalStressField | TractionStressField:
         blocks = obj.get("blocks", {})
     except KeyError as exc:
         raise ValueError(f"stress object missing field {exc}") from None
-    if kind == "variational":
-        entries: dict[tuple[int, CardinalityIndex], Polynomial] = {}
-        for key, value in blocks.items():
-            parts = key.split("|")
-            if len(parts) != 2:
-                raise ValueError(f"bad variational slot key {key!r}")
-            alpha = int(parts[0])
-            index = parse_axis_list(parts[1], n)
-            if not index.is_nondecreasing():
-                raise ValueError(f"slot key {key!r} must use non-decreasing axes")
-            entries[(alpha, cardinality(index))] = polynomial_from_obj(value, n)
-        return VariationalStressField.from_map(n, m, k, entries)
-    if kind == "traction":
-        entries_t: dict[tuple[int, CardinalityIndex, int], Polynomial] = {}
-        for key, value in blocks.items():
-            parts = key.split("|")
-            if len(parts) != 3:
-                raise ValueError(f"bad traction slot key {key!r}")
-            alpha = int(parts[0])
-            index = parse_axis_list(parts[1], n)
-            if not index.is_nondecreasing():
-                raise ValueError(f"slot key {key!r} must use non-decreasing axes")
-            j = int(parts[2])
-            entries_t[(alpha, cardinality(index), j)] = polynomial_from_obj(value, n)
-        return TractionStressField.from_map(n, m, k, entries_t)
-    raise ValueError(f"kind must be 'variational' or 'traction', got {kind!r}")
+    fields = {"variational": VariationalStressField, "traction": TractionStressField}
+    if kind not in fields:
+        raise ValueError(f"kind must be 'variational' or 'traction', got {kind!r}")
+    entries = {
+        _parse_stress_slot_key(key, n, kind): polynomial_from_obj(
+            _json_object(value, f"stress slot {key!r}"), n
+        )
+        for key, value in _json_object(blocks, "stress blocks").items()
+    }
+    return fields[kind].from_map(n, m, k, entries)
 
 
 def save(obj: dict, path: str) -> None:

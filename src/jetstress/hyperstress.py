@@ -4,15 +4,14 @@ A variational hyper-stress of order k is a covector on k-jets with a volume
 form attached: paired with the k-jet of a virtual field it yields a power
 density, a multiple of the coordinate volume form.
 
-A traction hyper-stress of order k carries, for every order ``l <= k - 1``,
-components with one symmetric contravariant leg of degree l, one value leg,
-and one extra contraction axis that feeds a codimension-one form.  Acting on
-a (k-1)-jet it produces a flux density, a codimension-one form, and
-restricting that form to a hyperplane frame gives the traction the stress
-induces on any boundary with that tangent plane.  Restriction commutes with
-the jet action, so the traction on a frame is computable slot by slot from
-the stress components alone; that is the generalized boundary-traction
-formula implemented by ``cauchy_traction``.
+A traction hyper-stress of order k is n jet covectors of order k-1, one per
+extra contraction axis: covector j, paired with a (k-1)-jet, gives
+coefficient j of the flux density, a codimension-one form.  Restricting that
+form to a hyperplane frame gives the traction the stress induces on any
+boundary with that tangent plane.  Restriction is linear in the form's
+coefficients, so the traction on a frame is the sum of the n covectors
+weighted by the restrictions of the n basis forms to the frame; that is the
+generalized boundary-traction formula implemented by ``cauchy_traction``.
 
 Boundary orientation for boxes: on the face where axis i is at its upper
 bound the outward-oriented frame is the coordinate frame with axis i
@@ -27,16 +26,17 @@ component products.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .altforms import CoDimOneForm, Vector, restrict
+from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
 from .multiindex import IndexLike, as_cardinality, enumerate_nondecreasing, rank, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral
-from .jet import JetCovector, JetElement, jet_of, pair_jet
-from .symtensor import DenseTensor, SymTensor, compress, convert_convention, symmetrize_dense
+from .jet import JetCovector, JetElement, pair_jet
+from .symtensor import SymTensor
 
 
 @dataclass(frozen=True)
@@ -96,26 +96,39 @@ class VariationalHyperStress:
         return self.covector.component(alpha, index)
 
 
-def _check_traction_blocks(
-    n: int, m: int, k: int, blocks: tuple[tuple[tuple[SymTensor, ...], ...], ...]
-) -> None:
-    if n < 1 or m < 1:
+def _by_axis(n: int, entries: Mapping[tuple[int, IndexLike, int], object]) -> list[dict]:
+    """Split entries keyed by (alpha, index, axis j) into n maps keyed by (alpha, index)."""
+    groups: list[dict] = [{} for _ in range(n)]
+    for (alpha, index, j), value in entries.items():
+        if not 1 <= j <= n:
+            raise ValueError(f"axis {j} out of range 1..{n}")
+        groups[j - 1][alpha, index] = value
+    return groups
+
+
+def _split_axes(part: type, n: int, m: int, k: int, blocks: tuple) -> tuple:
+    """The n order-(k-1) parts of an order-k traction object, one per contraction axis.
+
+    ``blocks[l][alpha-1][j-1]`` becomes ``blocks[l][alpha-1]`` of part j; the
+    part's own constructor validates everything but the axis count.
+    """
+    if n < 1:
         raise ValueError("dimensions must be positive")
     if k < 1:
         raise ValueError(f"order must be at least 1, got {k}")
-    if len(blocks) != k:
-        raise ValueError(f"expected {k} blocks, got {len(blocks)}")
     for l, block in enumerate(blocks):
-        if len(block) != m:
-            raise ValueError(f"block {l} must have {m} rows, got {len(block)}")
         for row in block:
             if len(row) != n:
-                raise ValueError(f"block {l} rows must have {n} tensors")
-            for tensor in row:
-                if tensor.n != n or tensor.degree != l:
-                    raise ValueError(f"block {l} tensor has wrong shape")
-                if tensor.variance != "contra" or tensor.convention != "arrow":
-                    raise ValueError(f"block {l} tensor must be contra/arrow")
+                raise ValueError(f"block {l} rows must have {n} axis slots")
+    return tuple(
+        part(n, m, k - 1, tuple(tuple(row[j] for row in block) for block in blocks))
+        for j in range(n)
+    )
+
+
+def _join_axes(axes: Sequence) -> tuple:
+    """Inverse of ``_split_axes``: blocks indexed ``[l][alpha-1][j-1]``."""
+    return tuple(tuple(zip(*rows)) for rows in zip(*(ax.blocks for ax in axes)))
 
 
 @dataclass(frozen=True)
@@ -125,59 +138,32 @@ class TractionHyperStress:
     ``blocks[l][alpha-1][j-1]`` is the degree-l symmetric leg for value
     component alpha and contraction axis j.  Components are symmetric in the
     degree-l leg only; the contraction axis is a free slot, which is all the
-    symmetry such a stress can have.
+    symmetry such a stress can have.  ``axes[j-1]`` is the same data as the
+    jet covector of order k-1 that feeds coefficient j of the flux form.
     """
 
     n: int
     m: int
     k: int
     blocks: tuple[tuple[tuple[SymTensor, ...], ...], ...]
+    axes: tuple[JetCovector, ...] = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "blocks", tuple(tuple(tuple(row) for row in block) for block in self.blocks)
-        )
-        _check_traction_blocks(self.n, self.m, self.k, self.blocks)
+        blocks = tuple(tuple(tuple(row) for row in block) for block in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "axes", _split_axes(JetCovector, self.n, self.m, self.k, blocks))
 
     @classmethod
     def zero(cls, n: int, m: int, k: int) -> "TractionHyperStress":
-        blocks = tuple(
-            tuple(
-                tuple(SymTensor.zeros(n, l, "contra", "arrow") for _ in range(n))
-                for _ in range(m)
-            )
-            for l in range(k)
-        )
-        return cls(n, m, k, blocks)
+        return cls.from_map(n, m, k, {})
 
     @classmethod
     def from_map(
         cls, n: int, m: int, k: int, entries: Mapping[tuple[int, IndexLike, int], Scalar]
     ) -> "TractionHyperStress":
         """Build from arrow components keyed by (alpha, symmetric index, axis j)."""
-        maps: list[list[list[dict]]] = [
-            [[{} for _ in range(n)] for _ in range(m)] for _ in range(k)
-        ]
-        for (alpha, index, j), value in entries.items():
-            if not 1 <= alpha <= m:
-                raise ValueError(f"component {alpha} out of range 1..{m}")
-            if not 1 <= j <= n:
-                raise ValueError(f"axis {j} out of range 1..{n}")
-            card = as_cardinality(index, n)
-            if card.degree > k - 1:
-                raise ValueError(f"order {card.degree} exceeds {k - 1}")
-            maps[card.degree][alpha - 1][j - 1][card] = value
-        blocks = tuple(
-            tuple(
-                tuple(
-                    SymTensor.from_map(n, l, "contra", "arrow", maps[l][a][j])
-                    for j in range(n)
-                )
-                for a in range(m)
-            )
-            for l in range(k)
-        )
-        return cls(n, m, k, blocks)
+        axes = [JetCovector.from_map(n, m, k - 1, group) for group in _by_axis(n, entries)]
+        return cls(n, m, k, _join_axes(axes))
 
     @classmethod
     def from_dense(
@@ -186,44 +172,21 @@ class TractionHyperStress:
         """Build from dense components keyed by (alpha, ordered axes, axis j).
 
         The dense data is symmetrized over the ordered leg only; the
-        contraction axis is untouched.  Feeding back the dense components of
-        the result reproduces it, so the construction is idempotent.
+        contraction axis is untouched.  In arrow convention the symmetrized
+        component of an index class is the plain sum of the dense values over
+        the class.  Feeding back the dense components of the result
+        reproduces it, so the construction is idempotent.
         """
-        dense: list[list[list[dict[tuple[int, ...], Fraction]]]] = [
-            [[{} for _ in range(n)] for _ in range(m)] for _ in range(k)
-        ]
+        sums: dict[tuple[int, tuple[int, ...], int], Fraction] = {}
         for (alpha, axes, j), value in entries.items():
-            if not 1 <= alpha <= m:
-                raise ValueError(f"component {alpha} out of range 1..{m}")
-            if not 1 <= j <= n:
-                raise ValueError(f"axis {j} out of range 1..{n}")
-            axes = tuple(int(a) for a in axes)
-            if len(axes) > k - 1:
-                raise ValueError(f"order {len(axes)} exceeds {k - 1}")
-            slot = dense[len(axes)][alpha - 1][j - 1]
-            slot[axes] = slot.get(axes, Fraction(0)) + Fraction(value)
-        blocks = []
-        for l in range(k):
-            block = []
-            for a in range(m):
-                row = []
-                for j in range(n):
-                    full = DenseTensor.from_map(n, l, "contra", dense[l][a][j])
-                    sym = compress(symmetrize_dense(full))
-                    row.append(convert_convention(sym, "arrow"))
-                block.append(tuple(row))
-            blocks.append(tuple(block))
-        return cls(n, m, k, tuple(blocks))
+            key = (alpha, tuple(sorted(int(a) for a in axes)), j)
+            sums[key] = sums.get(key, Fraction(0)) + Fraction(value)
+        return cls.from_map(n, m, k, sums)
 
     def component(self, alpha: int, index: IndexLike, j: int) -> Fraction:
-        if not 1 <= alpha <= self.m:
-            raise ValueError(f"component {alpha} out of range 1..{self.m}")
         if not 1 <= j <= self.n:
             raise ValueError(f"axis {j} out of range 1..{self.n}")
-        card = as_cardinality(index, self.n)
-        if card.degree > self.k - 1:
-            raise ValueError(f"order {card.degree} exceeds {self.k - 1}")
-        return self.blocks[card.degree][alpha - 1][j - 1].component(card)
+        return self.axes[j - 1].component(alpha, index)
 
 
 @dataclass(frozen=True)
@@ -262,50 +225,34 @@ def power_density(stress: VariationalHyperStress, jet: JetElement) -> Fraction:
 def traction_density(stress: TractionHyperStress, jet: JetElement) -> CoDimOneForm:
     """Flux density of a traction stress acting on a (k-1)-jet.
 
-    Coefficient j of the resulting codimension-one form is the plain sum
-    over slots of stress component times derivative value.
+    Coefficient j of the resulting codimension-one form is the pairing of
+    the jet with the stress's jet covector for contraction axis j.
     """
-    if (stress.n, stress.m) != (jet.n, jet.m):
-        raise ValueError("shape mismatch")
-    if jet.k != stress.k - 1:
-        raise ValueError(f"stress of order {stress.k} acts on jets of order {stress.k - 1}")
-    coeffs = []
-    for j in range(stress.n):
-        total = Fraction(0)
-        for l in range(stress.k):
-            for a in range(stress.m):
-                sigma = stress.blocks[l][a][j].components
-                deriv = jet.blocks[l][a].components
-                total += sum((s * d for s, d in zip(sigma, deriv)), Fraction(0))
-        coeffs.append(total)
-    return CoDimOneForm(stress.n, tuple(coeffs))
+    return CoDimOneForm(stress.n, tuple(pair_jet(ax, jet) for ax in stress.axes))
 
 
 def cauchy_traction(stress: TractionHyperStress, frame: Sequence[Vector]) -> HyperTraction:
     """Traction induced by a traction stress on a hyperplane frame.
 
-    Slot (alpha, index) of the result restricts, to the frame, the
-    codimension-one form whose coefficients are the stress components at
-    that slot across all contraction axes.  Applying the result to a
-    (k-1)-jet equals restricting the full flux density of that jet, so the
-    boundary traction depends on the boundary only through its tangent
-    frame.
+    Restriction to the frame is linear in the form's coefficients, so with
+    ``w_j`` the restriction of basis form j the traction is the jet covector
+    ``sum_j w_j * axes[j-1]``.  Applying the result to a (k-1)-jet equals
+    restricting the full flux density of that jet, so the boundary traction
+    depends on the boundary only through its tangent frame.
     """
-    n, m, k = stress.n, stress.m, stress.k
+    n = stress.n
+    weights = [
+        restrict(contract(Vector.basis(n, j), TopForm.volume(n)), frame) for j in range(1, n + 1)
+    ]
     blocks = []
-    for l in range(k):
-        cards = enumerate_nondecreasing(n, l)
+    for l in range(stress.k):
         block = []
-        for a in range(m):
-            comps = []
-            for card in cards:
-                form = CoDimOneForm(
-                    n, tuple(stress.blocks[l][a][j].component(card) for j in range(n))
-                )
-                comps.append(restrict(form, frame))
-            block.append(SymTensor(n, l, "contra", "arrow", tuple(comps)))
+        for a in range(stress.m):
+            slots = zip(*(ax.blocks[l][a].components for ax in stress.axes))
+            comps = tuple(sum(w * c for w, c in zip(weights, slot)) for slot in slots)
+            block.append(SymTensor(n, l, "contra", "arrow", comps))
         blocks.append(tuple(block))
-    return HyperTraction(k, JetCovector(n, m, k - 1, tuple(blocks)))
+    return HyperTraction(stress.k, JetCovector(n, stress.m, stress.k - 1, blocks))
 
 
 @dataclass(frozen=True)
@@ -394,111 +341,52 @@ class VariationalStressField:
 
 @dataclass(frozen=True)
 class TractionStressField:
-    """Traction hyper-stress with polynomial dependence on position."""
+    """Traction hyper-stress with polynomial dependence on position.
+
+    ``blocks[l][alpha-1][j-1]`` holds the coefficient polynomials of the
+    degree-l slots for value component alpha and contraction axis j;
+    ``axes[j-1]`` is the same data as a variational stress field of order
+    k-1.
+    """
 
     n: int
     m: int
     k: int
     blocks: tuple[tuple[tuple[tuple[Polynomial, ...], ...], ...], ...]
+    axes: tuple[VariationalStressField, ...] = dataclasses.field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple(
-                tuple(tuple(tuple(slot) for slot in row) for row in block)
-                for block in self.blocks
-            ),
+        blocks = tuple(
+            tuple(tuple(tuple(slot) for slot in row) for row in block) for block in self.blocks
         )
-        if self.k < 1:
-            raise ValueError(f"order must be at least 1, got {self.k}")
-        if len(self.blocks) != self.k:
-            raise ValueError(f"expected {self.k} blocks, got {len(self.blocks)}")
-        for l, block in enumerate(self.blocks):
-            if len(block) != self.m:
-                raise ValueError(f"block {l} must have {self.m} rows")
-            for row in block:
-                if len(row) != self.n:
-                    raise ValueError(f"block {l} rows must have {self.n} axis slots")
-                for slot in row:
-                    if len(slot) != sym_dim(self.n, l):
-                        raise ValueError("slot count mismatch")
-                    for poly in slot:
-                        if poly.n != self.n:
-                            raise ValueError("coefficient polynomial dimension mismatch")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(
+            self, "axes", _split_axes(VariationalStressField, self.n, self.m, self.k, blocks)
+        )
 
     @classmethod
     def constant(cls, stress: TractionHyperStress) -> "TractionStressField":
-        blocks = tuple(
-            tuple(
-                tuple(
-                    tuple(Polynomial.constant(stress.n, c) for c in tensor.components)
-                    for tensor in row
-                )
-                for row in block
-            )
-            for block in stress.blocks
-        )
-        return cls(stress.n, stress.m, stress.k, blocks)
+        axes = [VariationalStressField.constant(VariationalHyperStress(ax)) for ax in stress.axes]
+        return cls(stress.n, stress.m, stress.k, _join_axes(axes))
 
     @classmethod
     def from_map(
         cls, n: int, m: int, k: int, entries: Mapping[tuple[int, IndexLike, int], Polynomial]
     ) -> "TractionStressField":
-        blocks = [
-            [
-                [[Polynomial.zero(n) for _ in range(sym_dim(n, l))] for _ in range(n)]
-                for _ in range(m)
-            ]
-            for l in range(k)
+        axes = [
+            VariationalStressField.from_map(n, m, k - 1, group) for group in _by_axis(n, entries)
         ]
-        for (alpha, index, j), poly in entries.items():
-            if not 1 <= alpha <= m:
-                raise ValueError(f"component {alpha} out of range 1..{m}")
-            if not 1 <= j <= n:
-                raise ValueError(f"axis {j} out of range 1..{n}")
-            card = as_cardinality(index, n)
-            if card.degree > k - 1:
-                raise ValueError(f"order {card.degree} exceeds {k - 1}")
-            blocks[card.degree][alpha - 1][j - 1][rank(card)] = poly
-        return cls(
-            n,
-            m,
-            k,
-            tuple(
-                tuple(tuple(tuple(slot) for slot in row) for row in block) for block in blocks
-            ),
-        )
+        return cls(n, m, k, _join_axes(axes))
 
     def at(self, x: Point) -> TractionHyperStress:
-        blocks = tuple(
-            tuple(
-                tuple(
-                    SymTensor(self.n, l, "contra", "arrow", tuple(poly(x) for poly in slot))
-                    for slot in row
-                )
-                for row in block
-            )
-            for l, block in enumerate(self.blocks)
-        )
-        return TractionHyperStress(self.n, self.m, self.k, blocks)
+        axes = [ax.at(x).covector for ax in self.axes]
+        return TractionHyperStress(self.n, self.m, self.k, _join_axes(axes))
 
     def density_coeffs(self, field: PolyField) -> list[Polynomial]:
         """Flux density coefficients against the (k-1)-jet of a field."""
-        if (field.n, field.m) != (self.n, self.m):
-            raise ValueError("shape mismatch")
-        coeffs = []
-        for j in range(self.n):
-            total = Polynomial.zero(self.n)
-            for l in range(self.k):
-                cards = enumerate_nondecreasing(self.n, l)
-                for a in range(self.m):
-                    w = field.component(a + 1)
-                    for card, poly in zip(cards, self.blocks[l][a][j]):
-                        if poly.terms:
-                            total = total + poly * w.derive(card)
-            coeffs.append(total)
-        return coeffs
+        return [ax.density(field) for ax in self.axes]
 
 
 def _midpoints(lo: Fraction, hi: Fraction, cells: int) -> list[Fraction]:

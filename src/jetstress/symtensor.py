@@ -66,6 +66,13 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"convention must be 'plain' or 'arrow', got {convention!r}")
 
 
+def _check_shape(n: int, degree: int) -> None:
+    if n < 1:
+        raise ValueError(f"dimension must be positive, got {n}")
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
+
+
 def _dense_offset(entries: tuple[int, ...], n: int) -> int:
     offset = 0
     for e in entries:
@@ -90,10 +97,7 @@ class DenseTensor:
 
     def __post_init__(self) -> None:
         _check_variance(self.variance)
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
-        if self.degree < 0:
-            raise ValueError(f"negative degree {self.degree}")
+        _check_shape(self.n, self.degree)
         expected = self.n**self.degree
         comps = tuple(Fraction(c) for c in self.components)
         if len(comps) != expected:
@@ -112,6 +116,7 @@ class DenseTensor:
         variance: Variance,
         entries: Mapping[tuple[int, ...], Fraction | int | str],
     ) -> "DenseTensor":
+        _check_shape(n, degree)
         comps = [Fraction(0)] * n**degree
         for key, value in entries.items():
             index = MultiIndex(tuple(key), n)
@@ -171,10 +176,7 @@ class SymTensor:
     def __post_init__(self) -> None:
         _check_variance(self.variance)
         _check_convention(self.convention)
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
-        if self.degree < 0:
-            raise ValueError(f"negative degree {self.degree}")
+        _check_shape(self.n, self.degree)
         expected = sym_dim(self.n, self.degree)
         comps = tuple(Fraction(c) for c in self.components)
         if len(comps) != expected:

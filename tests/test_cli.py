@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from jetstress import fileio
 from jetstress.cli import main
 from jetstress.multiindex import CardinalityIndex
@@ -219,3 +221,59 @@ def test_verify_is_deterministic(capsys):
 def test_missing_file_is_an_error(capsys):
     assert main(["jet", "/nonexistent/field.json", "--point", "0", "--k", "1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def tensor_obj(variance, storage, degree, components):
+    obj = {"n": 2, "degree": degree, "variance": variance, "storage": storage}
+    return {**obj, "components": components}
+
+
+ONE_FIELD = {"n": 2, "m": 1, "components": [{"0,0": "1"}]}
+
+# Malformed inputs and out-of-range flags: file name -> JSON object, then argv
+# with file names standing for their paths under tmp_path.
+MALFORMED = {
+    "bad-field-shape": (
+        {"field.json": {"n": 2, "m": 1, "components": [["x"]]}},
+        ["jet", "field.json", "--point", "0,0", "--k", "1"],
+    ),
+    "bad-degree": (
+        {"dense.json": tensor_obj("contra", "dense", -1, {})},
+        ["symmetrize", "dense.json", "--out", "out.json"],
+    ),
+    "float-overflow": (
+        {
+            "co.json": tensor_obj("co", "symmetric", 1, {"1": "1e309"}),
+            "contra.json": tensor_obj("contra", "symmetric", 1, {"1": "1"}),
+        },
+        ["pair", "co.json", "contra.json", "--float"],
+    ),
+    "bad-slot-key": (
+        {
+            "stress.json": {"n": 2, "m": 1, "k": 1, "kind": "traction", "blocks": {"x||1": {}}},
+            "field.json": ONE_FIELD,
+        },
+        ["flux", "stress.json", "field.json", "--box", "0,0:1,1"],
+    ),
+    "dims-zero": ({}, ["dims", "--n", "0"]),
+    "negative-order": (
+        {"field.json": ONE_FIELD},
+        ["jet", "field.json", "--point", "0,0", "--k", "-1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_input_is_one_error_line(tmp_path, capsys, kind):
+    files, args = MALFORMED[kind]
+    for name, obj in files.items():
+        write_json(tmp_path / name, obj)
+    argv = [str(tmp_path / arg) if arg in files or arg == "out.json" else arg for arg in args]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (tmp_path / "out.json").exists()
+    if kind == "bad-slot-key":
+        assert "'x||1'" in lines[0]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetstress.altforms import Vector, contract, restrict, TopForm
+from jetstress.altforms import CoDimOneForm, Vector, contract, restrict, TopForm
 from jetstress.hyperstress import (
     BoxRegion,
     HyperTraction,
@@ -21,7 +21,7 @@ from jetstress.hyperstress import (
     traction_density,
 )
 from jetstress.jet import JetCovector, jet_of
-from jetstress.multiindex import CardinalityIndex
+from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing
 from jetstress.polyfield import Point, PolyField, Polynomial, box_integral
 from jetstress.symtensor import include, ordered_indices
 
@@ -121,6 +121,19 @@ def test_cauchy_traction_restricts_slotwise():
     traction = cauchy_traction(stress, frame)
     assert sign == 1
     assert traction.covector.component(1, ()) == 1
+    rng = random.Random(74)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        m = rng.randint(1, 2)
+        k = rng.randint(1, 3)
+        stress = rand_traction(rng, n, m, k)
+        frame = rand_frame(rng, n)
+        covector = cauchy_traction(stress, frame).covector
+        for l in range(k):
+            for card in enumerate_nondecreasing(n, l):
+                for a in range(1, m + 1):
+                    form = CoDimOneForm(n, [stress.component(a, card, j) for j in range(1, n + 1)])
+                    assert covector.component(a, card) == restrict(form, frame)
 
 
 def test_cauchy_commutes_with_jet_action():
