@@ -92,6 +92,22 @@ def _json_object(value: Any, what: str) -> dict:
     return value
 
 
+_JSON_TYPES = {int: "integer", str: "string", list: "list"}
+
+
+def _header(obj: dict, what: str, name: str, kind: type = int) -> Any:
+    """Field ``name`` of a ``what`` object, checked to hold a JSON value of type ``kind``."""
+    try:
+        value = obj[name]
+    except KeyError:
+        raise ValueError(f"{what} object missing field {name!r}") from None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"{what} {name!r} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
 def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, stable separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -126,14 +142,11 @@ def tensor_to_obj(tensor: DenseTensor | SymTensor) -> dict:
 
 
 def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
-    try:
-        n = int(obj["n"])
-        degree = int(obj["degree"])
-        variance = obj["variance"]
-        storage = obj["storage"]
-        components = _json_object(obj.get("components", {}), "tensor components")
-    except KeyError as exc:
-        raise ValueError(f"tensor object missing field {exc}") from None
+    n = _header(obj, "tensor", "n")
+    degree = _header(obj, "tensor", "degree")
+    variance = _header(obj, "tensor", "variance", str)
+    storage = _header(obj, "tensor", "storage", str)
+    components = _json_object(obj.get("components", {}), "tensor components")
     if variance not in ("co", "contra"):
         raise ValueError(f"variance must be 'co' or 'contra', got {variance!r}")
     if storage == "dense":
@@ -165,11 +178,8 @@ def form_to_obj(form: CoDimOneForm) -> dict:
 
 
 def form_from_obj(obj: dict) -> CoDimOneForm:
-    try:
-        n = int(obj["n"])
-        coeffs = obj["coeffs"]
-    except KeyError as exc:
-        raise ValueError(f"form object missing field {exc}") from None
+    n = _header(obj, "form", "n")
+    coeffs = _header(obj, "form", "coeffs", list)
     return CoDimOneForm(n, tuple(parse_rational(c) for c in coeffs))
 
 
@@ -194,14 +204,9 @@ def field_to_obj(field: PolyField) -> dict:
 
 
 def field_from_obj(obj: dict) -> PolyField:
-    try:
-        n = int(obj["n"])
-        m = int(obj["m"])
-        components = obj["components"]
-    except KeyError as exc:
-        raise ValueError(f"field object missing field {exc}") from None
-    if not isinstance(components, list):
-        raise ValueError(f"field components must be a JSON list, got {type(components).__name__}")
+    n = _header(obj, "field", "n")
+    m = _header(obj, "field", "m")
+    components = _header(obj, "field", "components", list)
     if len(components) != m:
         raise ValueError(f"expected {m} components, got {len(components)}")
     polys = (
@@ -246,14 +251,11 @@ def jet_to_obj(jet: JetElement) -> dict:
 
 
 def jet_from_obj(obj: dict) -> JetElement:
-    try:
-        n = int(obj["n"])
-        m = int(obj["m"])
-        k = int(obj["k"])
-        x = obj["x"]
-        blocks_obj = _json_object(obj.get("blocks", {}), "jet blocks")
-    except KeyError as exc:
-        raise ValueError(f"jet object missing field {exc}") from None
+    n = _header(obj, "jet", "n")
+    m = _header(obj, "jet", "m")
+    k = _header(obj, "jet", "k")
+    x = _header(obj, "jet", "x", list)
+    blocks_obj = _json_object(obj.get("blocks", {}), "jet blocks")
     point = Point(tuple(parse_rational(c) for c in x))
     slot_maps: list[list[dict]] = [[{} for _ in range(m)] for _ in range(k + 1)]
     for order_key, entries in blocks_obj.items():
@@ -321,14 +323,11 @@ def _parse_stress_slot_key(key: str, n: int, kind: str) -> tuple:
 
 
 def stress_from_obj(obj: dict) -> VariationalStressField | TractionStressField:
-    try:
-        n = int(obj["n"])
-        m = int(obj["m"])
-        k = int(obj["k"])
-        kind = obj["kind"]
-        blocks = obj.get("blocks", {})
-    except KeyError as exc:
-        raise ValueError(f"stress object missing field {exc}") from None
+    n = _header(obj, "stress", "n")
+    m = _header(obj, "stress", "m")
+    k = _header(obj, "stress", "k")
+    kind = _header(obj, "stress", "kind", str)
+    blocks = obj.get("blocks", {})
     fields = {"variational": VariationalStressField, "traction": TractionStressField}
     if kind not in fields:
         raise ValueError(f"kind must be 'variational' or 'traction', got {kind!r}")

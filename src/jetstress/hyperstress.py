@@ -27,14 +27,20 @@ component products.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
-from .multiindex import IndexLike, as_cardinality, enumerate_nondecreasing, rank, sym_dim
-from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral
+from .multiindex import (
+    CardinalityIndex,
+    IndexLike,
+    as_cardinality,
+    enumerate_nondecreasing,
+    rank,
+    sym_dim,
+)
+from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral, midpoint_integral
 from .jet import JetCovector, JetElement, pair_jet
 from .symtensor import SymTensor
 
@@ -325,18 +331,23 @@ class VariationalStressField:
         return VariationalHyperStress(JetCovector(self.n, self.m, self.k, blocks))
 
     def density(self, field: PolyField) -> Polynomial:
-        """Power density against the jet of a polynomial field, as a polynomial."""
+        """Power density against the jet of a polynomial field, as a polynomial.
+
+        The slot products are summed into one coefficient map, so the
+        result is built and sorted once.
+        """
         if (field.n, field.m) != (self.n, self.m):
             raise ValueError("shape mismatch")
-        total = Polynomial.zero(self.n)
+        acc: dict[CardinalityIndex, Fraction] = {}
         for l in range(self.k + 1):
             cards = enumerate_nondecreasing(self.n, l)
             for a in range(self.m):
                 w = field.component(a + 1)
                 for card, poly in zip(cards, self.blocks[l][a]):
                     if poly.terms:
-                        total = total + poly * w.derive(card)
-        return total
+                        for term, coeff in (poly * w.derive(card)).terms:
+                            acc[term] = acc.get(term, Fraction(0)) + coeff
+        return Polynomial(self.n, tuple(acc.items()))
 
 
 @dataclass(frozen=True)
@@ -389,11 +400,6 @@ class TractionStressField:
         return [ax.density(field) for ax in self.axes]
 
 
-def _midpoints(lo: Fraction, hi: Fraction, cells: int) -> list[Fraction]:
-    width = (hi - lo) / cells
-    return [lo + width * (2 * c + 1) / 2 for c in range(cells)]
-
-
 def total_power(
     stress: VariationalStressField,
     field: PolyField,
@@ -414,17 +420,7 @@ def total_power(
     if method == "exact":
         return box_integral(density, region.lower, region.upper)
     if method == "midpoint":
-        cells = region.subdivisions
-        axes = [
-            _midpoints(region.lower[r], region.upper[r], cells) for r in range(region.n)
-        ]
-        volume = Fraction(1)
-        for lo, hi in zip(region.lower, region.upper):
-            volume *= (hi - lo) / cells
-        total = Fraction(0)
-        for coords in itertools.product(*axes):
-            total += density(Point(coords))
-        return total * volume
+        return midpoint_integral(density, region.lower, region.upper, region.subdivisions)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -459,23 +455,9 @@ def boundary_power_flux(
                     face_poly, region.lower, region.upper, skip_axes=(axis,)
                 )
             elif method == "midpoint":
-                cells = region.subdivisions
-                other_axes = [r for r in range(1, stress.n + 1) if r != axis]
-                grids = [
-                    _midpoints(region.lower[r - 1], region.upper[r - 1], cells)
-                    for r in other_axes
-                ]
-                area = Fraction(1)
-                for r in other_axes:
-                    area *= (region.upper[r - 1] - region.lower[r - 1]) / cells
-                value = Fraction(0)
-                for combo in itertools.product(*grids):
-                    coords = [Fraction(0)] * stress.n
-                    coords[axis - 1] = bound
-                    for r, c in zip(other_axes, combo):
-                        coords[r - 1] = c
-                    value += face_poly(Point(tuple(coords)))
-                value *= area
+                value = midpoint_integral(
+                    face_poly, region.lower, region.upper, region.subdivisions, skip_axes=(axis,)
+                )
             else:
                 raise ValueError(f"unknown method {method!r}")
             total += sign * value

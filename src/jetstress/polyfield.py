@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .multiindex import (
     CardinalityIndex,
@@ -22,7 +22,6 @@ from .multiindex import (
     cardinality,
     enumerate_nondecreasing,
     mi_factorial,
-    rank,
 )
 
 Scalar = Fraction | int | str
@@ -66,9 +65,14 @@ class Point:
         return len(self.coords)
 
 
-def _term_sort_key(item: tuple[CardinalityIndex, Fraction]) -> tuple[int, int]:
-    card = item[0]
-    return (card.degree, rank(card))
+def _term_sort_key(item: tuple[CardinalityIndex, Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Graded colex rank order, read off the counts.
+
+    Within a degree, colex order of the canonical non-decreasing multi-index
+    is lexicographic order of the counts read from the last axis down.
+    """
+    counts = item[0].counts
+    return (sum(counts), counts[::-1])
 
 
 @dataclass(frozen=True)
@@ -273,6 +277,43 @@ class Polynomial:
         return result
 
 
+def _separable_sum(
+    poly: Polynomial,
+    lower: Sequence[Scalar],
+    upper: Sequence[Scalar],
+    skip_axes: Iterable[int],
+    axis_sum: Callable[[Fraction, Fraction, int], Fraction],
+) -> Fraction:
+    """Sum over terms of the coefficient times ``axis_sum(lo, hi, count)`` per axis.
+
+    Skipped axes contribute no factor; the polynomial must not depend on
+    them.  Factors are computed once per (axis, count).
+    """
+    lo = [Fraction(v) for v in lower]
+    hi = [Fraction(v) for v in upper]
+    if len(lo) != poly.n or len(hi) != poly.n:
+        raise ValueError("box dimension mismatch")
+    skip = set(skip_axes)
+    for axis in skip:
+        if not 1 <= axis <= poly.n:
+            raise ValueError(f"axis {axis} out of range 1..{poly.n}")
+    factors: dict[tuple[int, int], Fraction] = {}
+    total = Fraction(0)
+    for card, coeff in poly.terms:
+        value = coeff
+        for axis, count in enumerate(card.counts, start=1):
+            if axis in skip:
+                if count:
+                    raise ValueError(f"polynomial still depends on skipped axis {axis}")
+                continue
+            key = (axis, count)
+            if key not in factors:
+                factors[key] = axis_sum(lo[axis - 1], hi[axis - 1], count)
+            value *= factors[key]
+        total += value
+    return total
+
+
 def box_integral(
     poly: Polynomial,
     lower: Sequence[Scalar],
@@ -285,26 +326,38 @@ def box_integral(
     ``skip_axes`` are not integrated; the polynomial must not depend on them
     (freeze them with ``substitute`` first).
     """
-    lo = [Fraction(v) for v in lower]
-    hi = [Fraction(v) for v in upper]
-    if len(lo) != poly.n or len(hi) != poly.n:
-        raise ValueError("box dimension mismatch")
-    skip = set(skip_axes)
-    for axis in skip:
-        if not 1 <= axis <= poly.n:
-            raise ValueError(f"axis {axis} out of range 1..{poly.n}")
-    total = Fraction(0)
-    for card, coeff in poly.terms:
-        value = coeff
-        for axis, count in enumerate(card.counts, start=1):
-            if axis in skip:
-                if count:
-                    raise ValueError(f"polynomial still depends on skipped axis {axis}")
-                continue
-            e = count + 1
-            value *= (hi[axis - 1] ** e - lo[axis - 1] ** e) / e
-        total += value
-    return total
+
+    def antiderivative(lo: Fraction, hi: Fraction, count: int) -> Fraction:
+        e = count + 1
+        return (hi**e - lo**e) / e
+
+    return _separable_sum(poly, lower, upper, skip_axes, antiderivative)
+
+
+def midpoint_integral(
+    poly: Polynomial,
+    lower: Sequence[Scalar],
+    upper: Sequence[Scalar],
+    cells: int,
+    skip_axes: Iterable[int] = (),
+) -> Fraction:
+    """Midpoint-rule integral of a polynomial over an axis-aligned box.
+
+    Each integrated axis is cut into ``cells`` equal cells; the result is
+    the sum of the polynomial at the cell centers times the cell volume,
+    exactly.  On a tensor grid that sum factors for each monomial into one
+    per axis, the cell width times the sum of the powers of the axis
+    midpoints, so the cost grows linearly in ``cells``, not as ``cells**n``.
+    ``skip_axes`` works as in ``box_integral``.
+    """
+    if cells < 1:
+        raise ValueError(f"cells must be positive, got {cells}")
+
+    def midpoint_sum(lo: Fraction, hi: Fraction, count: int) -> Fraction:
+        width = (hi - lo) / cells
+        return width * sum((lo + width * (2 * c + 1) / 2) ** count for c in range(cells))
+
+    return _separable_sum(poly, lower, upper, skip_axes, midpoint_sum)
 
 
 @dataclass(frozen=True)

@@ -277,3 +277,80 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind):
     assert not (tmp_path / "out.json").exists()
     if kind == "bad-slot-key":
         assert "'x||1'" in lines[0]
+
+
+VARIATIONAL = {"n": 2, "m": 1, "k": 1, "kind": "variational", "blocks": {}}
+
+# Header fields of the wrong JSON type: field name, then files and argv as in
+# MALFORMED.
+BAD_HEADERS = {
+    "field-n-list": (
+        "'n'",
+        {"field.json": {"n": [2], "m": 1, "components": []}},
+        ["jet", "field.json", "--point", "0,0", "--k", "1"],
+    ),
+    "field-m-string": (
+        "'m'",
+        {"field.json": {"n": 2, "m": "1", "components": [{}]}},
+        ["jet", "field.json", "--point", "0,0", "--k", "1"],
+    ),
+    "field-components-object": (
+        "'components'",
+        {"field.json": {"n": 2, "m": 1, "components": {}}},
+        ["jet", "field.json", "--point", "0,0", "--k", "1"],
+    ),
+    "tensor-degree-float": (
+        "'degree'",
+        {"dense.json": tensor_obj("contra", "dense", 1.5, {})},
+        ["symmetrize", "dense.json", "--out", "out.json"],
+    ),
+    "tensor-n-bool": (
+        "'n'",
+        {
+            "co.json": {**tensor_obj("co", "symmetric", 1, {}), "n": True},
+            "contra.json": tensor_obj("contra", "symmetric", 1, {}),
+        },
+        ["pair", "co.json", "contra.json"],
+    ),
+    "tensor-variance-list": (
+        "'variance'",
+        {"dense.json": tensor_obj(["contra"], "dense", 1, {})},
+        ["symmetrize", "dense.json", "--out", "out.json"],
+    ),
+    "stress-k-null": (
+        "'k'",
+        {"stress.json": {**VARIATIONAL, "k": None}, "field.json": ONE_FIELD},
+        ["power", "stress.json", "field.json", "--box", "0,0:1,1"],
+    ),
+    "stress-kind-list": (
+        "'kind'",
+        {"stress.json": {**VARIATIONAL, "kind": ["traction"]}, "field.json": ONE_FIELD},
+        ["flux", "stress.json", "field.json", "--box", "0,0:1,1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_HEADERS))
+def test_header_type_error_is_one_error_line(tmp_path, capsys, kind):
+    field, files, args = BAD_HEADERS[kind]
+    for name, obj in files.items():
+        write_json(tmp_path / name, obj)
+    argv = [str(tmp_path / arg) if arg in files or arg == "out.json" else arg for arg in args]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert field in lines[0]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_jet_and_form_headers_name_the_bad_field():
+    jet = {"n": 2, "m": 1, "k": 1, "x": ["0", "0"]}
+    for bad, field in (({"x": "0,0"}, "'x'"), ({"k": "1"}, "'k'"), ({"m": [1]}, "'m'")):
+        with pytest.raises(ValueError, match=field):
+            fileio.jet_from_obj({**jet, **bad})
+    form = {"n": 2, "coeffs": ["1", "0"]}
+    for bad, field in (({"coeffs": "1,0"}, "'coeffs'"), ({"n": 2.0}, "'n'")):
+        with pytest.raises(ValueError, match=field):
+            fileio.form_from_obj({**form, **bad})

@@ -204,6 +204,22 @@ def test_stress_field_at_matches_symbolic_density():
         assert symbolic == pointwise
 
 
+def test_density_equals_running_sum_of_slot_products():
+    rng = random.Random(76)
+    for n in (2, 3):
+        for _ in range(3):
+            m = rng.randint(1, 2)
+            sfield = rand_variational_field(rng, n, m, 3, 2)
+            field = rand_field(rng, n, m, 4)
+            total = Polynomial.zero(n)
+            for l in range(4):
+                for a in range(m):
+                    w = field.component(a + 1)
+                    for card, poly in zip(enumerate_nondecreasing(n, l), sfield.blocks[l][a]):
+                        total = total + poly * w.derive(card)
+            assert sfield.density(field) == total
+
+
 def test_traction_field_at_matches_symbolic_density():
     rng = random.Random(75)
     for _ in range(15):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing
-from jetstress.polyfield import Point, PolyField, Polynomial, box_integral
+from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing, rank
+from jetstress.polyfield import Point, PolyField, Polynomial, box_integral, midpoint_integral
 
 from conftest import rand_fraction, rand_point, rand_poly
 
@@ -173,6 +174,59 @@ def test_box_integral_is_additive_over_splits():
         left = box_integral(p, (-1, 0), (mid, 1))
         right = box_integral(p, (mid, 0), (1, 1))
         assert left + right == whole
+
+
+def brute_midpoint(p, lower, upper, cells, skip_axes=()):
+    """Sum of the polynomial over all cell centers times the cell volume."""
+    grids = []
+    volume = Fraction(1)
+    for axis in range(1, p.n + 1):
+        lo, hi = Fraction(lower[axis - 1]), Fraction(upper[axis - 1])
+        if axis in skip_axes:
+            grids.append([lo])
+            continue
+        width = (hi - lo) / cells
+        grids.append([lo + width * (2 * c + 1) / 2 for c in range(cells)])
+        volume *= width
+    return sum((p(Point(coords)) for coords in itertools.product(*grids)), Fraction(0)) * volume
+
+
+def test_midpoint_integral_matches_brute_force():
+    rng = random.Random(57)
+    for n in range(1, 4):
+        for cells in range(1, 6):
+            p = rand_poly(rng, n, 4)
+            lower = [rand_fraction(rng, span=2, den=3) for _ in range(n)]
+            upper = [lo + rng.randint(1, 3) for lo in lower]
+            assert midpoint_integral(p, lower, upper, cells) == brute_midpoint(
+                p, lower, upper, cells
+            )
+            axis = rng.randint(1, n)
+            face = p.substitute(axis, upper[axis - 1])
+            assert midpoint_integral(
+                face, lower, upper, cells, skip_axes=(axis,)
+            ) == brute_midpoint(face, lower, upper, cells, skip_axes=(axis,))
+
+
+def test_midpoint_integral_validation():
+    with pytest.raises(ValueError, match="depends on skipped axis"):
+        midpoint_integral(x(2, 2), (0, 0), (1, 1), 2, skip_axes=(2,))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        midpoint_integral(x(2, 1), (0,), (1,), 2)
+    with pytest.raises(ValueError, match="out of range"):
+        midpoint_integral(x(2, 1), (0, 0), (1, 1), 2, skip_axes=(3,))
+    for cells in (0, -1):
+        with pytest.raises(ValueError, match="cells must be positive"):
+            midpoint_integral(x(2, 1), (0, 0), (1, 1), cells)
+
+
+def test_terms_are_in_graded_rank_order():
+    rng = random.Random(58)
+    for n in range(1, 5):
+        for _ in range(5):
+            p = rand_poly(rng, n, 5)
+            keys = [(card.degree, rank(card)) for card, _ in p.terms]
+            assert keys == sorted(set(keys))
 
 
 def test_polyfield_components_and_call():
