@@ -31,16 +31,17 @@ File shapes:
 """
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .altforms import CoDimOneForm
 from .jet import JetElement
 from .hyperstress import TractionStressField, VariationalStressField
 from .multiindex import CardinalityIndex, MultiIndex, cardinality, enumerate_nondecreasing
 from .polyfield import Point, PolyField, Polynomial
-from .symtensor import DenseTensor, SymTensor, ordered_indices
+from .symtensor import DenseTensor, SymTensor
 
 
 def format_rational(value: Fraction) -> str:
@@ -54,8 +55,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 
-def axis_list_key(index: MultiIndex) -> str:
-    return str(index)
+def axis_list_key(index: MultiIndex | Sequence[int]) -> str:
+    entries = index.entries if isinstance(index, MultiIndex) else index
+    return ",".join(map(str, entries))
 
 
 def parse_axis_list(text: str, n: int) -> MultiIndex:
@@ -116,10 +118,10 @@ def dumps(obj: Any) -> str:
 def tensor_to_obj(tensor: DenseTensor | SymTensor) -> dict:
     if isinstance(tensor, DenseTensor):
         components = {}
-        for index in ordered_indices(tensor.n, tensor.degree):
-            value = tensor.component(index)
+        axes = itertools.product(range(1, tensor.n + 1), repeat=tensor.degree)
+        for entries, value in zip(axes, tensor.components):
             if value != 0:
-                components[axis_list_key(index)] = format_rational(value)
+                components[axis_list_key(entries)] = format_rational(value)
         return {
             "n": tensor.n,
             "degree": tensor.degree,

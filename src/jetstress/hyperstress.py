@@ -41,7 +41,7 @@ from .multiindex import (
     sym_dim,
 )
 from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral, midpoint_integral
-from .jet import JetCovector, JetElement, pair_jet
+from .jet import JetCovector, JetElement, _check_jet_shape, pair_jet
 from .symtensor import SymTensor
 
 
@@ -118,10 +118,9 @@ def _split_axes(part: type, n: int, m: int, k: int, blocks: tuple) -> tuple:
     ``blocks[l][alpha-1][j-1]`` becomes ``blocks[l][alpha-1]`` of part j; the
     part's own constructor validates everything but the axis count.
     """
-    if n < 1:
-        raise ValueError("dimensions must be positive")
     if k < 1:
         raise ValueError(f"order must be at least 1, got {k}")
+    _check_jet_shape(n, m, k)
     for l, block in enumerate(blocks):
         for row in block:
             if len(row) != n:
@@ -278,6 +277,7 @@ class VariationalStressField:
         object.__setattr__(
             self, "blocks", tuple(tuple(tuple(row) for row in block) for block in self.blocks)
         )
+        _check_jet_shape(self.n, self.m, self.k)
         if len(self.blocks) != self.k + 1:
             raise ValueError(f"expected {self.k + 1} blocks, got {len(self.blocks)}")
         for l, block in enumerate(self.blocks):

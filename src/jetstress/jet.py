@@ -36,13 +36,17 @@ from .polyfield import Point, PolyField, Polynomial, Scalar
 from .symtensor import SymTensor
 
 
+def _check_jet_shape(n: int, m: int, k: int) -> None:
+    """Header check shared by every object with jet-shaped blocks."""
+    for name, value, least in (("n", n, 1), ("m", m, 1), ("k", k, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _check_jet_blocks(
     n: int, m: int, k: int, blocks: tuple[tuple[SymTensor, ...], ...], variance: str, convention: str
 ) -> None:
-    if n < 1 or m < 1:
-        raise ValueError("dimensions must be positive")
-    if k < 0:
-        raise ValueError(f"negative order {k}")
+    _check_jet_shape(n, m, k)
     if len(blocks) != k + 1:
         raise ValueError(f"expected {k + 1} blocks, got {len(blocks)}")
     for l, block in enumerate(blocks):

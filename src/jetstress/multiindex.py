@@ -12,13 +12,15 @@ dictionary between them:
 Non-decreasing multi-indices are ranked in graded colexicographic order via
 the combinatorial number system, which gives dense array addressing for
 compressed symmetric storage: the slot count for degree ``l`` in dimension
-``n`` is ``C(n + l - 1, l)``.
+``n`` is ``C(n + l - 1, l)``; ``dense_classes`` and ``class_multiplicities``
+cache each dense offset's class rank and each class multiplicity as plain ints.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 #: Largest slot count for which permutation-group enumeration is allowed.
@@ -230,12 +232,16 @@ def permutations_of(l: int, cap: int = PERMUTATION_CAP) -> Iterator[Permutation]
         yield Permutation(mapping)
 
 
-def sym_dim(n: int, l: int) -> int:
-    """Number of degree-l compressed slots in dimension n: C(n + l - 1, l)."""
+def _check_shape(n: int, l: int) -> None:
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     if l < 0:
         raise ValueError(f"negative degree {l}")
+
+
+def sym_dim(n: int, l: int) -> int:
+    """Number of degree-l compressed slots in dimension n: C(n + l - 1, l)."""
+    _check_shape(n, l)
     return math.comb(n + l - 1, l)
 
 
@@ -251,10 +257,7 @@ def _colex_sequences(n: int, l: int) -> Iterator[tuple[int, ...]]:
 def enumerate_nondecreasing(n: int, l: int) -> list[CardinalityIndex]:
     """All degree-l cardinality indices in dimension n, in graded colex order
     of their canonical non-decreasing multi-indices."""
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    if l < 0:
-        raise ValueError(f"negative degree {l}")
+    _check_shape(n, l)
     return [cardinality(MultiIndex(seq, n)) for seq in _colex_sequences(n, l)]
 
 
@@ -264,7 +267,7 @@ def rank(card: CardinalityIndex) -> int:
     With entries ``i_1 <= ... <= i_l`` the rank is the combinatorial number
     system value ``sum_j C(i_j + j - 2, j)``.
     """
-    entries = card.canonical().entries
+    entries = [i for i, count in enumerate(card.counts, start=1) for _ in range(count)]
     return sum(math.comb(i + j - 2, j) for j, i in enumerate(entries, start=1))
 
 
@@ -282,6 +285,42 @@ def unrank(n: int, l: int, r: int) -> CardinalityIndex:
         remaining -= math.comb(c, j)
         entries[j - 1] = c - j + 2
     return cardinality(MultiIndex(tuple(entries), n))
+
+
+def _dense_offset(entries: Sequence[int], n: int) -> int:
+    """Row-major offset of an ordered multi-index, axis 1 slowest."""
+    offset = 0
+    for e in entries:
+        offset = offset * n + (e - 1)
+    return offset
+
+
+# A benchmark op reads at most one (n, l) shape per table; four bound what
+# stays alive, as a dense table is as long as its tensors (13 MB at n=6, l=8).
+@lru_cache(maxsize=4)
+def dense_classes(n: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The index class of every dense offset of a degree-l tensor in dimension n.
+
+    Returns ``(classes, firsts)``: ``classes[offset]`` is the rank of the
+    class of the ordered multi-index stored at that row-major offset, and
+    ``firsts[r]`` is the first offset of class ``r``.  That first offset
+    holds the class's non-decreasing member, because the non-decreasing
+    arrangement is the lexicographically smallest.
+    """
+    _check_shape(n, l)
+    sequences = list(_colex_sequences(n, l))
+    ranks = {seq: r for r, seq in enumerate(sequences)}
+    classes = tuple(
+        ranks[tuple(sorted(entries))]
+        for entries in itertools.product(range(1, n + 1), repeat=l)
+    )
+    return classes, tuple(_dense_offset(seq, n) for seq in sequences)
+
+
+@lru_cache(maxsize=4)
+def class_multiplicities(n: int, l: int) -> tuple[int, ...]:
+    """The multiplicity l!/counts! of every degree-l index class in dimension n, by rank."""
+    return tuple(multiplicity(card) for card in enumerate_nondecreasing(n, l))
 
 
 def as_cardinality(index: IndexLike, n: int) -> CardinalityIndex:

@@ -7,7 +7,9 @@ components in row-major order with axis 1 slowest: the ordered multi-index
 ``(i_1, ..., i_l)`` sits at offset ``sum_j (i_j - 1) * n**(l - j)``.
 
 A ``SymTensor`` keeps one component per non-decreasing multi-index, addressed
-by colex rank, which needs only ``C(n + l - 1, l)`` slots.
+by colex rank, which needs only ``C(n + l - 1, l)`` slots.  Class membership
+and multiplicities come from the one cached table in ``multiindex``, so every
+class walk here is one pass over plain ints.
 
 Component conventions
 ---------------------
@@ -29,7 +31,6 @@ slot, whichever way the inputs are stored; ``pair`` normalizes internally.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Literal, Mapping
@@ -39,12 +40,12 @@ from .multiindex import (
     CardinalityIndex,
     IndexLike,
     MultiIndex,
+    _check_shape,
+    _dense_offset,
     as_cardinality,
-    cardinality,
+    class_multiplicities,
+    dense_classes,
     enumerate_nondecreasing,
-    epsilon_abs,
-    mi_factorial,
-    multiplicity,
     rank,
     sym_dim,
 )
@@ -66,18 +67,9 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"convention must be 'plain' or 'arrow', got {convention!r}")
 
 
-def _check_shape(n: int, degree: int) -> None:
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    if degree < 0:
-        raise ValueError(f"negative degree {degree}")
-
-
-def _dense_offset(entries: tuple[int, ...], n: int) -> int:
-    offset = 0
-    for e in entries:
-        offset = offset * n + (e - 1)
-    return offset
+def _check_cap(degree: int, cap: int) -> None:
+    if degree > cap:
+        raise ValueError(f"degree {degree} exceeds permutation cap {cap}")
 
 
 def ordered_indices(n: int, l: int) -> Iterable[MultiIndex]:
@@ -149,18 +141,9 @@ class DenseTensor:
         Refuses degrees above the permutation cap like every operation that
         walks index classes.
         """
-        if self.degree > cap:
-            raise ValueError(f"degree {self.degree} exceeds permutation cap {cap}")
-        seen: dict[tuple[int, ...], Fraction] = {}
-        for index in ordered_indices(self.n, self.degree):
-            key = tuple(sorted(index.entries))
-            value = self.component(index)
-            if key in seen:
-                if seen[key] != value:
-                    return False
-            else:
-                seen[key] = value
-        return True
+        _check_cap(self.degree, cap)
+        classes, firsts = dense_classes(self.n, self.degree)
+        return all(v == self.components[firsts[r]] for r, v in zip(classes, self.components))
 
 
 @dataclass(frozen=True)
@@ -229,20 +212,21 @@ def convert_convention(tensor: SymTensor, target: Convention) -> SymTensor:
     _check_convention(target)
     if tensor.convention == target:
         return tensor
-    cards = enumerate_nondecreasing(tensor.n, tensor.degree)
+    mults = class_multiplicities(tensor.n, tensor.degree)
     if target == "arrow":
-        comps = tuple(c * multiplicity(card) for c, card in zip(tensor.components, cards))
+        comps = tuple(c * m for c, m in zip(tensor.components, mults))
     else:
-        comps = tuple(c / multiplicity(card) for c, card in zip(tensor.components, cards))
+        comps = tuple(c / m for c, m in zip(tensor.components, mults))
     return SymTensor(tensor.n, tensor.degree, tensor.variance, target, comps)
 
 
-def _plain_components(tensor: SymTensor) -> tuple[Fraction, ...]:
-    return convert_convention(tensor, "plain").components
-
-
-def _arrow_components(tensor: SymTensor) -> tuple[Fraction, ...]:
-    return convert_convention(tensor, "arrow").components
+def _class_sums(tensor: DenseTensor) -> SymTensor:
+    """The sums of the dense components over each index class, as arrow components."""
+    classes, firsts = dense_classes(tensor.n, tensor.degree)
+    sums = [Fraction(0)] * len(firsts)
+    for r, value in zip(classes, tensor.components):
+        sums[r] += value
+    return SymTensor(tensor.n, tensor.degree, tensor.variance, "arrow", tuple(sums))
 
 
 def symmetrize_dense(tensor: DenseTensor, cap: int = PERMUTATION_CAP) -> DenseTensor:
@@ -250,24 +234,12 @@ def symmetrize_dense(tensor: DenseTensor, cap: int = PERMUTATION_CAP) -> DenseTe
 
     Computed per index class: the symmetrized value on a class is the class
     sum scaled by counts!/degree!, which equals the permutation average and
-    is what the class-indicator form of the projector gives.  Idempotent.
+    is what the class-indicator form of the projector gives.  The class sums
+    are arrow components, so this is the inclusion of their tensor.
+    Idempotent.
     """
-    if tensor.degree > cap:
-        raise ValueError(f"degree {tensor.degree} exceeds permutation cap {cap}")
-    l = tensor.degree
-    class_sums: dict[tuple[int, ...], Fraction] = {}
-    for index in ordered_indices(tensor.n, l):
-        key = tuple(sorted(index.entries))
-        class_sums[key] = class_sums.get(key, Fraction(0)) + tensor.component(index)
-    fact_l = math.factorial(l)
-    class_values = {
-        key: total * mi_factorial(cardinality(MultiIndex(key, tensor.n))) / fact_l
-        for key, total in class_sums.items()
-    }
-    comps = tuple(
-        class_values[tuple(sorted(index.entries))] for index in ordered_indices(tensor.n, l)
-    )
-    return DenseTensor(tensor.n, l, tensor.variance, comps)
+    _check_cap(tensor.degree, cap)
+    return include(_class_sums(tensor))
 
 
 def compress(tensor: DenseTensor, cap: int = PERMUTATION_CAP) -> SymTensor:
@@ -278,8 +250,8 @@ def compress(tensor: DenseTensor, cap: int = PERMUTATION_CAP) -> SymTensor:
     """
     if not tensor.is_symmetric(cap=cap):
         raise ValueError("tensor is not symmetric")
-    cards = enumerate_nondecreasing(tensor.n, tensor.degree)
-    comps = tuple(tensor.component(card.canonical()) for card in cards)
+    _, firsts = dense_classes(tensor.n, tensor.degree)
+    comps = tuple(tensor.components[offset] for offset in firsts)
     return SymTensor(tensor.n, tensor.degree, tensor.variance, "plain", comps)
 
 
@@ -289,13 +261,9 @@ def include(tensor: SymTensor) -> DenseTensor:
     The dense value at any ordered multi-index is the plain component of its
     index class, so compress(include(S)) recovers S exactly.
     """
-    plain = _plain_components(tensor)
-    lookup = {rank(card): value for card, value in zip(tensor.slots(), plain)}
-    comps = tuple(
-        lookup[rank(cardinality(index.sorted()))]
-        for index in ordered_indices(tensor.n, tensor.degree)
-    )
-    return DenseTensor(tensor.n, tensor.degree, tensor.variance, comps)
+    plain = convert_convention(tensor, "plain").components
+    classes, _ = dense_classes(tensor.n, tensor.degree)
+    return DenseTensor(tensor.n, tensor.degree, tensor.variance, tuple(plain[r] for r in classes))
 
 
 def pair(cotensor: SymTensor, tensor: SymTensor) -> Fraction:
@@ -312,13 +280,9 @@ def pair(cotensor: SymTensor, tensor: SymTensor) -> Fraction:
         raise ValueError("second argument must be contravariant")
     if cotensor.n != tensor.n or cotensor.degree != tensor.degree:
         raise ValueError("shape mismatch")
-    cards = enumerate_nondecreasing(cotensor.n, cotensor.degree)
-    co_plain = _plain_components(cotensor)
-    contra_plain = _plain_components(tensor)
-    return sum(
-        (multiplicity(card) * a * b for card, a, b in zip(cards, co_plain, contra_plain)),
-        Fraction(0),
-    )
+    co_arrow = convert_convention(cotensor, "arrow").components
+    contra_plain = convert_convention(tensor, "plain").components
+    return sum((a * b for a, b in zip(co_arrow, contra_plain)), Fraction(0))
 
 
 def cosymmetrize_project(cotensor: DenseTensor) -> SymTensor:
@@ -331,13 +295,7 @@ def cosymmetrize_project(cotensor: DenseTensor) -> SymTensor:
     """
     if cotensor.variance != "co":
         raise ValueError("argument must be covariant")
-    sums: dict[int, Fraction] = {}
-    for index in ordered_indices(cotensor.n, cotensor.degree):
-        r = rank(cardinality(index.sorted()))
-        sums[r] = sums.get(r, Fraction(0)) + cotensor.component(index)
-    size = sym_dim(cotensor.n, cotensor.degree)
-    comps = tuple(sums.get(r, Fraction(0)) for r in range(size))
-    return SymTensor(cotensor.n, cotensor.degree, "co", "arrow", comps)
+    return _class_sums(cotensor)
 
 
 def cosymmetrize_extend(cotensor: SymTensor) -> DenseTensor:
@@ -362,16 +320,12 @@ def symmetrization_matrix(n: int, l: int) -> list[list[Fraction]]:
     multiplicity-scaled symmetric basis.  Row for class counts has the value
     counts!/l! at every dense position whose class matches, zero elsewhere.
     """
-    fact_l = math.factorial(l)
-    cards = enumerate_nondecreasing(n, l)
-    dense = list(ordered_indices(n, l))
-    return [
-        [
-            Fraction(mi_factorial(card), fact_l) * epsilon_abs(card.canonical(), index)
-            for index in dense
-        ]
-        for card in cards
-    ]
+    classes, _ = dense_classes(n, l)
+    weights = [Fraction(1, m) for m in class_multiplicities(n, l)]
+    rows = [[Fraction(0)] * len(classes) for _ in weights]
+    for offset, r in enumerate(classes):
+        rows[r][offset] = weights[r]
+    return rows
 
 
 def inclusion_matrix(n: int, l: int) -> list[list[Fraction]]:
@@ -382,8 +336,8 @@ def inclusion_matrix(n: int, l: int) -> list[list[Fraction]]:
     symmetrization matrix after this one gives the identity on compressed
     storage.
     """
-    cards = enumerate_nondecreasing(n, l)
-    return [
-        [Fraction(epsilon_abs(index, card.canonical())) for card in cards]
-        for index in ordered_indices(n, l)
-    ]
+    classes, firsts = dense_classes(n, l)
+    rows = [[Fraction(0)] * len(firsts) for _ in classes]
+    for row, r in zip(rows, classes):
+        row[r] = Fraction(1)
+    return rows

@@ -260,6 +260,20 @@ MALFORMED = {
         {"field.json": ONE_FIELD},
         ["jet", "field.json", "--point", "0,0", "--k", "-1"],
     ),
+    "stress-negative-order": (
+        {
+            "stress.json": {"n": 2, "m": 1, "k": -1, "kind": "variational", "blocks": {}},
+            "field.json": ONE_FIELD,
+        },
+        ["power", "stress.json", "field.json", "--box", "0,0:1,1"],
+    ),
+    "stress-no-components": (
+        {
+            "stress.json": {"n": 2, "m": 0, "k": 1, "kind": "variational", "blocks": {}},
+            "field.json": ONE_FIELD,
+        },
+        ["power", "stress.json", "field.json", "--box", "0,0:1,1"],
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -13,6 +14,8 @@ from jetstress.multiindex import (
     apply_permutation,
     as_cardinality,
     cardinality,
+    class_multiplicities,
+    dense_classes,
     enumerate_nondecreasing,
     epsilon_abs,
     kron_delta,
@@ -147,6 +150,23 @@ def test_rank_matches_enumeration_position():
             for pos, card in enumerate(cards):
                 assert rank(card) == pos
                 assert unrank(n, l, pos) == card
+
+
+def test_class_tables_match_brute_force():
+    for n in range(1, 5):
+        for l in range(0, 7):
+            classes, firsts = dense_classes(n, l)
+            mults = class_multiplicities(n, l)
+            cards = enumerate_nondecreasing(n, l)
+            ordered = [MultiIndex(e, n) for e in itertools.product(range(1, n + 1), repeat=l)]
+            assert len(classes) == n**l
+            assert len(firsts) == len(mults) == len(cards)
+            for offset, index in enumerate(ordered):
+                assert classes[offset] == rank(cardinality(index.sorted()))
+            for r, card in enumerate(cards):
+                assert mults[r] == multiplicity(card)
+                assert ordered[firsts[r]] == card.canonical()
+                assert classes.index(r) == firsts[r]
 
 
 def test_unrank_rejects_out_of_range():

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from jetstress.multiindex import (
+    PERMUTATION_CAP,
     MultiIndex,
     cardinality,
+    class_multiplicities,
+    dense_classes,
     enumerate_nondecreasing,
     epsilon_abs,
     multiplicity,
@@ -93,6 +96,15 @@ def test_symmetrize_is_idempotent():
         s = symmetrize_dense(rand_dense(rng, n, l))
         assert symmetrize_dense(s) == s
         assert s.is_symmetric()
+
+
+def test_class_walks_refuse_degrees_above_the_permutation_cap():
+    at_cap = DenseTensor(1, PERMUTATION_CAP, "contra", (Fraction(3),))
+    assert compress(symmetrize_dense(at_cap)).components == (Fraction(3),)
+    above = DenseTensor(1, PERMUTATION_CAP + 1, "contra", (Fraction(3),))
+    for walk in (above.is_symmetric, lambda: symmetrize_dense(above), lambda: compress(above)):
+        with pytest.raises(ValueError, match="permutation cap"):
+            walk()
 
 
 def test_compress_rejects_asymmetric_input():
@@ -289,6 +301,21 @@ def test_degree_zero_round_trip():
     assert compress(include(s)) == s
     phi = SymTensor(3, 0, "co", "arrow", (Fraction(2),))
     assert pair(phi, s) == 7
+
+
+def test_symmetric_side_never_builds_the_dense_table():
+    rng = random.Random(31)
+    n, l = 6, 5
+    dense_before = dense_classes.cache_info()
+    sym_calls = class_multiplicities.cache_info()
+    co = rand_sym(rng, n, l, "co", "plain")
+    contra = SymTensor.from_map(n, l, "contra", "arrow", {(1, 2, 2, 6, 6): 3})
+    assert contra.component((6, 2, 1, 6, 2)) == 3
+    assert convert_convention(co, "arrow").with_convention("plain") == co
+    assert pair(co, contra) == co.component((1, 2, 2, 6, 6)) * 3
+    assert dense_classes.cache_info() == dense_before
+    after = class_multiplicities.cache_info()
+    assert after.hits + after.misses > sym_calls.hits + sym_calls.misses
 
 
 def test_from_map_accepts_axis_tuples_and_counts():
