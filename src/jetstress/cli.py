@@ -11,7 +11,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import fileio
 from .altforms import Vector, frame_rank, restrict
@@ -299,8 +299,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     raise ValueError(f"unknown suite {args.suite!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as one ``error:`` line and exit 1; subcommand parsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jetstress",
         description="Exact symmetric tensor, jet, and hyper-stress computations.",
     )

@@ -60,15 +60,18 @@ def axis_list_key(index: MultiIndex | Sequence[int]) -> str:
     return ",".join(map(str, entries))
 
 
-def parse_axis_list(text: str, n: int) -> MultiIndex:
+def _parse_axes(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
-        return MultiIndex((), n)
+        return ()
     try:
-        entries = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad axis list {text!r}") from None
-    return MultiIndex(entries, n)
+
+
+def parse_axis_list(text: str, n: int) -> MultiIndex:
+    return MultiIndex(_parse_axes(text), n)
 
 
 def counts_key(card: CardinalityIndex) -> str:
@@ -154,10 +157,11 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
     if storage == "dense":
         entries = {}
         for key, text in components.items():
-            index = parse_axis_list(key, n)
-            if index.degree != degree:
-                raise ValueError(f"component key {key!r} has degree {index.degree}, expected {degree}")
-            entries[index.entries] = parse_rational(text)
+            axes = _parse_axes(key)
+            if len(axes) != degree:
+                raise ValueError(f"component key {key!r} has degree {len(axes)}, expected {degree}")
+            entries[axes] = parse_rational(text)
+        # DenseTensor.from_map range-checks the axes.
         return DenseTensor.from_map(n, degree, variance, entries)
     if storage == "symmetric":
         convention = obj.get("convention", "plain")

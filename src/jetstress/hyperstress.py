@@ -32,15 +32,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
-from .multiindex import (
-    CardinalityIndex,
-    IndexLike,
-    as_cardinality,
-    enumerate_nondecreasing,
-    rank,
-    sym_dim,
-)
+from .multiindex import IndexLike, _nondecreasing, as_cardinality, rank, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral, midpoint_integral
+from .polyfield import _add_products, _denominator, _derive_numerators, _from_numerators, _numerators
 from .jet import JetCovector, JetElement, _check_jet_shape, pair_jet
 from .symtensor import SymTensor
 
@@ -331,23 +325,31 @@ class VariationalStressField:
         return VariationalHyperStress(JetCovector(self.n, self.m, self.k, blocks))
 
     def density(self, field: PolyField) -> Polynomial:
-        """Power density against the jet of a polynomial field, as a polynomial.
+        """Power density against the jet of a polynomial field, as a polynomial."""
+        return self._density(field, {})
 
-        The slot products are summed into one coefficient map, so the
-        result is built and sorted once.
+    def _density(self, field: PolyField, derivatives: dict) -> Polynomial:
+        """``density``, memoizing the field's derivative numerators by (component, counts).
+
+        Stress and field coefficients are numerators over one common
+        denominator each, so every slot product adds plain ints into one map.
         """
         if (field.n, field.m) != (self.n, self.m):
             raise ValueError("shape mismatch")
-        acc: dict[CardinalityIndex, Fraction] = {}
+        den_w = _denominator(*field.components)
+        fields = [_numerators(w, den_w) for w in field.components]
+        den_s = _denominator(*(poly for block in self.blocks for row in block for poly in row))
+        acc: dict[tuple[int, ...], int] = {}
         for l in range(self.k + 1):
-            cards = enumerate_nondecreasing(self.n, l)
-            for a in range(self.m):
-                w = field.component(a + 1)
-                for card, poly in zip(cards, self.blocks[l][a]):
+            cards = _nondecreasing(self.n, l)
+            for a, row in enumerate(self.blocks[l]):
+                for card, poly in zip(cards, row):
                     if poly.terms:
-                        for term, coeff in (poly * w.derive(card)).terms:
-                            acc[term] = acc.get(term, Fraction(0)) + coeff
-        return Polynomial(self.n, tuple(acc.items()))
+                        key = (a, card.counts)
+                        if key not in derivatives:
+                            derivatives[key] = _derive_numerators(fields[a], card.counts)
+                        _add_products(acc, _numerators(poly, den_s), derivatives[key])
+        return _from_numerators(self.n, acc, den_s * den_w)
 
 
 @dataclass(frozen=True)
@@ -396,8 +398,12 @@ class TractionStressField:
         return TractionHyperStress(self.n, self.m, self.k, _join_axes(axes))
 
     def density_coeffs(self, field: PolyField) -> list[Polynomial]:
-        """Flux density coefficients against the (k-1)-jet of a field."""
-        return [ax.density(field) for ax in self.axes]
+        """Flux density coefficients against the (k-1)-jet of a field.
+
+        The n axes share one table of the field's derivatives.
+        """
+        derivatives: dict = {}
+        return [axis._density(field, derivatives) for axis in self.axes]
 
 
 def total_power(

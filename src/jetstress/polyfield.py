@@ -8,11 +8,20 @@ are all exact.
 
 A ``PolyField`` is a tuple of m such polynomials, a polynomial map from the
 n-dimensional space to an m-dimensional value space.
+
+Products, derivatives, substitution and the box and midpoint sums share one
+fraction-free kernel: a polynomial's coefficients are split once into integer
+numerators over one common denominator, the loop adds and multiplies plain
+ints keyed by plain count tuples, and ``_from_numerators`` divides once per
+distinct term at the end.  The results are the same ``Fraction``s, because
+every ``Fraction`` is reduced.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, ge, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .multiindex import (
@@ -73,6 +82,56 @@ def _term_sort_key(item: tuple[CardinalityIndex, Fraction]) -> tuple[int, tuple[
     """
     counts = item[0].counts
     return (sum(counts), counts[::-1])
+
+
+# Terms as (counts, integer numerator) pairs over a denominator kept apart.
+_Numerators = list[tuple[tuple[int, ...], int]]
+
+
+def _denominator(*polys: "Polynomial") -> int:
+    """Least common denominator of every coefficient of the polynomials."""
+    return math.lcm(*(coeff.denominator for poly in polys for _, coeff in poly.terms))
+
+
+def _numerators(poly: "Polynomial", den: int) -> _Numerators:
+    """The terms of a polynomial as numerators over ``den``, a common denominator."""
+    return [(card.counts, c.numerator * (den // c.denominator)) for card, c in poly.terms]
+
+
+def _add_products(acc: dict, left: _Numerators, right: _Numerators) -> None:
+    """Add every product of a left and a right term into ``acc``."""
+    for counts_a, a in left:
+        for counts_b, b in right:
+            key = tuple(map(add, counts_a, counts_b))
+            acc[key] = acc.get(key, 0) + a * b
+
+
+def _derive_numerators(terms: _Numerators, order: tuple[int, ...]) -> _Numerators:
+    """Derivative numerators over the same denominator; ``math.perm`` is the falling factorial."""
+    return [
+        (tuple(map(sub, counts, order)), value * math.prod(map(math.perm, counts, order)))
+        for counts, value in terms
+        if all(map(ge, counts, order))
+    ]
+
+
+def _from_numerators(n: int, acc: Mapping[tuple[int, ...], int], den: int) -> "Polynomial":
+    """The polynomial with coefficients ``acc[counts] / den``.
+
+    The keys are sums and differences of valid count vectors of length n,
+    so neither they nor the terms are validated again.
+    """
+    terms = []
+    for counts, value in acc.items():
+        if value:
+            card = object.__new__(CardinalityIndex)
+            object.__setattr__(card, "counts", counts)
+            terms.append((card, Fraction(value, den)))
+    terms.sort(key=_term_sort_key)
+    poly = object.__new__(Polynomial)
+    object.__setattr__(poly, "n", n)
+    object.__setattr__(poly, "terms", tuple(terms))
+    return poly
 
 
 @dataclass(frozen=True)
@@ -162,12 +221,10 @@ class Polynomial:
             return Polynomial(self.n, tuple((card, factor * c) for card, c in self.terms))
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        acc: dict[CardinalityIndex, Fraction] = {}
-        for card_a, coeff_a in self.terms:
-            for card_b, coeff_b in other.terms:
-                key = card_a + card_b
-                acc[key] = acc.get(key, Fraction(0)) + coeff_a * coeff_b
-        return Polynomial(self.n, tuple(acc.items()))
+        den_a, den_b = _denominator(self), _denominator(other)
+        acc: dict[tuple[int, ...], int] = {}
+        _add_products(acc, _numerators(self, den_a), _numerators(other, den_b))
+        return _from_numerators(self.n, acc, den_a * den_b)
 
     __rmul__ = __mul__
 
@@ -200,17 +257,9 @@ class Polynomial:
         factorial of each exponent.  The order is an exponent count vector.
         """
         card_j = _as_counts(order, self.n)
-        acc: dict[CardinalityIndex, Fraction] = {}
-        for card_i, coeff in self.terms:
-            if not card_j <= card_i:
-                continue
-            factor = 1
-            for i_count, j_count in zip(card_i.counts, card_j.counts):
-                for step in range(j_count):
-                    factor *= i_count - step
-            key = card_i - card_j
-            acc[key] = acc.get(key, Fraction(0)) + coeff * factor
-        return Polynomial(self.n, tuple(acc.items()))
+        den = _denominator(self)
+        derived = _derive_numerators(_numerators(self, den), card_j.counts)
+        return _from_numerators(self.n, dict(derived), den)
 
     def taylor(self, center: Point, order: int) -> "Polynomial":
         """Taylor coefficients around a point, as a polynomial in the offset.
@@ -236,15 +285,18 @@ class Polynomial:
         if not 1 <= axis <= self.n:
             raise ValueError(f"axis {axis} out of range 1..{self.n}")
         fixed = Fraction(value)
-        acc: dict[CardinalityIndex, Fraction] = {}
-        for card, coeff in self.terms:
-            count = card.counts[axis - 1]
-            new_counts = tuple(
-                0 if r == axis - 1 else c for r, c in enumerate(card.counts)
-            )
-            key = CardinalityIndex(new_counts)
-            acc[key] = acc.get(key, Fraction(0)) + coeff * fixed**count
-        return Polynomial(self.n, tuple(acc.items()))
+        den = _denominator(self)
+        terms = _numerators(self, den)
+        # value = p/q enters term by term as p**c * q**(top - c) over q**top.
+        top = max((counts[axis - 1] for counts, _ in terms), default=0)
+        p_powers = [fixed.numerator**c for c in range(top + 1)]
+        q_powers = [fixed.denominator**c for c in range(top + 1)]
+        acc: dict[tuple[int, ...], int] = {}
+        for counts, num in terms:
+            c = counts[axis - 1]
+            key = counts[: axis - 1] + (0,) + counts[axis:]
+            acc[key] = acc.get(key, 0) + num * p_powers[c] * q_powers[top - c]
+        return _from_numerators(self.n, acc, den * q_powers[top])
 
     def compose_affine(
         self, matrix: Sequence[Sequence[Scalar]], offset: Sequence[Scalar]
@@ -282,36 +334,45 @@ def _separable_sum(
     lower: Sequence[Scalar],
     upper: Sequence[Scalar],
     skip_axes: Iterable[int],
-    axis_sum: Callable[[Fraction, Fraction, int], Fraction],
+    axis_table: Callable[[int, int, int, int], tuple[list[int], int]],
 ) -> Fraction:
-    """Sum over terms of the coefficient times ``axis_sum(lo, hi, count)`` per axis.
+    """Sum over terms of the coefficient times one factor per integrated axis.
 
-    Skipped axes contribute no factor; the polynomial must not depend on
-    them.  Factors are computed once per (axis, count).
+    ``axis_table(lo, hi, q, top)`` gets an axis's bounds as ``lo/q`` and
+    ``hi/q`` and returns the factors for the exponents 0..top as integer
+    numerators over one denominator.  Skipped axes contribute no factor; the
+    polynomial must not depend on them.
     """
     lo = [Fraction(v) for v in lower]
     hi = [Fraction(v) for v in upper]
     if len(lo) != poly.n or len(hi) != poly.n:
         raise ValueError("box dimension mismatch")
-    skip = set(skip_axes)
+    skip = sorted(set(skip_axes))
     for axis in skip:
         if not 1 <= axis <= poly.n:
             raise ValueError(f"axis {axis} out of range 1..{poly.n}")
-    factors: dict[tuple[int, int], Fraction] = {}
-    total = Fraction(0)
-    for card, coeff in poly.terms:
-        value = coeff
-        for axis, count in enumerate(card.counts, start=1):
-            if axis in skip:
-                if count:
-                    raise ValueError(f"polynomial still depends on skipped axis {axis}")
-                continue
-            key = (axis, count)
-            if key not in factors:
-                factors[key] = axis_sum(lo[axis - 1], hi[axis - 1], count)
-            value *= factors[key]
-        total += value
-    return total
+    den = _denominator(poly)
+    terms = _numerators(poly, den)
+    depends = [axis for counts, _ in terms for axis in skip if counts[axis - 1]]
+    if depends:
+        raise ValueError(f"polynomial still depends on skipped axis {depends[0]}")
+    tables = []
+    for r in range(poly.n):
+        if r + 1 not in skip:
+            a, b = lo[r], hi[r]
+            top = max((counts[r] for counts, _ in terms), default=0)
+            q = a.denominator * b.denominator
+            nums, axis_den = axis_table(
+                a.numerator * b.denominator, b.numerator * a.denominator, q, top
+            )
+            tables.append((r, nums))
+            den *= axis_den
+    total = 0
+    for counts, num in terms:
+        for r, nums in tables:
+            num *= nums[counts[r]]
+        total += num
+    return Fraction(total, den)
 
 
 def box_integral(
@@ -327,11 +388,16 @@ def box_integral(
     (freeze them with ``substitute`` first).
     """
 
-    def antiderivative(lo: Fraction, hi: Fraction, count: int) -> Fraction:
-        e = count + 1
-        return (hi**e - lo**e) / e
+    def antiderivatives(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+        # (hi**(e+1) - lo**(e+1)) / ((e+1) q**(e+1)), over lcm(1..top+1) q**(top+1).
+        scale = math.lcm(*range(1, top + 2))
+        nums = [
+            (hi ** (e + 1) - lo ** (e + 1)) * q ** (top - e) * (scale // (e + 1))
+            for e in range(top + 1)
+        ]
+        return nums, scale * q ** (top + 1)
 
-    return _separable_sum(poly, lower, upper, skip_axes, antiderivative)
+    return _separable_sum(poly, lower, upper, skip_axes, antiderivatives)
 
 
 def midpoint_integral(
@@ -353,11 +419,14 @@ def midpoint_integral(
     if cells < 1:
         raise ValueError(f"cells must be positive, got {cells}")
 
-    def midpoint_sum(lo: Fraction, hi: Fraction, count: int) -> Fraction:
-        width = (hi - lo) / cells
-        return width * sum((lo + width * (2 * c + 1) / 2) ** count for c in range(cells))
+    def midpoint_sums(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+        # Midpoint c is (2 cells lo + (hi - lo)(2c + 1)) / step; width is (hi - lo) / (q cells).
+        step = 2 * cells * q
+        mids = [2 * cells * lo + (hi - lo) * (2 * c + 1) for c in range(cells)]
+        nums = [(hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in range(top + 1)]
+        return nums, q * cells * step**top
 
-    return _separable_sum(poly, lower, upper, skip_axes, midpoint_sum)
+    return _separable_sum(poly, lower, upper, skip_axes, midpoint_sums)
 
 
 @dataclass(frozen=True)

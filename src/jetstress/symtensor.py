@@ -40,6 +40,7 @@ from .multiindex import (
     CardinalityIndex,
     IndexLike,
     MultiIndex,
+    _check_axes,
     _check_shape,
     _dense_offset,
     as_cardinality,
@@ -111,10 +112,10 @@ class DenseTensor:
         _check_shape(n, degree)
         comps = [Fraction(0)] * n**degree
         for key, value in entries.items():
-            index = MultiIndex(tuple(key), n)
-            if index.degree != degree:
-                raise ValueError(f"index {key} has degree {index.degree}, expected {degree}")
-            comps[_dense_offset(index.entries, n)] = Fraction(value)
+            if len(key) != degree:
+                raise ValueError(f"index {key} has degree {len(key)}, expected {degree}")
+            _check_axes(key, n)
+            comps[_dense_offset(key, n)] = Fraction(value)
         return cls(n, degree, variance, tuple(comps))
 
     @classmethod

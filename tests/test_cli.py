@@ -293,6 +293,30 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind):
         assert "'x||1'" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["power", "a", "b", "--box=0:1", "--k", "2"], ["dims", "--n", "x"], []],
+    ids=["unknown-flag", "bad-int", "no-command"],
+)
+def test_usage_error_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["dims", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage:") and captured.err == ""
+
+
 VARIATIONAL = {"n": 2, "m": 1, "k": 1, "kind": "variational", "blocks": {}}
 
 # Header fields of the wrong JSON type: field name, then files and argv as in

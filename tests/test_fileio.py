@@ -99,6 +99,30 @@ def test_symmetric_keys_must_be_nondecreasing():
     assert fileio.tensor_from_obj(obj).component((2, 1)) == 1
 
 
+def test_dense_reader_parses_each_key_once(monkeypatch):
+    t = rand_dense(random.Random(84), 3, 4, "contra")
+    obj = fileio.tensor_to_obj(t)
+    built = []
+    original = MultiIndex.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(MultiIndex, "__post_init__", counting)
+    assert fileio.tensor_from_obj(obj) == t
+    assert built == []
+    obj["components"] = {"1,2,3,4": "1"}
+    with pytest.raises(ValueError, match=r"^axis 4 out of range 1\.\.3$"):
+        fileio.tensor_from_obj(obj)
+    obj["components"] = {"1,2": "1"}
+    with pytest.raises(ValueError, match=r"^component key '1,2' has degree 2, expected 4$"):
+        fileio.tensor_from_obj(obj)
+    obj["components"] = {"1,x,1,1": "1"}
+    with pytest.raises(ValueError, match="bad axis list"):
+        fileio.tensor_from_obj(obj)
+
+
 def test_tensor_object_validation():
     with pytest.raises(ValueError):
         fileio.tensor_from_obj({"n": 2, "degree": 1, "variance": "up", "storage": "dense"})

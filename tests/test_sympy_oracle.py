@@ -1,0 +1,75 @@
+"""sympy as a second, independent oracle for the polynomial layer."""
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from jetstress.multiindex import CardinalityIndex
+from jetstress.polyfield import Polynomial, box_integral
+
+from conftest import rand_fraction, rand_poly
+
+sympy = pytest.importorskip("sympy")
+
+
+def rational(value: Fraction):
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def to_sympy(p: Polynomial, xs) -> "sympy.Expr":
+    return sympy.Add(
+        *(rational(c) * math.prod(x**e for x, e in zip(xs, card.counts)) for card, c in p.terms)
+    )
+
+
+def from_sympy(expr, xs) -> Polynomial:
+    terms = sympy.Poly(expr, *xs).terms()
+    return Polynomial.from_map(len(xs), {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+
+
+def cases(seed: int):
+    rng = random.Random(seed)
+    for trial in range(12):
+        n = 1 + trial % 3
+        xs = sympy.symbols(f"x1:{n + 1}")
+        yield rng, n, xs, rand_poly(rng, n, 3)
+
+
+def test_derive_matches_sympy():
+    for rng, n, xs, p in cases(401):
+        order = CardinalityIndex(tuple(rng.randint(0, 2) for _ in range(n)))
+        expected = to_sympy(p, xs)
+        for x, c in zip(xs, order.counts):
+            expected = sympy.diff(expected, x, c)
+        assert p.derive(order) == from_sympy(expected, xs)
+
+
+def test_substitute_matches_sympy():
+    for rng, n, xs, p in cases(402):
+        axis, value = rng.randint(1, n), rand_fraction(rng)
+        expected = to_sympy(p, xs).subs(xs[axis - 1], rational(value))
+        assert p.substitute(axis, value) == from_sympy(expected, xs)
+
+
+def test_box_integral_matches_sympy():
+    for rng, n, xs, p in cases(403):
+        lower = [rand_fraction(rng, span=3) for _ in range(n)]
+        upper = [lo + Fraction(rng.randint(1, 5), rng.randint(1, 4)) for lo in lower]
+        limits = [(x, rational(lo), rational(hi)) for x, lo, hi in zip(xs, lower, upper)]
+        expected = sympy.integrate(to_sympy(p, xs), *limits)
+        assert box_integral(p, lower, upper) == Fraction(int(expected.p), int(expected.q))
+
+
+def test_compose_affine_matches_sympy():
+    for rng, n, xs, p in cases(404):
+        matrix = [[rand_fraction(rng, span=2, den=2) for _ in range(n)] for _ in range(n)]
+        offset = [rand_fraction(rng, span=2, den=3) for _ in range(n)]
+        images = {
+            xs[j]: sum(rational(a) * x for a, x in zip(matrix[j], xs)) + rational(offset[j])
+            for j in range(n)
+        }
+        expected = sympy.expand(to_sympy(p, xs).xreplace(images))
+        assert p.compose_affine(matrix, offset) == from_sympy(expected, xs)
