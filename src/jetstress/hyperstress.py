@@ -32,9 +32,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
-from .multiindex import IndexLike, _nondecreasing, as_cardinality, rank, sym_dim
+from .multiindex import IndexLike, as_cardinality, enumerate_nondecreasing, rank, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral, midpoint_integral
-from .polyfield import _add_products, _denominator, _derive_numerators, _from_numerators, _numerators
+from .polyfield import _sum_of_products
 from .jet import JetCovector, JetElement, _check_jet_shape, pair_jet
 from .symtensor import SymTensor
 
@@ -329,27 +329,24 @@ class VariationalStressField:
         return self._density(field, {})
 
     def _density(self, field: PolyField, derivatives: dict) -> Polynomial:
-        """``density``, memoizing the field's derivative numerators by (component, counts).
+        """``density``, memoizing the field's derivatives by (component, counts).
 
-        Stress and field coefficients are numerators over one common
-        denominator each, so every slot product adds plain ints into one map.
+        Every slot product is summed in one pass, without a product
+        polynomial per slot.
         """
         if (field.n, field.m) != (self.n, self.m):
             raise ValueError("shape mismatch")
-        den_w = _denominator(*field.components)
-        fields = [_numerators(w, den_w) for w in field.components]
-        den_s = _denominator(*(poly for block in self.blocks for row in block for poly in row))
-        acc: dict[tuple[int, ...], int] = {}
+        pairs = []
         for l in range(self.k + 1):
-            cards = _nondecreasing(self.n, l)
+            cards = enumerate_nondecreasing(self.n, l)
             for a, row in enumerate(self.blocks[l]):
                 for card, poly in zip(cards, row):
                     if poly.terms:
                         key = (a, card.counts)
                         if key not in derivatives:
-                            derivatives[key] = _derive_numerators(fields[a], card.counts)
-                        _add_products(acc, _numerators(poly, den_s), derivatives[key])
-        return _from_numerators(self.n, acc, den_s * den_w)
+                            derivatives[key] = field.components[a].derive(card)
+                        pairs.append((poly, derivatives[key]))
+        return _sum_of_products(self.n, pairs)
 
 
 @dataclass(frozen=True)

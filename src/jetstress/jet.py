@@ -28,8 +28,8 @@ from . import _linalg
 from .multiindex import (
     CardinalityIndex,
     IndexLike,
-    _nondecreasing,
     as_cardinality,
+    enumerate_nondecreasing,
     mi_factorial,
 )
 from .polyfield import Point, PolyField, Polynomial, Scalar
@@ -151,7 +151,7 @@ def jet_of(field: PolyField, x: Point, k: int) -> JetElement:
         raise ValueError(f"negative order {k}")
     blocks = []
     for l in range(k + 1):
-        cards = _nondecreasing(field.n, l)
+        cards = enumerate_nondecreasing(field.n, l)
         block = []
         for alpha in range(1, field.m + 1):
             poly = field.component(alpha)
@@ -188,7 +188,7 @@ def realize(jet: JetElement) -> PolyField:
     for alpha in range(1, jet.m + 1):
         poly = Polynomial.zero(jet.n)
         for l in range(jet.k + 1):
-            for card in _nondecreasing(jet.n, l):
+            for card in enumerate_nondecreasing(jet.n, l):
                 value = jet.component(alpha, card)
                 if value == 0:
                     continue

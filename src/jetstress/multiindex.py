@@ -258,18 +258,11 @@ def _colex_sequences(n: int, l: int) -> Iterator[tuple[int, ...]]:
             yield head + (last,)
 
 
-# An op reads the degrees 0..k of one or two dimensions (k <= 8 in the
-# benchmark); a degree-8 tuple in dimension 6 holds 1,287 indices.
-@lru_cache(maxsize=64)
-def _nondecreasing(n: int, l: int) -> tuple[CardinalityIndex, ...]:
-    _check_shape(n, l)
-    return tuple(cardinality(MultiIndex(seq, n)) for seq in _colex_sequences(n, l))
-
-
 def enumerate_nondecreasing(n: int, l: int) -> list[CardinalityIndex]:
     """All degree-l cardinality indices in dimension n, in graded colex order
     of their canonical non-decreasing multi-indices."""
-    return list(_nondecreasing(n, l))
+    _check_shape(n, l)
+    return [cardinality(MultiIndex(seq, n)) for seq in _colex_sequences(n, l)]
 
 
 def rank(card: CardinalityIndex) -> int:
@@ -331,7 +324,7 @@ def dense_classes(n: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @lru_cache(maxsize=4)
 def class_multiplicities(n: int, l: int) -> tuple[int, ...]:
     """The multiplicity l!/counts! of every degree-l index class in dimension n, by rank."""
-    return tuple(multiplicity(card) for card in _nondecreasing(n, l))
+    return tuple(multiplicity(card) for card in enumerate_nondecreasing(n, l))
 
 
 def as_cardinality(index: IndexLike, n: int) -> CardinalityIndex:

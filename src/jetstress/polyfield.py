@@ -9,12 +9,12 @@ are all exact.
 A ``PolyField`` is a tuple of m such polynomials, a polynomial map from the
 n-dimensional space to an m-dimensional value space.
 
-Products, derivatives, substitution and the box and midpoint sums share one
-fraction-free kernel: a polynomial's coefficients are split once into integer
-numerators over one common denominator, the loop adds and multiplies plain
-ints keyed by plain count tuples, and ``_from_numerators`` divides once per
-distinct term at the end.  The results are the same ``Fraction``s, because
-every ``Fraction`` is reduced.
+Products, sums of products, derivatives, substitution and the box and
+midpoint sums share one fraction-free kernel: a polynomial's coefficients
+are split once into integer numerators over one common denominator, the
+loop adds and multiplies plain ints keyed by plain count tuples, and
+``_from_numerators`` divides once per distinct term at the end.  The results
+are the same ``Fraction``s, because every ``Fraction`` is reduced.
 """
 from __future__ import annotations
 
@@ -84,35 +84,28 @@ def _term_sort_key(item: tuple[CardinalityIndex, Fraction]) -> tuple[int, tuple[
     return (sum(counts), counts[::-1])
 
 
-# Terms as (counts, integer numerator) pairs over a denominator kept apart.
-_Numerators = list[tuple[tuple[int, ...], int]]
-
-
 def _denominator(*polys: "Polynomial") -> int:
     """Least common denominator of every coefficient of the polynomials."""
     return math.lcm(*(coeff.denominator for poly in polys for _, coeff in poly.terms))
 
 
-def _numerators(poly: "Polynomial", den: int) -> _Numerators:
-    """The terms of a polynomial as numerators over ``den``, a common denominator."""
+def _numerators(poly: "Polynomial", den: int) -> list[tuple[tuple[int, ...], int]]:
+    """The terms as (counts, integer numerator) pairs over ``den``, a common denominator."""
     return [(card.counts, c.numerator * (den // c.denominator)) for card, c in poly.terms]
 
 
-def _add_products(acc: dict, left: _Numerators, right: _Numerators) -> None:
-    """Add every product of a left and a right term into ``acc``."""
-    for counts_a, a in left:
-        for counts_b, b in right:
-            key = tuple(map(add, counts_a, counts_b))
-            acc[key] = acc.get(key, 0) + a * b
-
-
-def _derive_numerators(terms: _Numerators, order: tuple[int, ...]) -> _Numerators:
-    """Derivative numerators over the same denominator; ``math.perm`` is the falling factorial."""
-    return [
-        (tuple(map(sub, counts, order)), value * math.prod(map(math.perm, counts, order)))
-        for counts, value in terms
-        if all(map(ge, counts, order))
-    ]
+def _sum_of_products(n: int, pairs: Sequence[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
+    """``sum(left * right for left, right in pairs)``, adding ints over one common denominator."""
+    den_l = _denominator(*(left for left, _ in pairs))
+    den_r = _denominator(*(right for _, right in pairs))
+    acc: dict[tuple[int, ...], int] = {}
+    for left, right in pairs:
+        terms_r = _numerators(right, den_r)
+        for counts_a, a in _numerators(left, den_l):
+            for counts_b, b in terms_r:
+                key = tuple(map(add, counts_a, counts_b))
+                acc[key] = acc.get(key, 0) + a * b
+    return _from_numerators(n, acc, den_l * den_r)
 
 
 def _from_numerators(n: int, acc: Mapping[tuple[int, ...], int], den: int) -> "Polynomial":
@@ -221,10 +214,7 @@ class Polynomial:
             return Polynomial(self.n, tuple((card, factor * c) for card, c in self.terms))
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        den_a, den_b = _denominator(self), _denominator(other)
-        acc: dict[tuple[int, ...], int] = {}
-        _add_products(acc, _numerators(self, den_a), _numerators(other, den_b))
-        return _from_numerators(self.n, acc, den_a * den_b)
+        return _sum_of_products(self.n, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -256,10 +246,15 @@ class Polynomial:
         requested order; the surviving coefficient picks up the falling
         factorial of each exponent.  The order is an exponent count vector.
         """
-        card_j = _as_counts(order, self.n)
+        order = _as_counts(order, self.n).counts
         den = _denominator(self)
-        derived = _derive_numerators(_numerators(self, den), card_j.counts)
-        return _from_numerators(self.n, dict(derived), den)
+        # math.perm(c, j) is the falling factorial c (c-1) ... (c-j+1).
+        derived = {
+            tuple(map(sub, counts, order)): value * math.prod(map(math.perm, counts, order))
+            for counts, value in _numerators(self, den)
+            if all(map(ge, counts, order))
+        }
+        return _from_numerators(self.n, derived, den)
 
     def taylor(self, center: Point, order: int) -> "Polynomial":
         """Taylor coefficients around a point, as a polynomial in the offset.

@@ -112,10 +112,11 @@ class DenseTensor:
         _check_shape(n, degree)
         comps = [Fraction(0)] * n**degree
         for key, value in entries.items():
-            if len(key) != degree:
-                raise ValueError(f"index {key} has degree {len(key)}, expected {degree}")
-            _check_axes(key, n)
-            comps[_dense_offset(key, n)] = Fraction(value)
+            axes = tuple(map(int, key))
+            _check_axes(axes, n)
+            if len(axes) != degree:
+                raise ValueError(f"index {key} has degree {len(axes)}, expected {degree}")
+            comps[_dense_offset(axes, n)] = Fraction(value)
         return cls(n, degree, variance, tuple(comps))
 
     @classmethod

@@ -61,6 +61,16 @@ def test_dense_validates_shape_and_variance():
         DenseTensor.from_map(2, 2, "co", {(1,): 1})
 
 
+def test_dense_from_map_reads_axes_as_ints():
+    plain = DenseTensor.from_map(2, 2, "contra", {(1, 2): 5})
+    assert DenseTensor.from_map(2, 2, "contra", {(1.0, 2.0): 5}) == plain
+    assert DenseTensor.from_map(2, 2, "contra", {("1", "2"): 5}) == plain
+    with pytest.raises(ValueError, match=r"^axis 3 out of range 1\.\.2$"):
+        DenseTensor.from_map(2, 2, "contra", {(1.0, 3.0): 5})
+    with pytest.raises(ValueError, match=r"^axis 3 out of range 1\.\.2$"):
+        DenseTensor.from_map(2, 2, "contra", {(3,): 5})
+
+
 def test_is_symmetric():
     sym = DenseTensor.from_map(2, 2, "contra", {(1, 2): 5, (2, 1): 5, (1, 1): 2})
     asym = DenseTensor.from_map(2, 2, "contra", {(1, 2): 5, (2, 1): 4})
