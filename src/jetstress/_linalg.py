@@ -21,6 +21,10 @@ def _to_rows(matrix: Sequence[Row]) -> list[list[Fraction]]:
     return rows
 
 
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+
+
 def det(matrix: Sequence[Row]) -> Fraction:
     """Determinant by exact Gaussian elimination. Requires a square matrix."""
     rows = _to_rows(matrix)
@@ -77,7 +81,7 @@ def inverse(matrix: Sequence[Row]) -> list[list[Fraction]]:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse requires a square matrix")
-    aug = [rows[r] + [Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    aug = [row + unit for row, unit in zip(rows, identity(n))]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot_row is None:

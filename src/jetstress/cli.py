@@ -287,6 +287,10 @@ def _verify_jets(rng: random.Random, n: int, m: int, k: int, cases: int) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, least in (("n", 1), ("m", 1), ("l", 0), ("k", 0), ("cases", 1)):
+        value = getattr(args, flag)
+        if value < least:
+            raise ValueError(f"--{flag} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
     if args.suite == "epsilon":
         return _verify_epsilon(rng, args.n, args.l, args.cases)

@@ -17,6 +17,12 @@ Chart maps here are affine coordinate changes together with a polynomial
 frame change of the value components; the first-order transformation rule
 mixes the value block into the derivative block through the frame's
 derivative and is functorial under composition.
+
+A jet and the Taylor polynomials of its field in the offset from the base
+point carry the same numbers: slot J of component alpha is ``J!`` times the
+coefficient of ``y^J``.  Taking a jet, realizing it and transforming it are
+therefore all pullbacks of polynomials along affine maps, done by
+``Polynomial.compose_affine``.
 """
 from __future__ import annotations
 
@@ -25,14 +31,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _linalg
-from .multiindex import (
-    CardinalityIndex,
-    IndexLike,
-    as_cardinality,
-    enumerate_nondecreasing,
-    mi_factorial,
-)
-from .polyfield import Point, PolyField, Polynomial, Scalar
+from .multiindex import IndexLike, as_cardinality, enumerate_nondecreasing, mi_factorial
+from .polyfield import Point, PolyField, Polynomial, Scalar, _sum_of_products
 from .symtensor import SymTensor
 
 
@@ -143,22 +143,36 @@ class JetCovector:
         return self.blocks[card.degree][alpha - 1].component(card)
 
 
-def jet_of(field: PolyField, x: Point, k: int) -> JetElement:
-    """The k-jet of a polynomial field at a point, derivatives taken exactly."""
-    if x.n != field.n:
-        raise ValueError("point dimension mismatch")
-    if k < 0:
-        raise ValueError(f"negative order {k}")
+def _jet_of_taylor(polys: Sequence[Polynomial], x: Point, k: int) -> JetElement:
+    """The k-jet at x of the fields whose Taylor polynomials in the offset from x are ``polys``.
+
+    Slot J of component alpha is ``J!`` times the coefficient of ``y^J``;
+    terms above order k are ignored.
+    """
+    coeffs = [poly.coeff_map() for poly in polys]
     blocks = []
     for l in range(k + 1):
-        cards = enumerate_nondecreasing(field.n, l)
-        block = []
-        for alpha in range(1, field.m + 1):
-            poly = field.component(alpha)
-            comps = tuple(poly.derive(card)(x) for card in cards)
-            block.append(SymTensor(field.n, l, "co", "plain", comps))
-        blocks.append(tuple(block))
-    return JetElement(field.n, field.m, k, x, tuple(blocks))
+        cards = enumerate_nondecreasing(x.n, l)
+        comps = [tuple(c.get(card, 0) * mi_factorial(card) for card in cards) for c in coeffs]
+        blocks.append(tuple(SymTensor(x.n, l, "co", "plain", slots) for slots in comps))
+    return JetElement(x.n, len(polys), k, x, tuple(blocks))
+
+
+def _taylor_of_jet(jet: JetElement) -> list[Polynomial]:
+    """Per component, ``sum_J value_J / J! * y^J`` in the offset y from the base point."""
+    polys = []
+    for alpha in range(jet.m):
+        terms = []
+        for l, block in enumerate(jet.blocks):
+            cards = enumerate_nondecreasing(jet.n, l)
+            terms += [(c, v / mi_factorial(c)) for c, v in zip(cards, block[alpha].components)]
+        polys.append(Polynomial(jet.n, tuple(terms)))
+    return polys
+
+
+def jet_of(field: PolyField, x: Point, k: int) -> JetElement:
+    """The k-jet of a polynomial field at a point, derivatives taken exactly."""
+    return _jet_of_taylor([poly.taylor(x, k) for poly in field.components], x, k)
 
 
 def source(jet: JetElement) -> Point:
@@ -179,26 +193,9 @@ def realize(jet: JetElement) -> PolyField:
     Component alpha is the sum over slots of the stored derivative divided
     by counts!, times the centered monomial of the slot.
     """
-    x0 = jet.x
-    offsets = [
-        Polynomial.variable(jet.n, axis) - Polynomial.constant(jet.n, x0.coords[axis - 1])
-        for axis in range(1, jet.n + 1)
-    ]
-    components = []
-    for alpha in range(1, jet.m + 1):
-        poly = Polynomial.zero(jet.n)
-        for l in range(jet.k + 1):
-            for card in enumerate_nondecreasing(jet.n, l):
-                value = jet.component(alpha, card)
-                if value == 0:
-                    continue
-                term = Polynomial.constant(jet.n, value / mi_factorial(card))
-                for axis, count in enumerate(card.counts, start=1):
-                    if count:
-                        term = term * offsets[axis - 1].power(count)
-                poly = poly + term
-        components.append(poly)
-    return PolyField(jet.n, jet.m, tuple(components))
+    identity, back = _linalg.identity(jet.n), [-c for c in jet.x.coords]
+    polys = tuple(poly.compose_affine(identity, back) for poly in _taylor_of_jet(jet))
+    return PolyField(jet.n, jet.m, polys)
 
 
 def pair_jet(covector: JetCovector, jet: JetElement) -> Fraction:
@@ -252,7 +249,7 @@ class ChartMap:
 
     @classmethod
     def identity(cls, n: int, m: int) -> "ChartMap":
-        matrix = tuple(tuple(Fraction(int(r == c)) for c in range(n)) for r in range(n))
+        matrix = _linalg.identity(n)
         offset = (Fraction(0),) * n
         frame = tuple(
             tuple(Polynomial.constant(n, int(a == b)) for b in range(m)) for a in range(m)
@@ -262,7 +259,7 @@ class ChartMap:
     def apply_point(self, x: Point) -> Point:
         if x.n != self.n:
             raise ValueError("point dimension mismatch")
-        return Point(tuple(_linalg.mat_vec(self.matrix, x.coords)[r] + self.offset[r] for r in range(self.n)))
+        return Point(tuple(v + o for v, o in zip(_linalg.mat_vec(self.matrix, x.coords), self.offset)))
 
 
 def compose_charts(outer: ChartMap, inner: ChartMap) -> ChartMap:
@@ -273,80 +270,40 @@ def compose_charts(outer: ChartMap, inner: ChartMap) -> ChartMap:
     """
     if (outer.n, outer.m) != (inner.n, inner.m):
         raise ValueError("shape mismatch")
-    matrix = tuple(tuple(v for v in row) for row in _linalg.mat_mul(outer.matrix, inner.matrix))
-    offset = tuple(
-        v + o for v, o in zip(_linalg.mat_vec(outer.matrix, inner.offset), outer.offset)
-    )
+    matrix = _linalg.mat_mul(outer.matrix, inner.matrix)
+    offset = [v + o for v, o in zip(_linalg.mat_vec(outer.matrix, inner.offset), outer.offset)]
     pulled = [
         [poly.compose_affine(inner.matrix, inner.offset) for poly in row] for row in outer.frame
     ]
-    frame = tuple(
-        tuple(
-            sum(
-                (pulled[a][b] * inner.frame[b][c] for b in range(outer.m)),
-                Polynomial.zero(outer.n),
-            )
-            for c in range(outer.m)
-        )
-        for a in range(outer.m)
-    )
+    frame = [
+        [_sum_of_products(outer.n, list(zip(row, column))) for column in zip(*inner.frame)]
+        for row in pulled
+    ]
     return ChartMap(outer.n, outer.m, matrix, offset, frame)
 
 
 def transform_1jet(jet: JetElement, chart: ChartMap) -> JetElement:
     """Push a 1-jet through a chart map.
 
-    The value block transforms by the frame at the base point.  The new
-    first derivatives chain through the inverse coordinate matrix and pick
-    up the derivative of the frame acting on the value block:
+    In the offset y from the new base point the old offset is ``inv . y``,
+    so new component alpha is, near the base point,
 
-        new_d[alpha', i'] = sum_j inv[j][i'] * (
-            sum_alpha d_j frame[alpha'][alpha](x0) * value[alpha]
-          + sum_alpha frame[alpha'][alpha](x0) * old_d[alpha, j])
+        sum_beta frame[alpha][beta](x0 + inv . y) * T_beta(inv . y)
 
-    Only order 1 is supported; higher orders would need iterated chain rule
-    terms that are out of scope here.
+    with T_beta the Taylor polynomial of the jet's component beta.  The
+    1-jet of a product depends only on the 1-jets of its factors, so the
+    1-jet of that polynomial at y = 0 is the new jet exactly.
+
+    Only order 1 is supported.
     """
     if jet.k != 1:
         raise ValueError(f"transform requires a 1-jet, got order {jet.k}")
     if (chart.n, chart.m) != (jet.n, jet.m):
         raise ValueError("shape mismatch")
-    n, m = jet.n, jet.m
-    x0 = jet.x
-    inv = _linalg.inverse(chart.matrix)
-    frame_at = [[chart.frame[a][b](x0) for b in range(m)] for a in range(m)]
-    frame_grad = [
-        [
-            [chart.frame[a][b].derive(CardinalityIndex.unit(n, j))(x0) for b in range(m)]
-            for a in range(m)
-        ]
-        for j in range(1, n + 1)
+    inv, x0 = _linalg.inverse(chart.matrix), jet.x.coords
+    slots = [poly.compose_affine(inv, (0,) * jet.n) for poly in _taylor_of_jet(jet)]
+    new = [
+        _sum_of_products(jet.n, [(f.compose_affine(inv, x0), t) for f, t in zip(row, slots)])
+        for row in chart.frame
     ]
-    values = [jet.component(alpha, ()) for alpha in range(1, m + 1)]
-    derivs = [
-        [jet.component(alpha, (j,)) for j in range(1, n + 1)] for alpha in range(1, m + 1)
-    ]
-    new_values = [
-        sum((frame_at[a][b] * values[b] for b in range(m)), Fraction(0)) for a in range(m)
-    ]
-    new_derivs = []
-    for a in range(m):
-        row = []
-        for i_prime in range(n):
-            total = Fraction(0)
-            for j in range(n):
-                chained = sum(
-                    (
-                        frame_grad[j][a][b] * values[b] + frame_at[a][b] * derivs[b][j]
-                        for b in range(m)
-                    ),
-                    Fraction(0),
-                )
-                total += inv[j][i_prime] * chained
-            row.append(total)
-        new_derivs.append(row)
-    blocks = (
-        tuple(SymTensor(n, 0, "co", "plain", (new_values[a],)) for a in range(m)),
-        tuple(SymTensor(n, 1, "co", "plain", tuple(new_derivs[a])) for a in range(m)),
-    )
-    return JetElement(n, m, 1, chart.apply_point(x0), blocks)
+    return _jet_of_taylor(new, chart.apply_point(jet.x), 1)

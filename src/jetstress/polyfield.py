@@ -15,6 +15,12 @@ are split once into integer numerators over one common denominator, the
 loop adds and multiplies plain ints keyed by plain count tuples, and
 ``_from_numerators`` divides once per distinct term at the end.  The results
 are the same ``Fraction``s, because every ``Fraction`` is reduced.
+
+Pullback along an affine map, ``compose_affine``, is the one substitution
+kernel: the affine data is split over its own common denominator q, the
+replacement powers are memoized per variable and exponent, and each term is
+scaled to ``q**top``.  ``taylor`` is the shift ``p(center + y)`` truncated
+at the order; the jet layer builds on the same kernel.
 """
 from __future__ import annotations
 
@@ -22,18 +28,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, ge, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .multiindex import (
-    CardinalityIndex,
-    IndexLike,
-    MultiIndex,
-    cardinality,
-    enumerate_nondecreasing,
-    mi_factorial,
-)
+from . import _linalg
+from .multiindex import CardinalityIndex, IndexLike, MultiIndex, cardinality
 
 Scalar = Fraction | int | str
+Counts = tuple[int, ...]
+Terms = Collection[tuple[Counts, int]]
 
 
 def _as_counts(index: IndexLike, n: int) -> CardinalityIndex:
@@ -89,7 +91,7 @@ def _denominator(*polys: "Polynomial") -> int:
     return math.lcm(*(coeff.denominator for poly in polys for _, coeff in poly.terms))
 
 
-def _numerators(poly: "Polynomial", den: int) -> list[tuple[tuple[int, ...], int]]:
+def _numerators(poly: "Polynomial", den: int) -> list[tuple[Counts, int]]:
     """The terms as (counts, integer numerator) pairs over ``den``, a common denominator."""
     return [(card.counts, c.numerator * (den // c.denominator)) for card, c in poly.terms]
 
@@ -98,17 +100,22 @@ def _sum_of_products(n: int, pairs: Sequence[tuple["Polynomial", "Polynomial"]])
     """``sum(left * right for left, right in pairs)``, adding ints over one common denominator."""
     den_l = _denominator(*(left for left, _ in pairs))
     den_r = _denominator(*(right for _, right in pairs))
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[Counts, int] = {}
     for left, right in pairs:
-        terms_r = _numerators(right, den_r)
-        for counts_a, a in _numerators(left, den_l):
-            for counts_b, b in terms_r:
-                key = tuple(map(add, counts_a, counts_b))
-                acc[key] = acc.get(key, 0) + a * b
+        _add_product(acc, _numerators(left, den_l), _numerators(right, den_r))
     return _from_numerators(n, acc, den_l * den_r)
 
 
-def _from_numerators(n: int, acc: Mapping[tuple[int, ...], int], den: int) -> "Polynomial":
+def _add_product(acc: dict[Counts, int], left: Terms, right: Terms) -> dict[Counts, int]:
+    """Add the product of two (counts, int numerator) term lists into ``acc``; return it."""
+    for counts_a, a in left:
+        for counts_b, b in right:
+            key = tuple(map(add, counts_a, counts_b))
+            acc[key] = acc.get(key, 0) + a * b
+    return acc
+
+
+def _from_numerators(n: int, acc: Mapping[Counts, int], den: int) -> "Polynomial":
     """The polynomial with coefficients ``acc[counts] / den``.
 
     The keys are sums and differences of valid count vectors of length n,
@@ -260,20 +267,16 @@ class Polynomial:
         """Taylor coefficients around a point, as a polynomial in the offset.
 
         The coefficient of the offset monomial with counts J is the J-th
-        derivative at the center divided by counts!.  For a polynomial of
-        degree at most the requested order this is an exact re-centering.
+        derivative at the center divided by counts!.  These are the terms of
+        degree at most ``order`` of the shift ``p(center + y)``, so for a
+        polynomial of degree at most the order this is an exact re-centering.
         """
         if center.n != self.n:
             raise ValueError("point dimension mismatch")
         if order < 0:
             raise ValueError(f"negative order {order}")
-        acc: dict[CardinalityIndex, Fraction] = {}
-        for l in range(order + 1):
-            for card in enumerate_nondecreasing(self.n, l):
-                value = self.derive(card)(center) / mi_factorial(card)
-                if value != 0:
-                    acc[card] = value
-        return Polynomial(self.n, tuple(acc.items()))
+        shifted = self.compose_affine(_linalg.identity(self.n), center.coords)
+        return Polynomial(self.n, tuple(term for term in shifted.terms if term[0].degree <= order))
 
     def substitute(self, axis: int, value: Scalar) -> "Polynomial":
         """Freeze one variable at an exact value; the axis count drops to zero."""
@@ -286,7 +289,7 @@ class Polynomial:
         top = max((counts[axis - 1] for counts, _ in terms), default=0)
         p_powers = [fixed.numerator**c for c in range(top + 1)]
         q_powers = [fixed.denominator**c for c in range(top + 1)]
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[Counts, int] = {}
         for counts, num in terms:
             c = counts[axis - 1]
             key = counts[: axis - 1] + (0,) + counts[axis:]
@@ -301,27 +304,39 @@ class Polynomial:
         Variable j is replaced by ``sum_i matrix[j][i] * x^i + offset[j]``;
         the result is the pullback of the polynomial along the affine map.
         """
+        n = self.n
         rows = [[Fraction(v) for v in row] for row in matrix]
         shift = [Fraction(v) for v in offset]
-        if len(rows) != self.n or len(shift) != self.n:
+        if len(rows) != n or len(shift) != n or any(len(row) != n for row in rows):
             raise ValueError("affine data dimension mismatch")
-        replacements = []
-        for j in range(self.n):
-            if len(rows[j]) != self.n:
-                raise ValueError("affine data dimension mismatch")
-            poly = Polynomial.constant(self.n, shift[j])
-            for i in range(self.n):
-                if rows[j][i] != 0:
-                    poly = poly + Polynomial.monomial(CardinalityIndex.unit(self.n, i + 1), rows[j][i])
-            replacements.append(poly)
-        result = Polynomial.zero(self.n)
-        for card, coeff in self.terms:
-            term = Polynomial.constant(self.n, coeff)
-            for j, count in enumerate(card.counts):
-                if count:
-                    term = term * replacements[j].power(count)
-            result = result + term
-        return result
+        # Replacement j is (sum_i a_ji x^i + b_j) / q over ints, zero entries skipped.
+        q = math.lcm(*(v.denominator for row in rows + [shift] for v in row))
+        zero = (0,) * n
+        monomials = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)] + [zero]
+        den = _denominator(self)
+        terms = _numerators(self, den)
+        powers = []
+        for j, row in enumerate(rows):
+            replacement = [
+                (key, v.numerator * (q // v.denominator))
+                for key, v in zip(monomials, row + [shift[j]])
+                if v
+            ]
+            table = [{zero: 1}]
+            for _ in range(max((counts[j] for counts, _ in terms), default=0)):
+                table.append(_add_product({}, table[-1].items(), replacement))
+            powers.append(table)
+        # A degree-d term is over q**d; scaling it by q**(top - d) puts every term over q**top.
+        top = max((sum(counts) for counts, _ in terms), default=0)
+        acc: dict[Counts, int] = {}
+        for counts, num in terms:
+            product = {zero: num * q ** (top - sum(counts))}
+            for j, c in enumerate(counts):
+                if c:
+                    product = _add_product({}, product.items(), powers[j][c].items())
+            for key, value in product.items():
+                acc[key] = acc.get(key, 0) + value
+        return _from_numerators(n, acc, den * q**top)
 
 
 def _separable_sum(

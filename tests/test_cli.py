@@ -218,6 +218,28 @@ def test_verify_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+# Out-of-range verify flags, each with the flag its error line must name.
+BAD_VERIFY_FLAGS = {
+    "epsilon-negative-cases": (["epsilon", "--cases", "-5"], "--cases"),
+    "epsilon-zero-cases": (["epsilon", "--cases", "0"], "--cases"),
+    "duality-negative-l": (["duality", "--l", "-1"], "--l"),
+    "epsilon-zero-n": (["epsilon", "--n", "0"], "--n"),
+    "cauchy-zero-m": (["cauchy", "--m", "0"], "--m"),
+    "jets-negative-k": (["jets", "--k", "-1"], "--k"),
+    "jets-zero-m": (["jets", "--m", "0"], "--m"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_VERIFY_FLAGS))
+def test_verify_flag_out_of_range_is_one_error_line(capsys, kind):
+    args, flag = BAD_VERIFY_FLAGS[kind]
+    assert main(["verify", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} must be at least")
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["jet", "/nonexistent/field.json", "--point", "0", "--k", "1"]) == 1
     assert capsys.readouterr().err.startswith("error:")

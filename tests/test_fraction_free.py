@@ -2,7 +2,9 @@
 
 The reference functions below are the coefficient loops ``polyfield`` and
 ``hyperstress`` used before their kernels moved to integer numerators over
-one common denominator.  Results must be equal term for term, in the same
+one common denominator, and the power products and per-slot derivatives
+``compose_affine`` and ``taylor`` used before they became one affine
+substitution kernel.  Results must be equal term for term, in the same
 order, with every coefficient a ``Fraction``.
 """
 from __future__ import annotations
@@ -11,8 +13,8 @@ import random
 from fractions import Fraction
 
 from jetstress.hyperstress import TractionStressField, VariationalStressField
-from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing, sym_dim
-from jetstress.polyfield import PolyField, Polynomial, box_integral, midpoint_integral
+from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing, mi_factorial, sym_dim
+from jetstress.polyfield import Point, PolyField, Polynomial, box_integral, midpoint_integral
 
 from conftest import rand_fraction
 
@@ -50,6 +52,35 @@ def ref_substitute(p: Polynomial, axis: int, value: Fraction) -> Polynomial:
         new_counts = tuple(0 if r == axis - 1 else c for r, c in enumerate(card.counts))
         key = CardinalityIndex(new_counts)
         acc[key] = acc.get(key, Fraction(0)) + coeff * value**count
+    return Polynomial(p.n, tuple(acc.items()))
+
+
+def ref_compose_affine(p: Polynomial, matrix, offset) -> Polynomial:
+    n = p.n
+    replacements = []
+    for j in range(n):
+        poly = Polynomial.constant(n, offset[j])
+        for i in range(n):
+            if matrix[j][i] != 0:
+                poly = poly + Polynomial.monomial(CardinalityIndex.unit(n, i + 1), matrix[j][i])
+        replacements.append(poly)
+    result = Polynomial.zero(n)
+    for card, coeff in p.terms:
+        term = Polynomial.constant(n, coeff)
+        for j, count in enumerate(card.counts):
+            if count:
+                term = term * replacements[j].power(count)
+        result = result + term
+    return result
+
+
+def ref_taylor(p: Polynomial, center: Point, order: int) -> Polynomial:
+    acc: dict[CardinalityIndex, Fraction] = {}
+    for l in range(order + 1):
+        for card in enumerate_nondecreasing(p.n, l):
+            value = p.derive(card)(center) / mi_factorial(card)
+            if value != 0:
+                acc[card] = value
     return Polynomial(p.n, tuple(acc.items()))
 
 
@@ -215,3 +246,41 @@ def test_density_coeffs_match_per_axis_density():
         for got, axis in zip(coeffs, stress.axes):
             assert_exact(got, axis.density(field))
             assert_exact(got, ref_density(axis, field))
+
+
+def affine_data(rng: random.Random, n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """A matrix with some zero entries, one in four singular, and a signed fractional offset."""
+    matrix = [[coeff(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.25:
+        # Row 1 repeated (or zeroed when n is 1) makes the matrix singular.
+        matrix[-1] = list(matrix[0]) if n > 1 else [Fraction(0)]
+    offset = [-coeff(rng) if rng.random() < 0.5 else rand_fraction(rng) for _ in range(n)]
+    return matrix, offset
+
+
+def test_compose_affine_matches_the_power_product_loop():
+    rng = random.Random(306)
+    for trial in range(60):
+        n = 1 + trial % 4
+        p = poly(rng, n, 4 if n < 3 else 3)
+        matrix, offset = affine_data(rng, n)
+        assert_exact(p.compose_affine(matrix, offset), ref_compose_affine(p, matrix, offset))
+    for n in range(1, 5):
+        zero = [[Fraction(0)] * n for _ in range(n)]
+        p = poly(rng, n, 3, density=1.0)
+        # An all-zero map sends p to its value at the offset.
+        offset = [rand_fraction(rng) for _ in range(n)]
+        assert_exact(p.compose_affine(zero, offset), ref_compose_affine(p, zero, offset))
+        assert_exact(p.compose_affine(zero, offset), Polynomial.constant(n, p(offset)))
+        assert_exact(Polynomial.zero(n).compose_affine(*affine_data(rng, n)), Polynomial.zero(n))
+
+
+def test_taylor_matches_the_per_slot_derivatives():
+    rng = random.Random(307)
+    for trial in range(48):
+        n = 1 + trial % 4
+        p = poly(rng, n, 4 if n < 3 else 3)
+        center = Point(tuple(-coeff(rng) if rng.random() < 0.5 else rand_fraction(rng) for _ in range(n)))
+        # Orders below, at and above the degree.
+        for order in sorted({0, max(p.degree - 1, 0), p.degree, p.degree + 1}):
+            assert_exact(p.taylor(center, order), ref_taylor(p, center, order))

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from jetstress.multiindex import CardinalityIndex
-from jetstress.polyfield import Polynomial, box_integral
+from jetstress.jet import jet_of
+from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing
+from jetstress.polyfield import Point, PolyField, Polynomial, box_integral
 
-from conftest import rand_fraction, rand_poly
+from conftest import rand_fraction, rand_point, rand_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -28,6 +29,14 @@ def to_sympy(p: Polynomial, xs) -> "sympy.Expr":
 def from_sympy(expr, xs) -> Polynomial:
     terms = sympy.Poly(expr, *xs).terms()
     return Polynomial.from_map(len(xs), {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+
+
+def derivative_at(expr, xs, card: CardinalityIndex, point: Point) -> Fraction:
+    """sympy's partial derivative with the given counts, evaluated at the point."""
+    for x, c in zip(xs, card.counts):
+        expr = sympy.diff(expr, x, c)
+    value = expr.subs({x: rational(v) for x, v in zip(xs, point.coords)})
+    return Fraction(int(value.p), int(value.q))
 
 
 def cases(seed: int):
@@ -73,3 +82,27 @@ def test_compose_affine_matches_sympy():
         }
         expected = sympy.expand(to_sympy(p, xs).xreplace(images))
         assert p.compose_affine(matrix, offset) == from_sympy(expected, xs)
+
+
+def test_taylor_matches_sympy():
+    for rng, n, xs, p in cases(405):
+        center, order = rand_point(rng, n), rng.randint(0, 4)
+        expr = to_sympy(p, xs)
+        expected = {
+            card: derivative_at(expr, xs, card, center) / math.prod(map(math.factorial, card.counts))
+            for l in range(order + 1)
+            for card in enumerate_nondecreasing(n, l)
+        }
+        assert p.taylor(center, order) == Polynomial.from_map(n, expected)
+
+
+def test_jet_of_matches_sympy():
+    for rng, n, xs, p in cases(406):
+        field = PolyField(n, 2, (p, rand_poly(rng, n, 3)))
+        x, k = rand_point(rng, n), rng.randint(0, 3)
+        jet = jet_of(field, x, k)
+        for alpha, poly in enumerate(field.components, start=1):
+            expr = to_sympy(poly, xs)
+            for l in range(k + 1):
+                for card in enumerate_nondecreasing(n, l):
+                    assert jet.component(alpha, card) == derivative_at(expr, xs, card, x)
