@@ -25,7 +25,7 @@ from .hyperstress import (
     total_power,
     traction_density,
 )
-from .jet import JetElement, jet_of, realize, truncate
+from .jet import JetElement, _tensor_blocks, jet_of, realize, truncate
 from .multiindex import (
     MultiIndex,
     apply_permutation,
@@ -38,7 +38,7 @@ from .multiindex import (
     permutations_of,
     sym_dim,
 )
-from .polyfield import Point, PolyField
+from .polyfield import Point
 from .symtensor import (
     DenseTensor,
     SymTensor,
@@ -76,6 +76,14 @@ def _parse_box(text: str) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     if len(lower) != len(upper):
         raise ValueError(f"bad box {text!r}; bound lengths differ")
     return lower, upper
+
+
+def _region(args: argparse.Namespace) -> tuple[BoxRegion, str]:
+    """The ``--box`` region and the integration method ``--subdiv`` selects."""
+    lower, upper = _parse_box(args.box)
+    if args.subdiv is None:
+        return BoxRegion(lower, upper), "exact"
+    return BoxRegion(lower, upper, args.subdiv), "midpoint"
 
 
 def _rand_fraction(rng: random.Random) -> Fraction:
@@ -133,13 +141,8 @@ def cmd_power(args: argparse.Namespace) -> int:
     if not isinstance(stress, VariationalStressField):
         raise ValueError("power expects a variational stress file")
     field = fileio.field_from_obj(fileio.load(args.field))
-    lower, upper = _parse_box(args.box)
-    if args.subdiv is None:
-        region = BoxRegion(lower, upper)
-        value = total_power(stress, field, region, method="exact")
-    else:
-        region = BoxRegion(lower, upper, args.subdiv)
-        value = total_power(stress, field, region, method="midpoint")
+    region, method = _region(args)
+    value = total_power(stress, field, region, method=method)
     print(_format_scalar(value, args.float))
     return 0
 
@@ -149,13 +152,8 @@ def cmd_flux(args: argparse.Namespace) -> int:
     if not isinstance(stress, TractionStressField):
         raise ValueError("flux expects a traction stress file")
     field = fileio.field_from_obj(fileio.load(args.field))
-    lower, upper = _parse_box(args.box)
-    if args.subdiv is None:
-        region = BoxRegion(lower, upper)
-        value = boundary_power_flux(stress, field, region, k=args.k, method="exact")
-    else:
-        region = BoxRegion(lower, upper, args.subdiv)
-        value = boundary_power_flux(stress, field, region, k=args.k, method="midpoint")
+    region, method = _region(args)
+    value = boundary_power_flux(stress, field, region, k=args.k, method=method)
     print(_format_scalar(value, args.float))
     return 0
 
@@ -220,15 +218,10 @@ def _verify_duality(n: int, l: int) -> int:
 
 
 def _rand_jet(rng: random.Random, n: int, m: int, k: int) -> JetElement:
-    blocks = []
-    for l in range(k + 1):
-        block = []
-        for _ in range(m):
-            comps = tuple(_rand_fraction(rng) for _ in range(sym_dim(n, l)))
-            block.append(SymTensor(n, l, "co", "plain", comps))
-        blocks.append(tuple(block))
+    dims = [sym_dim(n, l) for l in range(k + 1)]
+    rows = [[[_rand_fraction(rng) for _ in range(dim)] for _ in range(m)] for dim in dims]
     x = Point(tuple(_rand_fraction(rng) for _ in range(n)))
-    return JetElement(n, m, k, x, tuple(blocks))
+    return JetElement(n, m, k, x, _tensor_blocks(n, rows, "co", "plain"))
 
 
 def _rand_traction(rng: random.Random, n: int, m: int, k: int) -> TractionHyperStress:

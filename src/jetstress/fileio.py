@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .altforms import CoDimOneForm
-from .jet import JetElement
+from .jet import JetElement, _slot_rows, _tensor_blocks
 from .hyperstress import TractionStressField, VariationalStressField
 from .multiindex import CardinalityIndex, MultiIndex, cardinality, enumerate_nondecreasing
 from .polyfield import Point, PolyField, Polynomial
@@ -194,10 +194,7 @@ def polynomial_to_obj(poly: Polynomial) -> dict:
 
 
 def polynomial_from_obj(obj: dict, n: int) -> Polynomial:
-    coeffs = {}
-    for key, text in obj.items():
-        card = parse_counts(key, n)
-        coeffs[card] = parse_rational(text)
+    coeffs = {parse_counts(key, n): parse_rational(text) for key, text in obj.items()}
     return Polynomial.from_map(n, coeffs)
 
 
@@ -263,7 +260,7 @@ def jet_from_obj(obj: dict) -> JetElement:
     x = _header(obj, "jet", "x", list)
     blocks_obj = _json_object(obj.get("blocks", {}), "jet blocks")
     point = Point(tuple(parse_rational(c) for c in x))
-    slot_maps: list[list[dict]] = [[{} for _ in range(m)] for _ in range(k + 1)]
+    slots = {}
     for order_key, entries in blocks_obj.items():
         try:
             l = int(order_key)
@@ -273,15 +270,10 @@ def jet_from_obj(obj: dict) -> JetElement:
             raise ValueError(f"block order {l} out of range 0..{k}")
         for key, text in _json_object(entries, f"jet block {order_key!r}").items():
             alpha, card = _parse_jet_slot_key(key, n)
-            if not 1 <= alpha <= m:
-                raise ValueError(f"component {alpha} out of range 1..{m}")
             if card.degree != l:
                 raise ValueError(f"slot {key!r} has degree {card.degree}, expected {l}")
-            slot_maps[l][alpha - 1][card] = parse_rational(text)
-    blocks = tuple(
-        tuple(SymTensor.from_map(n, l, "co", "plain", slot_maps[l][a]) for a in range(m))
-        for l in range(k + 1)
-    )
+            slots[alpha, card] = parse_rational(text)
+    blocks = _tensor_blocks(n, _slot_rows(n, m, k, slots, 0), "co", "plain")
     return JetElement(n, m, k, point, blocks)
 
 

@@ -6,12 +6,15 @@ density, a multiple of the coordinate volume form.
 
 A traction hyper-stress of order k is n jet covectors of order k-1, one per
 extra contraction axis: covector j, paired with a (k-1)-jet, gives
-coefficient j of the flux density, a codimension-one form.  Restricting that
-form to a hyperplane frame gives the traction the stress induces on any
-boundary with that tangent plane.  Restriction is linear in the form's
-coefficients, so the traction on a frame is the sum of the n covectors
-weighted by the restrictions of the n basis forms to the frame; that is the
-generalized boundary-traction formula implemented by ``cauchy_traction``.
+coefficient j of the flux density, a codimension-one form.  A traction
+stress field is likewise n variational stress fields of order k-1, and one
+private base, ``_PerAxis``, builds, checks and splits both traction classes
+into their per-axis parts.  Restricting the flux form to a hyperplane frame
+gives the traction the stress induces on any boundary with that tangent
+plane.  Restriction is linear in the form's coefficients, so the traction on
+a frame is the sum of the n covectors weighted by the restrictions of the n
+basis forms to the frame; that is the generalized boundary-traction formula
+implemented by ``cauchy_traction``.
 
 Boundary orientation for boxes: on the face where axis i is at its upper
 bound the outward-oriented frame is the coordinate frame with axis i
@@ -32,10 +35,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
-from .multiindex import IndexLike, as_cardinality, enumerate_nondecreasing, rank, sym_dim
+from .multiindex import IndexLike, enumerate_nondecreasing, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral, midpoint_integral
 from .polyfield import _sum_of_products
-from .jet import JetCovector, JetElement, _check_jet_shape, pair_jet
+from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _slot_rows
+from .jet import _tensor_blocks, pair_jet
 from .symtensor import SymTensor
 
 
@@ -96,42 +100,61 @@ class VariationalHyperStress:
         return self.covector.component(alpha, index)
 
 
-def _by_axis(n: int, entries: Mapping[tuple[int, IndexLike, int], object]) -> list[dict]:
-    """Split entries keyed by (alpha, index, axis j) into n maps keyed by (alpha, index)."""
-    groups: list[dict] = [{} for _ in range(n)]
-    for (alpha, index, j), value in entries.items():
-        if not 1 <= j <= n:
-            raise ValueError(f"axis {j} out of range 1..{n}")
-        groups[j - 1][alpha, index] = value
-    return groups
-
-
-def _split_axes(part: type, n: int, m: int, k: int, blocks: tuple) -> tuple:
-    """The n order-(k-1) parts of an order-k traction object, one per contraction axis.
-
-    ``blocks[l][alpha-1][j-1]`` becomes ``blocks[l][alpha-1]`` of part j; the
-    part's own constructor validates everything but the axis count.
-    """
-    if k < 1:
-        raise ValueError(f"order must be at least 1, got {k}")
-    _check_jet_shape(n, m, k)
-    for l, block in enumerate(blocks):
-        for row in block:
-            if len(row) != n:
-                raise ValueError(f"block {l} rows must have {n} axis slots")
-    return tuple(
-        part(n, m, k - 1, tuple(tuple(row[j] for row in block) for block in blocks))
-        for j in range(n)
-    )
-
-
 def _join_axes(axes: Sequence) -> tuple:
-    """Inverse of ``_split_axes``: blocks indexed ``[l][alpha-1][j-1]``."""
+    """Blocks indexed ``[l][alpha-1][j-1]`` from the n per-axis parts ``axes[j-1]``."""
     return tuple(tuple(zip(*rows)) for rows in zip(*(ax.blocks for ax in axes)))
 
 
+def _check_order(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"order must be at least 1, got {k}")
+
+
 @dataclass(frozen=True)
-class TractionHyperStress:
+class _PerAxis:
+    """Order-k traction object stored as n order-(k-1) parts, one per contraction axis.
+
+    ``blocks[l][alpha-1][j-1]`` is ``blocks[l][alpha-1]`` of part j, which
+    is ``axes[j-1]``, an instance of the class attribute ``_part``.  The
+    part's own constructor validates everything but the order and the axis
+    count.
+    """
+
+    n: int
+    m: int
+    k: int
+    blocks: tuple
+    axes: tuple = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _check_order(self.k)
+        _check_jet_shape(self.n, self.m, self.k)
+        blocks = tuple(tuple(tuple(row) for row in block) for block in self.blocks)
+        for l, block in enumerate(blocks):
+            for row in block:
+                if len(row) != self.n:
+                    raise ValueError(f"block {l} rows must have {self.n} axis slots")
+        parts = (tuple(tuple(row[j] for row in block) for block in blocks) for j in range(self.n))
+        axes = tuple(self._part(self.n, self.m, self.k - 1, part) for part in parts)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "blocks", _join_axes(axes))
+
+    @classmethod
+    def from_map(
+        cls, n: int, m: int, k: int, entries: Mapping[tuple[int, IndexLike, int], object]
+    ) -> _PerAxis:
+        """Build from values keyed by (alpha, symmetric index, axis j)."""
+        _check_order(k)
+        groups: list[dict] = [{} for _ in range(n)]
+        for (alpha, index, j), value in entries.items():
+            if not 1 <= j <= n:
+                raise ValueError(f"axis {j} out of range 1..{n}")
+            groups[j - 1][alpha, index] = value
+        return cls(n, m, k, _join_axes([cls._part.from_map(n, m, k - 1, g) for g in groups]))
+
+
+@dataclass(frozen=True)
+class TractionHyperStress(_PerAxis):
     """Order-k stress acting on (k-1)-jets with a codimension-one form as value.
 
     ``blocks[l][alpha-1][j-1]`` is the degree-l symmetric leg for value
@@ -139,30 +162,15 @@ class TractionHyperStress:
     degree-l leg only; the contraction axis is a free slot, which is all the
     symmetry such a stress can have.  ``axes[j-1]`` is the same data as the
     jet covector of order k-1 that feeds coefficient j of the flux form.
+    ``from_map`` takes arrow components.
     """
 
-    n: int
-    m: int
-    k: int
     blocks: tuple[tuple[tuple[SymTensor, ...], ...], ...]
-    axes: tuple[JetCovector, ...] = dataclasses.field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        blocks = tuple(tuple(tuple(row) for row in block) for block in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "axes", _split_axes(JetCovector, self.n, self.m, self.k, blocks))
+    _part = JetCovector
 
     @classmethod
     def zero(cls, n: int, m: int, k: int) -> "TractionHyperStress":
         return cls.from_map(n, m, k, {})
-
-    @classmethod
-    def from_map(
-        cls, n: int, m: int, k: int, entries: Mapping[tuple[int, IndexLike, int], Scalar]
-    ) -> "TractionHyperStress":
-        """Build from arrow components keyed by (alpha, symmetric index, axis j)."""
-        axes = [JetCovector.from_map(n, m, k - 1, group) for group in _by_axis(n, entries)]
-        return cls(n, m, k, _join_axes(axes))
 
     @classmethod
     def from_dense(
@@ -243,15 +251,15 @@ def cauchy_traction(stress: TractionHyperStress, frame: Sequence[Vector]) -> Hyp
     weights = [
         restrict(contract(Vector.basis(n, j), TopForm.volume(n)), frame) for j in range(1, n + 1)
     ]
-    blocks = []
-    for l in range(stress.k):
-        block = []
-        for a in range(stress.m):
-            slots = zip(*(ax.blocks[l][a].components for ax in stress.axes))
-            comps = tuple(sum(w * c for w, c in zip(weights, slot)) for slot in slots)
-            block.append(SymTensor(n, l, "contra", "arrow", comps))
-        blocks.append(tuple(block))
-    return HyperTraction(stress.k, JetCovector(n, stress.m, stress.k - 1, blocks))
+    rows = [
+        [
+            [sum(w * c for w, c in zip(weights, s)) for s in zip(*(t.components for t in row))]
+            for row in block
+        ]
+        for block in stress.blocks
+    ]
+    covector = JetCovector(n, stress.m, stress.k - 1, _tensor_blocks(n, rows, "contra", "arrow"))
+    return HyperTraction(stress.k, covector)
 
 
 @dataclass(frozen=True)
@@ -271,12 +279,8 @@ class VariationalStressField:
         object.__setattr__(
             self, "blocks", tuple(tuple(tuple(row) for row in block) for block in self.blocks)
         )
-        _check_jet_shape(self.n, self.m, self.k)
-        if len(self.blocks) != self.k + 1:
-            raise ValueError(f"expected {self.k + 1} blocks, got {len(self.blocks)}")
+        _check_jet_blocks(self.n, self.m, self.k, self.blocks)
         for l, block in enumerate(self.blocks):
-            if len(block) != self.m:
-                raise ValueError(f"block {l} must have {self.m} rows")
             for row in block:
                 if len(row) != sym_dim(self.n, l):
                     raise ValueError(f"block {l} rows must have {sym_dim(self.n, l)} slots")
@@ -299,29 +303,11 @@ class VariationalStressField:
     def from_map(
         cls, n: int, m: int, k: int, entries: Mapping[tuple[int, IndexLike], Polynomial]
     ) -> "VariationalStressField":
-        blocks = [
-            [[Polynomial.zero(n) for _ in range(sym_dim(n, l))] for _ in range(m)]
-            for l in range(k + 1)
-        ]
-        for (alpha, index), poly in entries.items():
-            if not 1 <= alpha <= m:
-                raise ValueError(f"component {alpha} out of range 1..{m}")
-            card = as_cardinality(index, n)
-            if card.degree > k:
-                raise ValueError(f"order {card.degree} exceeds jet order {k}")
-            blocks[card.degree][alpha - 1][rank(card)] = poly
-        return cls(
-            n, m, k, tuple(tuple(tuple(row) for row in block) for block in blocks)
-        )
+        return cls(n, m, k, _slot_rows(n, m, k, entries, Polynomial.zero(n)))
 
     def at(self, x: Point) -> VariationalHyperStress:
-        blocks = tuple(
-            tuple(
-                SymTensor(self.n, l, "contra", "arrow", tuple(poly(x) for poly in row))
-                for row in block
-            )
-            for l, block in enumerate(self.blocks)
-        )
+        rows = [[[poly(x) for poly in row] for row in block] for block in self.blocks]
+        blocks = _tensor_blocks(self.n, rows, "contra", "arrow")
         return VariationalHyperStress(JetCovector(self.n, self.m, self.k, blocks))
 
     def density(self, field: PolyField) -> Polynomial:
@@ -350,7 +336,7 @@ class VariationalStressField:
 
 
 @dataclass(frozen=True)
-class TractionStressField:
+class TractionStressField(_PerAxis):
     """Traction hyper-stress with polynomial dependence on position.
 
     ``blocks[l][alpha-1][j-1]`` holds the coefficient polynomials of the
@@ -359,36 +345,13 @@ class TractionStressField:
     k-1.
     """
 
-    n: int
-    m: int
-    k: int
     blocks: tuple[tuple[tuple[tuple[Polynomial, ...], ...], ...], ...]
-    axes: tuple[VariationalStressField, ...] = dataclasses.field(
-        init=False, compare=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        blocks = tuple(
-            tuple(tuple(tuple(slot) for slot in row) for row in block) for block in self.blocks
-        )
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(
-            self, "axes", _split_axes(VariationalStressField, self.n, self.m, self.k, blocks)
-        )
+    _part = VariationalStressField
 
     @classmethod
     def constant(cls, stress: TractionHyperStress) -> "TractionStressField":
         axes = [VariationalStressField.constant(VariationalHyperStress(ax)) for ax in stress.axes]
         return cls(stress.n, stress.m, stress.k, _join_axes(axes))
-
-    @classmethod
-    def from_map(
-        cls, n: int, m: int, k: int, entries: Mapping[tuple[int, IndexLike, int], Polynomial]
-    ) -> "TractionStressField":
-        axes = [
-            VariationalStressField.from_map(n, m, k - 1, group) for group in _by_axis(n, entries)
-        ]
-        return cls(n, m, k, _join_axes(axes))
 
     def at(self, x: Point) -> TractionHyperStress:
         axes = [ax.at(x).covector for ax in self.axes]
@@ -401,6 +364,17 @@ class TractionStressField:
         """
         derivatives: dict = {}
         return [axis._density(field, derivatives) for axis in self.axes]
+
+
+def _integrate(
+    poly: Polynomial, region: BoxRegion, method: str, skip_axes: Sequence[int] = ()
+) -> Fraction:
+    """Integral over the region's box, in closed form or by its midpoint rule."""
+    if method == "exact":
+        return box_integral(poly, region.lower, region.upper, skip_axes)
+    if method == "midpoint":
+        return midpoint_integral(poly, region.lower, region.upper, region.subdivisions, skip_axes)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def total_power(
@@ -419,12 +393,7 @@ def total_power(
     """
     if region.n != stress.n:
         raise ValueError("region dimension mismatch")
-    density = stress.density(field)
-    if method == "exact":
-        return box_integral(density, region.lower, region.upper)
-    if method == "midpoint":
-        return midpoint_integral(density, region.lower, region.upper, region.subdivisions)
-    raise ValueError(f"unknown method {method!r}")
+    return _integrate(stress.density(field), region, method)
 
 
 def boundary_power_flux(
@@ -453,17 +422,7 @@ def boundary_power_flux(
             bound = region.upper[axis - 1] if is_upper else region.lower[axis - 1]
             sign = 1 if is_upper else -1
             face_poly = coeffs[axis - 1].substitute(axis, bound)
-            if method == "exact":
-                value = box_integral(
-                    face_poly, region.lower, region.upper, skip_axes=(axis,)
-                )
-            elif method == "midpoint":
-                value = midpoint_integral(
-                    face_poly, region.lower, region.upper, region.subdivisions, skip_axes=(axis,)
-                )
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            total += sign * value
+            total += sign * _integrate(face_poly, region, method, skip_axes=(axis,))
     return total
 
 

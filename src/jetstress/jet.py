@@ -23,15 +23,22 @@ point carry the same numbers: slot J of component alpha is ``J!`` times the
 coefficient of ``y^J``.  Taking a jet, realizing it and transforming it are
 therefore all pullbacks of polynomials along affine maps, done by
 ``Polynomial.compose_affine``.
+
+Jets, jet covectors, hyper-stresses and stress fields all use the same slot
+table: slot (alpha, J) with ``|J| <= k`` sits in row ``blocks[l][alpha-1]``,
+``l = |J|``, at the colex rank of J.  ``_slot`` is the one place that
+addresses a slot and range-checks it, ``_slot_rows`` fills the rows from a
+slot map, and ``_tensor_blocks`` turns rows into symmetric tensor blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import _linalg
-from .multiindex import IndexLike, as_cardinality, enumerate_nondecreasing, mi_factorial
+from .multiindex import IndexLike, as_cardinality, enumerate_nondecreasing, mi_factorial, rank
+from .multiindex import sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, _sum_of_products
 from .symtensor import SymTensor
 
@@ -43,15 +50,21 @@ def _check_jet_shape(n: int, m: int, k: int) -> None:
             raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def _check_jet_blocks(
-    n: int, m: int, k: int, blocks: tuple[tuple[SymTensor, ...], ...], variance: str, convention: str
-) -> None:
+def _check_jet_blocks(n: int, m: int, k: int, blocks: Sequence[Sequence]) -> None:
+    """Header and block counts shared by every object with jet-shaped blocks."""
     _check_jet_shape(n, m, k)
     if len(blocks) != k + 1:
         raise ValueError(f"expected {k + 1} blocks, got {len(blocks)}")
     for l, block in enumerate(blocks):
         if len(block) != m:
-            raise ValueError(f"block {l} must have {m} tensors, got {len(block)}")
+            raise ValueError(f"block {l} must have {m} rows, got {len(block)}")
+
+
+def _check_tensor_blocks(
+    n: int, m: int, k: int, blocks: tuple[tuple[SymTensor, ...], ...], variance: str, convention: str
+) -> None:
+    _check_jet_blocks(n, m, k, blocks)
+    for l, block in enumerate(blocks):
         for tensor in block:
             if tensor.n != n or tensor.degree != l:
                 raise ValueError(f"block {l} tensor has wrong shape")
@@ -60,6 +73,38 @@ def _check_jet_blocks(
                     f"block {l} tensor must be {variance}/{convention}, "
                     f"got {tensor.variance}/{tensor.convention}"
                 )
+
+
+def _slot(n: int, m: int, k: int, alpha: int, index: IndexLike) -> tuple[int, int, int]:
+    """Block order, row and colex rank of the jet slot (alpha, index)."""
+    if not 1 <= alpha <= m:
+        raise ValueError(f"component {alpha} out of range 1..{m}")
+    card = as_cardinality(index, n)
+    if card.degree > k:
+        raise ValueError(f"order {card.degree} exceeds jet order {k}")
+    return card.degree, alpha - 1, rank(card)
+
+
+def _slot_rows(
+    n: int, m: int, k: int, entries: Mapping[tuple[int, IndexLike], object], zero: object
+) -> list[list[list]]:
+    """Rows ``[l][alpha-1]`` in rank order holding ``entries`` by slot, ``zero`` elsewhere."""
+    _check_jet_shape(n, m, k)
+    rows = [[[zero] * sym_dim(n, l) for _ in range(m)] for l in range(k + 1)]
+    for (alpha, index), value in entries.items():
+        l, a, r = _slot(n, m, k, alpha, index)
+        rows[l][a][r] = value
+    return rows
+
+
+def _tensor_blocks(
+    n: int, rows: Sequence[Sequence[Sequence]], variance: str, convention: str
+) -> tuple[tuple[SymTensor, ...], ...]:
+    """Blocks of symmetric tensors from rows ``[l][alpha-1]`` of components in rank order."""
+    return tuple(
+        tuple(SymTensor(n, l, variance, convention, row) for row in block)
+        for l, block in enumerate(rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -74,26 +119,19 @@ class JetElement:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        _check_jet_blocks(self.n, self.m, self.k, self.blocks, "co", "plain")
+        _check_tensor_blocks(self.n, self.m, self.k, self.blocks, "co", "plain")
         if self.x.n != self.n:
             raise ValueError("base point dimension mismatch")
 
     @classmethod
     def zero(cls, n: int, m: int, k: int, x: Point | None = None) -> "JetElement":
         base = x if x is not None else Point.origin(n)
-        blocks = tuple(
-            tuple(SymTensor.zeros(n, l, "co", "plain") for _ in range(m)) for l in range(k + 1)
-        )
-        return cls(n, m, k, base, blocks)
+        return cls(n, m, k, base, _tensor_blocks(n, _slot_rows(n, m, k, {}, 0), "co", "plain"))
 
     def component(self, alpha: int, index: IndexLike) -> Fraction:
         """Derivative value for component alpha at a differentiation index."""
-        if not 1 <= alpha <= self.m:
-            raise ValueError(f"component {alpha} out of range 1..{self.m}")
-        card = as_cardinality(index, self.n)
-        if card.degree > self.k:
-            raise ValueError(f"order {card.degree} exceeds jet order {self.k}")
-        return self.blocks[card.degree][alpha - 1].component(card)
+        l, a, r = _slot(self.n, self.m, self.k, alpha, index)
+        return self.blocks[l][a].components[r]
 
 
 @dataclass(frozen=True)
@@ -107,40 +145,21 @@ class JetCovector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        _check_jet_blocks(self.n, self.m, self.k, self.blocks, "contra", "arrow")
+        _check_tensor_blocks(self.n, self.m, self.k, self.blocks, "contra", "arrow")
 
     @classmethod
     def zero(cls, n: int, m: int, k: int) -> "JetCovector":
-        blocks = tuple(
-            tuple(SymTensor.zeros(n, l, "contra", "arrow") for _ in range(m)) for l in range(k + 1)
-        )
-        return cls(n, m, k, blocks)
+        return cls.from_map(n, m, k, {})
 
     @classmethod
     def from_map(
         cls, n: int, m: int, k: int, entries: dict[tuple[int, IndexLike], Scalar]
     ) -> "JetCovector":
-        maps: list[list[dict]] = [[{} for _ in range(m)] for _ in range(k + 1)]
-        for (alpha, index), value in entries.items():
-            if not 1 <= alpha <= m:
-                raise ValueError(f"component {alpha} out of range 1..{m}")
-            card = as_cardinality(index, n)
-            if card.degree > k:
-                raise ValueError(f"order {card.degree} exceeds jet order {k}")
-            maps[card.degree][alpha - 1][card] = value
-        blocks = tuple(
-            tuple(SymTensor.from_map(n, l, "contra", "arrow", maps[l][a]) for a in range(m))
-            for l in range(k + 1)
-        )
-        return cls(n, m, k, blocks)
+        return cls(n, m, k, _tensor_blocks(n, _slot_rows(n, m, k, entries, 0), "contra", "arrow"))
 
     def component(self, alpha: int, index: IndexLike) -> Fraction:
-        if not 1 <= alpha <= self.m:
-            raise ValueError(f"component {alpha} out of range 1..{self.m}")
-        card = as_cardinality(index, self.n)
-        if card.degree > self.k:
-            raise ValueError(f"order {card.degree} exceeds jet order {self.k}")
-        return self.blocks[card.degree][alpha - 1].component(card)
+        l, a, r = _slot(self.n, self.m, self.k, alpha, index)
+        return self.blocks[l][a].components[r]
 
 
 def _jet_of_taylor(polys: Sequence[Polynomial], x: Point, k: int) -> JetElement:
@@ -150,12 +169,11 @@ def _jet_of_taylor(polys: Sequence[Polynomial], x: Point, k: int) -> JetElement:
     terms above order k are ignored.
     """
     coeffs = [poly.coeff_map() for poly in polys]
-    blocks = []
+    rows = []
     for l in range(k + 1):
         cards = enumerate_nondecreasing(x.n, l)
-        comps = [tuple(c.get(card, 0) * mi_factorial(card) for card in cards) for c in coeffs]
-        blocks.append(tuple(SymTensor(x.n, l, "co", "plain", slots) for slots in comps))
-    return JetElement(x.n, len(polys), k, x, tuple(blocks))
+        rows.append([[c.get(card, 0) * mi_factorial(card) for card in cards] for c in coeffs])
+    return JetElement(x.n, len(polys), k, x, _tensor_blocks(x.n, rows, "co", "plain"))
 
 
 def _taylor_of_jet(jet: JetElement) -> list[Polynomial]:

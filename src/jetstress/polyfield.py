@@ -162,12 +162,15 @@ class Polynomial:
 
     @classmethod
     def from_map(cls, n: int, coeffs: Mapping[IndexLike, Scalar]) -> "Polynomial":
-        """Build from a coefficient map keyed by exponent count vectors."""
-        acc: dict[CardinalityIndex, Fraction] = {}
-        for key, value in coeffs.items():
-            card = _as_counts(key, n)
-            acc[card] = acc.get(card, Fraction(0)) + Fraction(value)
-        return cls(n, tuple(acc.items()))
+        """Build from a coefficient map keyed by exponent count vectors; colliding keys add up."""
+        pairs = [(_as_counts(key, n).counts, Fraction(value)) for key, value in coeffs.items()]
+        if n < 1:
+            raise ValueError(f"dimension must be positive, got {n}")
+        den = math.lcm(*(value.denominator for _, value in pairs))
+        acc: dict[Counts, int] = {}
+        for counts, value in pairs:
+            acc[counts] = acc.get(counts, 0) + value.numerator * (den // value.denominator)
+        return _from_numerators(n, acc, den)
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":

@@ -296,6 +296,13 @@ MALFORMED = {
         },
         ["power", "stress.json", "field.json", "--box", "0,0:1,1"],
     ),
+    "traction-order-zero": (
+        {
+            "stress.json": {"n": 2, "m": 1, "k": 0, "kind": "traction", "blocks": {}},
+            "field.json": ONE_FIELD,
+        },
+        ["flux", "stress.json", "field.json", "--box", "0,0:1,1"],
+    ),
 }
 
 
@@ -313,6 +320,8 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind):
     assert not (tmp_path / "out.json").exists()
     if kind == "bad-slot-key":
         assert "'x||1'" in lines[0]
+    if kind == "traction-order-zero":
+        assert lines[0] == "error: order must be at least 1, got 0"
 
 
 @pytest.mark.parametrize(

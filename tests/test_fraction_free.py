@@ -4,8 +4,9 @@ The reference functions below are the coefficient loops ``polyfield`` and
 ``hyperstress`` used before their kernels moved to integer numerators over
 one common denominator, and the power products and per-slot derivatives
 ``compose_affine`` and ``taylor`` used before they became one affine
-substitution kernel.  Results must be equal term for term, in the same
-order, with every coefficient a ``Fraction``.
+substitution kernel; ``ref_from_map`` is the ``Fraction`` dictionary
+``Polynomial.from_map`` summed colliding keys in.  Results must be equal
+term for term, in the same order, with every coefficient a ``Fraction``.
 """
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ import random
 from fractions import Fraction
 
 from jetstress.hyperstress import TractionStressField, VariationalStressField
-from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing, mi_factorial, sym_dim
-from jetstress.polyfield import Point, PolyField, Polynomial, box_integral, midpoint_integral
+from jetstress.multiindex import CardinalityIndex, MultiIndex, enumerate_nondecreasing, mi_factorial
+from jetstress.multiindex import sym_dim
+from jetstress.polyfield import Point, PolyField, Polynomial, _as_counts, box_integral
+from jetstress.polyfield import midpoint_integral
 
 from conftest import rand_fraction
 
@@ -82,6 +85,14 @@ def ref_taylor(p: Polynomial, center: Point, order: int) -> Polynomial:
             if value != 0:
                 acc[card] = value
     return Polynomial(p.n, tuple(acc.items()))
+
+
+def ref_from_map(n: int, coeffs) -> Polynomial:
+    acc: dict[CardinalityIndex, Fraction] = {}
+    for key, value in coeffs.items():
+        card = _as_counts(key, n)
+        acc[card] = acc.get(card, Fraction(0)) + Fraction(value)
+    return Polynomial(n, tuple(acc.items()))
 
 
 def ref_separable_sum(poly, lower, upper, skip, axis_sum) -> Fraction:
@@ -190,6 +201,45 @@ def test_products_that_cancel():
         assert (p + q) * (p - q) == p * p - q * q
         assert_exact(p * Polynomial.zero(n), Polynomial.zero(n))
         assert_exact(Polynomial.constant(n, 5).derive(CardinalityIndex.unit(n, 1)), Polynomial.zero(n))
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+def test_from_map_matches_the_fraction_dict():
+    rng = random.Random(308)
+    for trial in range(80):
+        n = trial % 4
+        coeffs: dict = {}
+        for _ in range(rng.randint(0, 8)):
+            counts = tuple(rng.randint(0, 2) for _ in range(max(n, 1)))
+            value = coeff(rng)
+            # The same monomial under three key types; the keys collide and their values add up.
+            keys = [counts, CardinalityIndex(counts)]
+            keys.append(MultiIndex(CardinalityIndex(counts).canonical().entries, len(counts)))
+            for key in rng.sample(keys, rng.randint(1, 3)):
+                coeffs[key] = rng.choice([value, str(value), value.numerator])
+            if rng.random() < 0.3:
+                coeffs[rng.choice(keys)] = -value
+        expected = outcome(lambda: ref_from_map(n, coeffs))
+        result = outcome(lambda: Polynomial.from_map(n, coeffs))
+        if isinstance(expected, str):
+            assert result == expected
+        else:
+            assert_exact(result, expected)
+
+
+def test_from_map_sums_that_cancel_are_zero():
+    for n in range(1, 4):
+        one = (1,) + (0,) * (n - 1)
+        coeffs = {one: "3/7", CardinalityIndex(one): Fraction(-3, 7), (0,) * n: 0}
+        assert_exact(Polynomial.from_map(n, coeffs), Polynomial.zero(n))
+        assert_exact(ref_from_map(n, coeffs), Polynomial.zero(n))
+    assert outcome(lambda: Polynomial.from_map(0, {})) == "error: dimension must be positive, got 0"
 
 
 def test_box_and_midpoint_sums_match_the_fraction_loops():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetstress import fileio
 from jetstress.altforms import CoDimOneForm, Vector, contract, restrict, TopForm
 from jetstress.hyperstress import (
     BoxRegion,
@@ -85,6 +86,20 @@ def test_traction_component_round_trip():
         stress.component(3, (), 1)
     with pytest.raises(ValueError):
         stress.component(1, (1, 2), 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TractionHyperStress.zero(2, 1, 0),
+        lambda: TractionStressField.from_map(2, 1, 0, {}),
+        lambda: fileio.stress_from_obj({"n": 2, "m": 1, "k": 0, "kind": "traction", "blocks": {}}),
+    ],
+    ids=["zero", "field-from-map", "stress-file"],
+)
+def test_order_zero_traction_names_its_order(build):
+    with pytest.raises(ValueError, match=r"^order must be at least 1, got 0$"):
+        build()
 
 
 def test_from_dense_symmetrizes_only_the_symmetric_leg():
