@@ -25,74 +25,61 @@ def identity(n: int) -> list[list[Fraction]]:
     return [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
 
 
+def _eliminate(rows: list[list[Fraction]], jordan: bool = False) -> tuple[list[int], Fraction]:
+    """Row-reduce ``rows`` in place by exact Gaussian elimination.
+
+    Returns the pivot columns and the product of the pivots, negated once per
+    row swap.  With ``jordan`` each pivot row is scaled to 1 and its column
+    is cleared above the pivot too, which leaves reduced row echelon form.
+    """
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    product = Fraction(1)
+    for col in range(width):
+        top = len(pivots)
+        pivot_row = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != top:
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+            product = -product
+        pivot = rows[top][col]
+        product *= pivot
+        if jordan:
+            rows[top] = [x / pivot for x in rows[top]]
+            pivot = Fraction(1)
+        for r in range(0 if jordan else top + 1, len(rows)):
+            if r != top and rows[r][col] != 0:
+                factor = rows[r][col] / pivot
+                for c in range(col, width):
+                    rows[r][c] -= factor * rows[top][c]
+        pivots.append(col)
+    return pivots, product
+
+
 def det(matrix: Sequence[Row]) -> Fraction:
     """Determinant by exact Gaussian elimination. Requires a square matrix."""
     rows = _to_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pivot
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return sign * result
+    pivots, product = _eliminate(rows)
+    return product if len(pivots) == n else Fraction(0)
 
 
 def rank(matrix: Sequence[Row]) -> int:
-    rows = _to_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    rk = 0
-    row = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(row, n_rows) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-        pivot = rows[row][col]
-        for r in range(row + 1, n_rows):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pivot
-                for c in range(col, n_cols):
-                    rows[r][c] -= factor * rows[row][c]
-        rk += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rk
+    return len(_eliminate(_to_rows(matrix))[0])
 
 
 def inverse(matrix: Sequence[Row]) -> list[list[Fraction]]:
-    """Exact inverse via Gauss-Jordan. Raises ValueError on a singular input."""
+    """Exact inverse via Gauss-Jordan on ``[A | I]``. Raises ValueError on a singular input."""
     rows = _to_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse requires a square matrix")
     aug = [row + unit for row, unit in zip(rows, identity(n))]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    if _eliminate(aug, jordan=True)[0] != list(range(n)):
+        raise ValueError("singular matrix")
     return [row[n:] for row in aug]
 
 

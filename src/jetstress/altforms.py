@@ -102,24 +102,18 @@ def contract(vector: Vector, top: TopForm) -> CoDimOneForm:
 def evaluate(form: CoDimOneForm, vectors: Sequence[Vector]) -> Fraction:
     """Value of the form on n-1 ordered vector arguments.
 
-    Expanding over the contracted basis, each coefficient multiplies the
-    determinant of the matrix whose columns are the corresponding coordinate
-    vector followed by the arguments.
+    Basis form ``i`` on the arguments is the determinant whose columns are
+    the ``i``-th coordinate vector followed by the arguments.  A determinant
+    is linear in its first column, so the value is the one determinant whose
+    first column is the coefficient vector.
     """
     if len(vectors) != form.n - 1:
         raise ValueError(f"expected {form.n - 1} vectors, got {len(vectors)}")
     for v in vectors:
         if v.n != form.n:
             raise ValueError("dimension mismatch")
-    total = Fraction(0)
-    for axis in range(1, form.n + 1):
-        coeff = form.coeffs[axis - 1]
-        if coeff == 0:
-            continue
-        columns = [Vector.basis(form.n, axis).components] + [v.components for v in vectors]
-        rows = [[columns[c][r] for c in range(form.n)] for r in range(form.n)]
-        total += coeff * _linalg.det(rows)
-    return total
+    rows = [[c, *(v.components[r] for v in vectors)] for r, c in enumerate(form.coeffs)]
+    return _linalg.det(rows)
 
 
 def frame_rank(frame: Sequence[Vector]) -> int:

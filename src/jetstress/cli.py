@@ -11,43 +11,25 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from typing import NoReturn, Sequence
 
-from . import fileio
-from .altforms import Vector, frame_rank, restrict
+from . import _checks, fileio
+from .fileio import format_rational
 from .hyperstress import (
     BoxRegion,
-    TractionHyperStress,
     TractionStressField,
     VariationalStressField,
     boundary_power_flux,
-    cauchy_traction,
     total_power,
-    traction_density,
 )
-from .jet import JetElement, _tensor_blocks, jet_of, realize, truncate
-from .multiindex import (
-    MultiIndex,
-    apply_permutation,
-    cardinality,
-    epsilon_abs,
-    kron_delta,
-    mi_factorial,
-    multiplicity,
-    enumerate_nondecreasing,
-    permutations_of,
-    sym_dim,
-)
+from .jet import jet_of
+from .multiindex import enumerate_nondecreasing, multiplicity, sym_dim
 from .polyfield import Point
-from .symtensor import (
-    DenseTensor,
-    SymTensor,
-    compress,
-    ordered_indices,
-    pair,
-    symmetrize_dense,
-)
-from .fileio import format_rational
+from .symtensor import DenseTensor, compress, pair, symmetrize_dense
+
+# The most basis pairs `verify duality` checks; each builds two tensors and pairs them.
+_DUALITY_PAIRS = 20_000
 
 
 def _format_scalar(value: Fraction, as_float: bool) -> str:
@@ -84,14 +66,6 @@ def _region(args: argparse.Namespace) -> tuple[BoxRegion, str]:
     if args.subdiv is None:
         return BoxRegion(lower, upper), "exact"
     return BoxRegion(lower, upper, args.subdiv), "midpoint"
-
-
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-
-def _rand_multiindex(rng: random.Random, n: int, l: int) -> MultiIndex:
-    return MultiIndex(tuple(rng.randint(1, n) for _ in range(l)), n)
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
@@ -169,116 +143,6 @@ def cmd_pair(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_epsilon(rng: random.Random, n: int, l: int, cases: int) -> int:
-    perms = list(permutations_of(l))
-    for _ in range(cases):
-        left = _rand_multiindex(rng, n, l)
-        right = _rand_multiindex(rng, n, l)
-        delta_sum = sum(kron_delta(left, apply_permutation(p, right)) for p in perms)
-        expected = mi_factorial(cardinality(left)) * epsilon_abs(left, right)
-        if delta_sum != expected:
-            print(f"FAIL epsilon: delta sum {delta_sum} != {expected} for {left}, {right}")
-            return 1
-        p = perms[rng.randrange(len(perms))]
-        if epsilon_abs(apply_permutation(p, left), right) != epsilon_abs(left, right):
-            print(f"FAIL epsilon: permutation changed indicator for {left}, {right}")
-            return 1
-    for _ in range(max(cases // 5, 1)):
-        dense = symmetrize_dense(
-            DenseTensor.from_function(n, l, "contra", lambda index: _rand_fraction(rng))
-        )
-        card = cardinality(_rand_multiindex(rng, n, l).sorted())
-        canonical = card.canonical()
-        class_sum = sum(
-            dense.component(index)
-            for index in ordered_indices(n, l)
-            if epsilon_abs(canonical, index)
-        )
-        if class_sum != multiplicity(card) * dense.component(canonical):
-            print(f"FAIL epsilon: class sum broken at {card}")
-            return 1
-    print(f"epsilon: {cases} cases at n={n}, l={l}: OK")
-    return 0
-
-
-def _verify_duality(n: int, l: int) -> int:
-    for degree in range(l + 1):
-        cards = enumerate_nondecreasing(n, degree)
-        for left in cards:
-            co = SymTensor.from_map(n, degree, "co", "arrow", {left: 1})
-            for right in cards:
-                contra = SymTensor.from_map(n, degree, "contra", "plain", {right: 1})
-                expected = Fraction(int(left == right))
-                got = pair(co, contra)
-                if got != expected:
-                    print(f"FAIL duality: pair at {left}, {right} gave {got}")
-                    return 1
-    print(f"duality: all basis pairs up to degree {l} at n={n}: OK")
-    return 0
-
-
-def _rand_jet(rng: random.Random, n: int, m: int, k: int) -> JetElement:
-    dims = [sym_dim(n, l) for l in range(k + 1)]
-    rows = [[[_rand_fraction(rng) for _ in range(dim)] for _ in range(m)] for dim in dims]
-    x = Point(tuple(_rand_fraction(rng) for _ in range(n)))
-    return JetElement(n, m, k, x, _tensor_blocks(n, rows, "co", "plain"))
-
-
-def _rand_traction(rng: random.Random, n: int, m: int, k: int) -> TractionHyperStress:
-    blocks = []
-    for l in range(k):
-        block = []
-        for _ in range(m):
-            row = []
-            for _ in range(n):
-                comps = tuple(_rand_fraction(rng) for _ in range(sym_dim(n, l)))
-                row.append(SymTensor(n, l, "contra", "arrow", comps))
-            block.append(tuple(row))
-        blocks.append(tuple(block))
-    return TractionHyperStress(n, m, k, tuple(blocks))
-
-
-def _rand_frame(rng: random.Random, n: int) -> list[Vector]:
-    while True:
-        frame = [
-            Vector(n, tuple(_rand_fraction(rng) for _ in range(n))) for _ in range(n - 1)
-        ]
-        if frame_rank(frame) == n - 1:
-            return frame
-
-
-def _verify_cauchy(rng: random.Random, n: int, m: int, k: int, cases: int) -> int:
-    for _ in range(cases):
-        stress = _rand_traction(rng, n, m, k)
-        jet = _rand_jet(rng, n, m, k - 1)
-        frame = _rand_frame(rng, n)
-        traction = cauchy_traction(stress, frame)
-        via_slots = traction.apply(jet)
-        via_density = restrict(traction_density(stress, jet), frame)
-        if via_slots != via_density:
-            print(f"FAIL cauchy: {via_slots} != {via_density}")
-            return 1
-    print(f"cauchy: {cases} cases at n={n}, m={m}, k={k}: OK")
-    return 0
-
-
-def _verify_jets(rng: random.Random, n: int, m: int, k: int, cases: int) -> int:
-    for _ in range(cases):
-        jet = _rand_jet(rng, n, m, k)
-        field = realize(jet)
-        again = jet_of(field, jet.x, k)
-        if again != jet:
-            print("FAIL jets: realize round trip changed the jet")
-            return 1
-        if k > 0:
-            direct = jet_of(field, jet.x, k - 1)
-            if direct != truncate(again, k - 1):
-                print("FAIL jets: truncation disagrees with lower-order jet")
-                return 1
-    print(f"jets: {cases} cases at n={n}, m={m}, k={k}: OK")
-    return 0
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     for flag, least in (("n", 1), ("m", 1), ("l", 0), ("k", 0), ("cases", 1)):
         value = getattr(args, flag)
@@ -286,13 +150,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"--{flag} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
     if args.suite == "epsilon":
-        return _verify_epsilon(rng, args.n, args.l, args.cases)
+        return _checks.verify_epsilon(rng, args.n, args.l, args.cases)
     if args.suite == "duality":
-        return _verify_duality(args.n, args.l)
+        pairs = accumulate(sym_dim(args.n, degree) ** 2 for degree in range(args.l + 1))
+        if any(total > _DUALITY_PAIRS for total in pairs):
+            raise ValueError(
+                f"verify duality at --n {args.n} --l {args.l} exceeds its budget "
+                f"of {_DUALITY_PAIRS} basis pairs"
+            )
+        return _checks.verify_duality(args.n, args.l)
     if args.suite == "cauchy":
-        return _verify_cauchy(rng, args.n, args.m, max(args.k, 1), args.cases)
+        return _checks.verify_cauchy(rng, args.n, args.m, max(args.k, 1), args.cases)
     if args.suite == "jets":
-        return _verify_jets(rng, args.n, args.m, args.k, args.cases)
+        return _checks.verify_jets(rng, args.n, args.m, args.k, args.cases)
     raise ValueError(f"unknown suite {args.suite!r}")
 
 

@@ -1,9 +1,11 @@
 """Shared generators and independent brute-force oracles.
 
-The oracles here deliberately avoid the library's compressed-storage code
-paths: symmetrization averages over explicit permutations of slot tuples,
-pairing contracts full dense arrays, and inclusion walks the class-indicator
-matrix entry by entry.  Tests compare library results against these.
+The seeded generators that ``jetstress verify`` also draws from live in
+``jetstress._checks`` and are re-exported here.  The oracles stay test-only
+and deliberately avoid the library's compressed-storage code paths:
+symmetrization averages over explicit permutations of slot tuples, pairing
+contracts full dense arrays, and inclusion walks the class-indicator matrix
+entry by entry.  Tests compare library results against these.
 """
 from __future__ import annotations
 
@@ -13,12 +15,19 @@ from fractions import Fraction
 
 import pytest
 
+from jetstress._checks import (
+    rand_fraction,
+    rand_frame,
+    rand_jet,
+    rand_point,
+    rand_sym,
+    rand_traction,
+)
 from jetstress._linalg import inverse, mat_mul, mat_vec
-from jetstress.altforms import Vector, frame_rank
 from jetstress.hyperstress import TractionHyperStress, TractionStressField, VariationalStressField
 from jetstress.jet import ChartMap, JetCovector, JetElement
 from jetstress.multiindex import enumerate_nondecreasing, epsilon_abs, sym_dim
-from jetstress.polyfield import Point, PolyField, Polynomial
+from jetstress.polyfield import PolyField, Polynomial
 from jetstress.symtensor import DenseTensor, SymTensor, ordered_indices
 
 
@@ -27,20 +36,9 @@ def rng() -> random.Random:
     return random.Random(0)
 
 
-def rand_fraction(rng: random.Random, span: int = 9, den: int = 7) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
-
-
 def rand_dense(rng: random.Random, n: int, l: int, variance: str = "contra") -> DenseTensor:
     comps = tuple(rand_fraction(rng) for _ in range(n**l))
     return DenseTensor(n, l, variance, comps)
-
-
-def rand_sym(
-    rng: random.Random, n: int, l: int, variance: str = "contra", convention: str = "plain"
-) -> SymTensor:
-    comps = tuple(rand_fraction(rng) for _ in range(sym_dim(n, l)))
-    return SymTensor(n, l, variance, convention, comps)
 
 
 def rand_poly(rng: random.Random, n: int, max_degree: int, density: float = 0.7) -> Polynomial:
@@ -56,32 +54,11 @@ def rand_field(rng: random.Random, n: int, m: int, max_degree: int) -> PolyField
     return PolyField(n, m, tuple(rand_poly(rng, n, max_degree) for _ in range(m)))
 
 
-def rand_point(rng: random.Random, n: int) -> Point:
-    return Point(tuple(rand_fraction(rng, span=3, den=3) for _ in range(n)))
-
-
-def rand_jet(rng: random.Random, n: int, m: int, k: int) -> JetElement:
-    blocks = tuple(
-        tuple(rand_sym(rng, n, l, "co", "plain") for _ in range(m)) for l in range(k + 1)
-    )
-    return JetElement(n, m, k, rand_point(rng, n), blocks)
-
-
 def rand_covector(rng: random.Random, n: int, m: int, k: int) -> JetCovector:
     blocks = tuple(
         tuple(rand_sym(rng, n, l, "contra", "arrow") for _ in range(m)) for l in range(k + 1)
     )
     return JetCovector(n, m, k, blocks)
-
-
-def rand_traction(rng: random.Random, n: int, m: int, k: int) -> TractionHyperStress:
-    blocks = tuple(
-        tuple(
-            tuple(rand_sym(rng, n, l, "contra", "arrow") for _ in range(n)) for _ in range(m)
-        )
-        for l in range(k)
-    )
-    return TractionHyperStress(n, m, k, blocks)
 
 
 def rand_traction_field(
@@ -111,13 +88,6 @@ def rand_variational_field(
         for l in range(k + 1)
     )
     return VariationalStressField(n, m, k, blocks)
-
-
-def rand_frame(rng: random.Random, n: int) -> list[Vector]:
-    while True:
-        frame = [Vector(n, tuple(rand_fraction(rng, span=4, den=3) for _ in range(n))) for _ in range(n - 1)]
-        if frame_rank(frame) == n - 1:
-            return frame
 
 
 def rand_invertible_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetstress import fileio
+from jetstress import _checks, fileio
 from jetstress.cli import main
 from jetstress.multiindex import CardinalityIndex
 from jetstress.polyfield import PolyField, Polynomial
@@ -203,11 +203,18 @@ def test_pair_float_output(tmp_path, capsys):
     assert capsys.readouterr().out == "0.33333333333333331\n"
 
 
+VERIFY_LINES = {
+    "epsilon": "epsilon: 5 cases at n=2, l=2: OK\n",
+    "duality": "duality: all basis pairs up to degree 2 at n=2: OK\n",
+    "cauchy": "cauchy: 5 cases at n=2, m=2, k=2: OK\n",
+    "jets": "jets: 5 cases at n=2, m=2, k=2: OK\n",
+}
+
+
 def test_verify_suites_pass(capsys):
-    for suite in ("epsilon", "duality", "cauchy", "jets"):
+    for suite, line in VERIFY_LINES.items():
         assert main(["verify", suite, "--cases", "5", "--n", "2", "--l", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.strip().endswith("OK")
+        assert capsys.readouterr().out == line
 
 
 def test_verify_is_deterministic(capsys):
@@ -238,6 +245,25 @@ def test_verify_flag_out_of_range_is_one_error_line(capsys, kind):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag} must be at least")
+
+
+@pytest.mark.parametrize("n, l", [(4, 8), (6, 8), (1, 10**9)])
+def test_verify_duality_refuses_sizes_past_its_budget(capsys, n, l):
+    assert main(["verify", "duality", "--n", str(n), "--l", str(l)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: verify duality at --n {n} --l {l} exceeds its budget of 20000 basis pairs\n"
+    )
+
+
+def test_verify_duality_budget_admits_sizes_below_it(monkeypatch):
+    # n=3, l=5 checks 812 basis pairs and n=4, l=6 checks 11,934.
+    calls = []
+    monkeypatch.setattr(_checks, "verify_duality", lambda n, l: calls.append((n, l)) or 0)
+    for n, l in ((3, 5), (4, 6)):
+        assert main(["verify", "duality", "--n", str(n), "--l", str(l)]) == 0
+    assert calls == [(3, 5), (4, 6)]
 
 
 def test_missing_file_is_an_error(capsys):

@@ -1,4 +1,4 @@
-"""sympy as a second, independent oracle for the polynomial layer."""
+"""sympy as a second, independent oracle for the polynomial layer and ``_linalg``."""
 from __future__ import annotations
 
 import math
@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetstress._linalg import det, inverse, mat_mul, rank
 from jetstress.jet import jet_of
 from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing
 from jetstress.polyfield import Point, PolyField, Polynomial, box_integral
@@ -106,3 +107,61 @@ def test_jet_of_matches_sympy():
             for l in range(k + 1):
                 for card in enumerate_nondecreasing(n, l):
                     assert jet.component(alpha, card) == derivative_at(expr, xs, card, x)
+
+
+def to_fraction(value) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+def matrices(seed: int, count: int = 60):
+    """Seeded rational matrices of shapes up to 4 x 4.
+
+    Half are sparse, so the pivot search has to swap rows; the others are a
+    product of a rows x bound and a bound x cols factor, so their rank is at
+    most bound.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = rng.randint(1, 4)
+        cols = rows if rng.random() < 0.5 else rng.randint(1, 4)
+        if rng.random() < 0.5:
+            matrix = [
+                [rand_fraction(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        else:
+            bound = rng.randint(1, min(rows, cols))
+            left = [[rand_fraction(rng) for _ in range(bound)] for _ in range(rows)]
+            right = [[rand_fraction(rng) for _ in range(cols)] for _ in range(bound)]
+            matrix = mat_mul(left, right)
+        yield matrix, sympy.Matrix([[rational(x) for x in row] for row in matrix])
+
+
+def test_rank_matches_sympy():
+    ranks = set()
+    for matrix, expected in matrices(407):
+        assert rank(matrix) == expected.rank()
+        ranks.add((len(matrix) == len(matrix[0]), expected.rank() < min(expected.shape)))
+    assert ranks == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_det_matches_sympy():
+    for matrix, expected in matrices(408):
+        if expected.is_square:
+            assert det(matrix) == to_fraction(expected.det())
+
+
+def test_inverse_matches_sympy():
+    singular = invertible = 0
+    for matrix, expected in matrices(409):
+        if not expected.is_square:
+            continue
+        if expected.det() == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                inverse(matrix)
+        else:
+            invertible += 1
+            inv = expected.inv()
+            assert inverse(matrix) == [[to_fraction(x) for x in row] for row in inv.tolist()]
+    assert singular and invertible
