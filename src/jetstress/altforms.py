@@ -8,27 +8,25 @@ codimension-one forms; the basis form number ``i`` is the contraction of the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import _linalg
+from .multiindex import _Record
 
 
-@dataclass(frozen=True)
-class Vector:
+class Vector(_Record):
     """Coordinate vector in dimension n."""
 
-    n: int
-    components: tuple[Fraction, ...]
+    __slots__ = _fields = ("n", "components")
 
-    def __post_init__(self) -> None:
-        comps = tuple(Fraction(c) for c in self.components)
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
-        if len(comps) != self.n:
-            raise ValueError(f"expected {self.n} components, got {len(comps)}")
-        object.__setattr__(self, "components", comps)
+    def __init__(self, n: int, components: tuple[Fraction, ...]) -> None:
+        comps = tuple(Fraction(c) for c in components)
+        if n < 1:
+            raise ValueError(f"dimension must be positive, got {n}")
+        if len(comps) != n:
+            raise ValueError(f"expected {n} components, got {len(comps)}")
+        self._store(n, comps)
 
     @classmethod
     def basis(cls, n: int, axis: int) -> "Vector":
@@ -37,41 +35,37 @@ class Vector:
         return cls(n, tuple(Fraction(int(r == axis)) for r in range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class TopForm:
+class TopForm(_Record):
     """Multiple of the coordinate volume form."""
 
-    n: int
-    coeff: Fraction
+    __slots__ = _fields = ("n", "coeff")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+    def __init__(self, n: int, coeff: Fraction) -> None:
+        if n < 1:
+            raise ValueError(f"dimension must be positive, got {n}")
+        self._store(n, Fraction(coeff))
 
     @classmethod
     def volume(cls, n: int) -> "TopForm":
         return cls(n, Fraction(1))
 
 
-@dataclass(frozen=True)
-class CoDimOneForm:
+class CoDimOneForm(_Record):
     """Alternating form of degree n-1, expanded over the contracted basis.
 
     ``coeffs[i-1]`` multiplies the form obtained by plugging the ``i``-th
     coordinate vector into the volume form.
     """
 
-    n: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("n", "coeffs")
 
-    def __post_init__(self) -> None:
-        comps = tuple(Fraction(c) for c in self.coeffs)
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
-        if len(comps) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(comps)}")
-        object.__setattr__(self, "coeffs", comps)
+    def __init__(self, n: int, coeffs: tuple[Fraction, ...]) -> None:
+        comps = tuple(Fraction(c) for c in coeffs)
+        if n < 1:
+            raise ValueError(f"dimension must be positive, got {n}")
+        if len(comps) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(comps)}")
+        self._store(n, comps)
 
     @classmethod
     def zero(cls, n: int) -> "CoDimOneForm":

@@ -12,7 +12,8 @@ import random
 import sys
 from fractions import Fraction
 from itertools import accumulate
-from typing import NoReturn, Sequence
+from math import comb
+from typing import Iterable, NoReturn, Sequence
 
 from . import _checks, fileio
 from .fileio import format_rational
@@ -30,6 +31,8 @@ from .symtensor import DenseTensor, compress, pair, symmetrize_dense
 
 # The most basis pairs `verify duality` checks; each builds two tensors and pairs them.
 _DUALITY_PAIRS = 20_000
+# The most jet slots `verify jets` or `verify cauchy` draws over all its cases.
+_JET_SLOTS = 10_000
 
 
 def _format_scalar(value: Fraction, as_float: bool) -> str:
@@ -143,6 +146,12 @@ def cmd_pair(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_budget(sizes: Iterable[int], budget: int, request: str, unit: str) -> None:
+    """Refuse ``request`` once the running sum of ``sizes`` passes ``budget``."""
+    if any(total > budget for total in accumulate(sizes)):
+        raise ValueError(f"{request} exceeds its budget of {budget} {unit}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     for flag, least in (("n", 1), ("m", 1), ("l", 0), ("k", 0), ("cases", 1)):
         value = getattr(args, flag)
@@ -152,18 +161,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "epsilon":
         return _checks.verify_epsilon(rng, args.n, args.l, args.cases)
     if args.suite == "duality":
-        pairs = accumulate(sym_dim(args.n, degree) ** 2 for degree in range(args.l + 1))
-        if any(total > _DUALITY_PAIRS for total in pairs):
-            raise ValueError(
-                f"verify duality at --n {args.n} --l {args.l} exceeds its budget "
-                f"of {_DUALITY_PAIRS} basis pairs"
-            )
+        pairs = (sym_dim(args.n, degree) ** 2 for degree in range(args.l + 1))
+        request = f"verify duality at --n {args.n} --l {args.l}"
+        _check_budget(pairs, _DUALITY_PAIRS, request, "basis pairs")
         return _checks.verify_duality(args.n, args.l)
-    if args.suite == "cauchy":
-        return _checks.verify_cauchy(rng, args.n, args.m, max(args.k, 1), args.cases)
-    if args.suite == "jets":
-        return _checks.verify_jets(rng, args.n, args.m, args.k, args.cases)
-    raise ValueError(f"unknown suite {args.suite!r}")
+    if args.suite not in ("cauchy", "jets"):
+        raise ValueError(f"unknown suite {args.suite!r}")
+    # Each case of `jets` draws an m-component k-jet; each case of `cauchy`, n of order k-1.
+    jets = args.suite == "jets"
+    order, width = (args.k, args.m) if jets else (max(args.k, 1) - 1, args.n * args.m)
+    slots = (args.cases * width * comb(args.n + degree - 1, degree) for degree in range(order + 1))
+    request = f"verify {args.suite} at --n {args.n} --m {args.m} --k {args.k} --cases {args.cases}"
+    _check_budget(slots, _JET_SLOTS, request, "jet slots")
+    if jets:
+        return _checks.verify_jets(rng, args.n, args.m, order, args.cases)
+    return _checks.verify_cauchy(rng, args.n, args.m, order + 1, args.cases)
 
 
 class _Parser(argparse.ArgumentParser):

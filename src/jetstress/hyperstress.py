@@ -29,40 +29,35 @@ component products.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
-from .multiindex import IndexLike, enumerate_nondecreasing, sym_dim
+from .multiindex import IndexLike, _Record, enumerate_nondecreasing, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral, midpoint_integral
 from .polyfield import _sum_of_products
 from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _slot_rows
 from .jet import _tensor_blocks, pair_jet
-from .symtensor import SymTensor
 
 
-@dataclass(frozen=True)
-class BoxRegion:
+class BoxRegion(_Record):
     """Axis-aligned box with a midpoint-quadrature resolution."""
 
-    lower: tuple[Fraction, ...]
-    upper: tuple[Fraction, ...]
-    subdivisions: int = 1
+    __slots__ = _fields = ("lower", "upper", "subdivisions")
 
-    def __post_init__(self) -> None:
-        lower = tuple(Fraction(v) for v in self.lower)
-        upper = tuple(Fraction(v) for v in self.upper)
+    def __init__(
+        self, lower: tuple[Fraction, ...], upper: tuple[Fraction, ...], subdivisions: int = 1
+    ) -> None:
+        lower = tuple(Fraction(v) for v in lower)
+        upper = tuple(Fraction(v) for v in upper)
         if len(lower) != len(upper) or not lower:
             raise ValueError("bounds must be nonempty and of equal length")
         for lo, hi in zip(lower, upper):
             if not lo < hi:
                 raise ValueError(f"degenerate box: {lo} >= {hi}")
-        if self.subdivisions < 1:
-            raise ValueError(f"subdivisions must be positive, got {self.subdivisions}")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        if subdivisions < 1:
+            raise ValueError(f"subdivisions must be positive, got {subdivisions}")
+        self._store(lower, upper, subdivisions)
 
     @property
     def n(self) -> int:
@@ -72,11 +67,13 @@ class BoxRegion:
         return BoxRegion(self.lower, self.upper, subdivisions)
 
 
-@dataclass(frozen=True)
-class VariationalHyperStress:
+class VariationalHyperStress(_Record):
     """Order-k stress measured against k-jets; a jet covector with a volume factor."""
 
-    covector: JetCovector
+    __slots__ = _fields = ("covector",)
+
+    def __init__(self, covector: JetCovector) -> None:
+        self._store(covector)
 
     @property
     def n(self) -> int:
@@ -110,8 +107,7 @@ def _check_order(k: int) -> None:
         raise ValueError(f"order must be at least 1, got {k}")
 
 
-@dataclass(frozen=True)
-class _PerAxis:
+class _PerAxis(_Record):
     """Order-k traction object stored as n order-(k-1) parts, one per contraction axis.
 
     ``blocks[l][alpha-1][j-1]`` is ``blocks[l][alpha-1]`` of part j, which
@@ -120,24 +116,21 @@ class _PerAxis:
     count.
     """
 
-    n: int
-    m: int
-    k: int
-    blocks: tuple
-    axes: tuple = dataclasses.field(init=False, compare=False, repr=False)
+    __slots__ = ("n", "m", "k", "blocks", "axes")
+    _fields = __slots__[:4]
 
-    def __post_init__(self) -> None:
-        _check_order(self.k)
-        _check_jet_shape(self.n, self.m, self.k)
-        blocks = tuple(tuple(tuple(row) for row in block) for block in self.blocks)
+    def __init__(self, n: int, m: int, k: int, blocks: tuple) -> None:
+        _check_order(k)
+        _check_jet_shape(n, m, k)
+        blocks = tuple(tuple(tuple(row) for row in block) for block in blocks)
         for l, block in enumerate(blocks):
             for row in block:
-                if len(row) != self.n:
-                    raise ValueError(f"block {l} rows must have {self.n} axis slots")
-        parts = (tuple(tuple(row[j] for row in block) for block in blocks) for j in range(self.n))
-        axes = tuple(self._part(self.n, self.m, self.k - 1, part) for part in parts)
+                if len(row) != n:
+                    raise ValueError(f"block {l} rows must have {n} axis slots")
+        parts = (tuple(tuple(row[j] for row in block) for block in blocks) for j in range(n))
+        axes = tuple(self._part(n, m, k - 1, part) for part in parts)
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "blocks", _join_axes(axes))
+        self._store(n, m, k, _join_axes(axes))
 
     @classmethod
     def from_map(
@@ -150,10 +143,18 @@ class _PerAxis:
             if not 1 <= j <= n:
                 raise ValueError(f"axis {j} out of range 1..{n}")
             groups[j - 1][alpha, index] = value
-        return cls(n, m, k, _join_axes([cls._part.from_map(n, m, k - 1, g) for g in groups]))
+        return cls._from_axes(n, m, k, [cls._part.from_map(n, m, k - 1, g) for g in groups])
+
+    @classmethod
+    def _from_axes(cls, n: int, m: int, k: int, axes: Sequence) -> _PerAxis:
+        """The object made of its n parts ``axes``, already built, without splitting them again."""
+        _check_jet_shape(n, m, k)
+        self = object.__new__(cls)
+        object.__setattr__(self, "axes", tuple(axes))
+        self._store(n, m, k, _join_axes(axes))
+        return self
 
 
-@dataclass(frozen=True)
 class TractionHyperStress(_PerAxis):
     """Order-k stress acting on (k-1)-jets with a codimension-one form as value.
 
@@ -165,7 +166,7 @@ class TractionHyperStress(_PerAxis):
     ``from_map`` takes arrow components.
     """
 
-    blocks: tuple[tuple[tuple[SymTensor, ...], ...], ...]
+    __slots__ = ()
     _part = JetCovector
 
     @classmethod
@@ -196,20 +197,19 @@ class TractionHyperStress(_PerAxis):
         return self.axes[j - 1].component(alpha, index)
 
 
-@dataclass(frozen=True)
-class HyperTraction:
+class HyperTraction(_Record):
     """Boundary traction induced on a fixed hyperplane frame.
 
     Shaped like a covector on (k-1)-jets; each coefficient multiplies the
     volume element of the frame it was computed against.
     """
 
-    k: int
-    covector: JetCovector
+    __slots__ = _fields = ("k", "covector")
 
-    def __post_init__(self) -> None:
-        if self.covector.k != self.k - 1:
+    def __init__(self, k: int, covector: JetCovector) -> None:
+        if covector.k != k - 1:
             raise ValueError("traction covector must act on jets of order k-1")
+        self._store(k, covector)
 
     @property
     def n(self) -> int:
@@ -262,31 +262,28 @@ def cauchy_traction(stress: TractionHyperStress, frame: Sequence[Vector]) -> Hyp
     return HyperTraction(stress.k, covector)
 
 
-@dataclass(frozen=True)
-class VariationalStressField:
+class VariationalStressField(_Record):
     """Variational hyper-stress with polynomial dependence on position.
 
     ``blocks[l][alpha-1]`` is a tuple of coefficient polynomials over the
     compressed degree-l slots, in rank order and arrow convention.
     """
 
-    n: int
-    m: int
-    k: int
-    blocks: tuple[tuple[tuple[Polynomial, ...], ...], ...]
+    __slots__ = _fields = ("n", "m", "k", "blocks")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "blocks", tuple(tuple(tuple(row) for row in block) for block in self.blocks)
-        )
-        _check_jet_blocks(self.n, self.m, self.k, self.blocks)
-        for l, block in enumerate(self.blocks):
+    def __init__(
+        self, n: int, m: int, k: int, blocks: tuple[tuple[tuple[Polynomial, ...], ...], ...]
+    ) -> None:
+        blocks = tuple(tuple(tuple(row) for row in block) for block in blocks)
+        _check_jet_blocks(n, m, k, blocks)
+        for l, block in enumerate(blocks):
             for row in block:
-                if len(row) != sym_dim(self.n, l):
-                    raise ValueError(f"block {l} rows must have {sym_dim(self.n, l)} slots")
+                if len(row) != sym_dim(n, l):
+                    raise ValueError(f"block {l} rows must have {sym_dim(n, l)} slots")
                 for poly in row:
-                    if poly.n != self.n:
+                    if poly.n != n:
                         raise ValueError("coefficient polynomial dimension mismatch")
+        self._store(n, m, k, blocks)
 
     @classmethod
     def constant(cls, stress: VariationalHyperStress) -> "VariationalStressField":
@@ -335,7 +332,6 @@ class VariationalStressField:
         return _sum_of_products(self.n, pairs)
 
 
-@dataclass(frozen=True)
 class TractionStressField(_PerAxis):
     """Traction hyper-stress with polynomial dependence on position.
 
@@ -345,17 +341,17 @@ class TractionStressField(_PerAxis):
     k-1.
     """
 
-    blocks: tuple[tuple[tuple[tuple[Polynomial, ...], ...], ...], ...]
+    __slots__ = ()
     _part = VariationalStressField
 
     @classmethod
     def constant(cls, stress: TractionHyperStress) -> "TractionStressField":
         axes = [VariationalStressField.constant(VariationalHyperStress(ax)) for ax in stress.axes]
-        return cls(stress.n, stress.m, stress.k, _join_axes(axes))
+        return cls._from_axes(stress.n, stress.m, stress.k, axes)
 
     def at(self, x: Point) -> TractionHyperStress:
         axes = [ax.at(x).covector for ax in self.axes]
-        return TractionHyperStress(self.n, self.m, self.k, _join_axes(axes))
+        return TractionHyperStress._from_axes(self.n, self.m, self.k, axes)
 
     def density_coeffs(self, field: PolyField) -> list[Polynomial]:
         """Flux density coefficients against the (k-1)-jet of a field.

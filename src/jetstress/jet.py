@@ -32,13 +32,12 @@ slot map, and ``_tensor_blocks`` turns rows into symmetric tensor blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import _linalg
 from .multiindex import IndexLike, as_cardinality, enumerate_nondecreasing, mi_factorial, rank
-from .multiindex import sym_dim
+from .multiindex import _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, _sum_of_products
 from .symtensor import SymTensor
 
@@ -107,21 +106,19 @@ def _tensor_blocks(
     )
 
 
-@dataclass(frozen=True)
-class JetElement:
+class JetElement(_Record):
     """Derivative data of a field at a point, through order k."""
 
-    n: int
-    m: int
-    k: int
-    x: Point
-    blocks: tuple[tuple[SymTensor, ...], ...]
+    __slots__ = _fields = ("n", "m", "k", "x", "blocks")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        _check_tensor_blocks(self.n, self.m, self.k, self.blocks, "co", "plain")
-        if self.x.n != self.n:
+    def __init__(
+        self, n: int, m: int, k: int, x: Point, blocks: tuple[tuple[SymTensor, ...], ...]
+    ) -> None:
+        blocks = tuple(tuple(b) for b in blocks)
+        _check_tensor_blocks(n, m, k, blocks, "co", "plain")
+        if x.n != n:
             raise ValueError("base point dimension mismatch")
+        self._store(n, m, k, x, blocks)
 
     @classmethod
     def zero(cls, n: int, m: int, k: int, x: Point | None = None) -> "JetElement":
@@ -134,18 +131,15 @@ class JetElement:
         return self.blocks[l][a].components[r]
 
 
-@dataclass(frozen=True)
-class JetCovector:
+class JetCovector(_Record):
     """Linear functional on order-k jets, one coefficient per jet slot."""
 
-    n: int
-    m: int
-    k: int
-    blocks: tuple[tuple[SymTensor, ...], ...]
+    __slots__ = _fields = ("n", "m", "k", "blocks")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        _check_tensor_blocks(self.n, self.m, self.k, self.blocks, "contra", "arrow")
+    def __init__(self, n: int, m: int, k: int, blocks: tuple[tuple[SymTensor, ...], ...]) -> None:
+        blocks = tuple(tuple(b) for b in blocks)
+        _check_tensor_blocks(n, m, k, blocks, "contra", "arrow")
+        self._store(n, m, k, blocks)
 
     @classmethod
     def zero(cls, n: int, m: int, k: int) -> "JetCovector":
@@ -229,8 +223,7 @@ def pair_jet(covector: JetCovector, jet: JetElement) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class ChartMap:
+class ChartMap(_Record):
     """Affine change of source coordinates with a polynomial frame change.
 
     New coordinates are ``x' = matrix . x + offset`` with an invertible exact
@@ -239,31 +232,25 @@ class ChartMap:
     ``sum_beta frame[alpha][beta](x) * old component beta``.
     """
 
-    n: int
-    m: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-    offset: tuple[Fraction, ...]
-    frame: tuple[tuple[Polynomial, ...], ...]
+    __slots__ = _fields = ("n", "m", "matrix", "offset", "frame")
 
-    def __post_init__(self) -> None:
-        matrix = tuple(tuple(Fraction(v) for v in row) for row in self.matrix)
-        offset = tuple(Fraction(v) for v in self.offset)
-        frame = tuple(tuple(row) for row in self.frame)
-        if len(matrix) != self.n or any(len(row) != self.n for row in matrix):
+    def __init__(self, n: int, m: int, matrix: tuple, offset: tuple, frame: tuple) -> None:
+        matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+        offset = tuple(Fraction(v) for v in offset)
+        frame = tuple(tuple(row) for row in frame)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix must be n by n")
-        if len(offset) != self.n:
+        if len(offset) != n:
             raise ValueError("offset must have n entries")
-        if len(frame) != self.m or any(len(row) != self.m for row in frame):
+        if len(frame) != m or any(len(row) != m for row in frame):
             raise ValueError("frame must be m by m")
         for row in frame:
             for poly in row:
-                if poly.n != self.n:
+                if poly.n != n:
                     raise ValueError("frame polynomial dimension mismatch")
         if _linalg.det(matrix) == 0:
             raise ValueError("singular coordinate matrix")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "frame", frame)
+        self._store(n, m, matrix, offset, frame)
 
     @classmethod
     def identity(cls, n: int, m: int) -> "ChartMap":

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
@@ -28,24 +27,67 @@ from typing import Iterator, Sequence, Union
 PERMUTATION_CAP = 8
 
 
+class _Record:
+    """Immutable record in slots, compared, hashed, shown and pickled by its ``_fields``.
+
+    A subclass sets ``__slots__ = _fields = (...)``; its ``__init__`` checks
+    the arguments and ends with ``_store``, which sets the fields and then
+    calls ``__post_init__``, a no-op looked up on the class each time.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
 def _check_axes(entries: Sequence[int], n: int) -> None:
     for e in entries:
         if not 1 <= e <= n:
             raise ValueError(f"axis {e} out of range 1..{n}")
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(_Record):
     """Ordered multi-index: a tuple of 1-based axis numbers in dimension n."""
 
-    entries: tuple[int, ...]
-    n: int
+    __slots__ = _fields = ("entries", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
-        _check_axes(self.entries, self.n)
+    def __init__(self, entries: tuple[int, ...], n: int) -> None:
+        entries = tuple(int(e) for e in entries)
+        if n < 1:
+            raise ValueError(f"dimension must be positive, got {n}")
+        _check_axes(entries, n)
+        self._store(entries, n)
 
     @property
     def degree(self) -> int:
@@ -67,23 +109,23 @@ class MultiIndex:
         return ",".join(str(e) for e in self.entries)
 
 
-@dataclass(frozen=True)
-class CardinalityIndex:
+class CardinalityIndex(_Record):
     """Occurrence counts per axis; the unordered shadow of a multi-index.
 
     ``counts[r-1]`` says how many slots carry axis ``r``.  The length of
     ``counts`` is the space dimension.
     """
 
-    counts: tuple[int, ...]
+    __slots__ = _fields = ("counts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if not self.counts:
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        counts = tuple(int(c) for c in counts)
+        if not counts:
             raise ValueError("cardinality index needs at least one axis")
-        for c in self.counts:
+        for c in counts:
             if c < 0:
                 raise ValueError(f"negative count {c}")
+        self._store(counts)
 
     @classmethod
     def zero(cls, n: int) -> "CardinalityIndex":
@@ -132,20 +174,20 @@ class CardinalityIndex:
         return ",".join(str(c) for c in self.counts)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """A bijection of slot positions 1..l, stored as the image tuple.
 
     ``mapping[r-1]`` is the image of position ``r``.  Acting on a multi-index
     rearranges slots: the entry at position ``r`` of ``p(I)`` is ``I[p(r)]``.
     """
 
-    mapping: tuple[int, ...]
+    __slots__ = _fields = ("mapping",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if sorted(self.mapping) != list(range(1, len(self.mapping) + 1)):
-            raise ValueError(f"{self.mapping} is not a permutation of 1..{len(self.mapping)}")
+    def __init__(self, mapping: tuple[int, ...]) -> None:
+        mapping = tuple(int(v) for v in mapping)
+        if sorted(mapping) != list(range(1, len(mapping) + 1)):
+            raise ValueError(f"{mapping} is not a permutation of 1..{len(mapping)}")
+        self._store(mapping)
 
     @classmethod
     def identity(cls, l: int) -> "Permutation":

@@ -25,13 +25,12 @@ at the order; the jet layer builds on the same kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, ge, sub
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import _linalg
-from .multiindex import CardinalityIndex, IndexLike, MultiIndex, cardinality
+from .multiindex import CardinalityIndex, IndexLike, MultiIndex, _Record, cardinality
 
 Scalar = Fraction | int | str
 Counts = tuple[int, ...]
@@ -55,17 +54,16 @@ def _as_counts(index: IndexLike, n: int) -> CardinalityIndex:
     return card
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Record):
     """Position in the n-dimensional source space, exact coordinates."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = _fields = ("coords",)
 
-    def __post_init__(self) -> None:
-        coords = tuple(Fraction(c) for c in self.coords)
+    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+        coords = tuple(Fraction(c) for c in coords)
         if not coords:
             raise ValueError("point needs at least one coordinate")
-        object.__setattr__(self, "coords", coords)
+        self._store(coords)
 
     @classmethod
     def origin(cls, n: int) -> "Point":
@@ -134,31 +132,28 @@ def _from_numerators(n: int, acc: Mapping[Counts, int], den: int) -> "Polynomial
     return poly
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Exact polynomial in n variables, stored as canonically sorted terms.
 
     Terms with zero coefficient are dropped at construction, so equality of
     two polynomials is equality of their coefficient maps.
     """
 
-    n: int
-    terms: tuple[tuple[CardinalityIndex, Fraction], ...]
+    __slots__ = _fields = ("n", "terms")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
+    def __init__(self, n: int, terms: tuple[tuple[CardinalityIndex, Fraction], ...]) -> None:
+        if n < 1:
+            raise ValueError(f"dimension must be positive, got {n}")
         cleaned: dict[CardinalityIndex, Fraction] = {}
-        for card, coeff in self.terms:
-            if card.n != self.n:
+        for card, coeff in terms:
+            if card.n != n:
                 raise ValueError("term dimension mismatch")
             value = Fraction(coeff)
             if value != 0:
                 if card in cleaned:
                     raise ValueError(f"duplicate term {card}")
                 cleaned[card] = value
-        ordered = tuple(sorted(cleaned.items(), key=_term_sort_key))
-        object.__setattr__(self, "terms", ordered)
+        self._store(n, tuple(sorted(cleaned.items(), key=_term_sort_key)))
 
     @classmethod
     def from_map(cls, n: int, coeffs: Mapping[IndexLike, Scalar]) -> "Polynomial":
@@ -442,24 +437,21 @@ def midpoint_integral(
     return _separable_sum(poly, lower, upper, skip_axes, midpoint_sums)
 
 
-@dataclass(frozen=True)
-class PolyField:
+class PolyField(_Record):
     """Polynomial map with m components on an n-dimensional source."""
 
-    n: int
-    m: int
-    components: tuple[Polynomial, ...]
+    __slots__ = _fields = ("n", "m", "components")
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if self.m < 1:
-            raise ValueError(f"value dimension must be positive, got {self.m}")
-        if len(comps) != self.m:
-            raise ValueError(f"expected {self.m} components, got {len(comps)}")
+    def __init__(self, n: int, m: int, components: tuple[Polynomial, ...]) -> None:
+        comps = tuple(components)
+        if m < 1:
+            raise ValueError(f"value dimension must be positive, got {m}")
+        if len(comps) != m:
+            raise ValueError(f"expected {m} components, got {len(comps)}")
         for poly in comps:
-            if poly.n != self.n:
+            if poly.n != n:
                 raise ValueError("component dimension mismatch")
-        object.__setattr__(self, "components", comps)
+        self._store(n, m, comps)
 
     def component(self, alpha: int) -> Polynomial:
         if not 1 <= alpha <= self.m:

@@ -31,7 +31,6 @@ slot, whichever way the inputs are stored; ``pair`` normalizes internally.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Literal, Mapping
 
@@ -40,6 +39,7 @@ from .multiindex import (
     CardinalityIndex,
     IndexLike,
     MultiIndex,
+    _Record,
     _check_axes,
     _check_shape,
     _dense_offset,
@@ -79,23 +79,21 @@ def ordered_indices(n: int, l: int) -> Iterable[MultiIndex]:
         yield MultiIndex(entries, n)
 
 
-@dataclass(frozen=True)
-class DenseTensor:
+class DenseTensor(_Record):
     """Full component array of a degree-l tensor, no symmetry assumed."""
 
-    n: int
-    degree: int
-    variance: Variance
-    components: tuple[Fraction, ...]
+    __slots__ = _fields = ("n", "degree", "variance", "components")
 
-    def __post_init__(self) -> None:
-        _check_variance(self.variance)
-        _check_shape(self.n, self.degree)
-        expected = self.n**self.degree
-        comps = tuple(Fraction(c) for c in self.components)
+    def __init__(
+        self, n: int, degree: int, variance: Variance, components: tuple[Fraction, ...]
+    ) -> None:
+        _check_variance(variance)
+        _check_shape(n, degree)
+        expected = n**degree
+        comps = tuple(Fraction(c) for c in components)
         if len(comps) != expected:
             raise ValueError(f"expected {expected} components, got {len(comps)}")
-        object.__setattr__(self, "components", comps)
+        self._store(n, degree, variance, comps)
 
     @classmethod
     def zeros(cls, n: int, degree: int, variance: Variance) -> "DenseTensor":
@@ -148,25 +146,27 @@ class DenseTensor:
         return all(v == self.components[firsts[r]] for r, v in zip(classes, self.components))
 
 
-@dataclass(frozen=True)
-class SymTensor:
+class SymTensor(_Record):
     """Compressed symmetric tensor: one stored value per index class."""
 
-    n: int
-    degree: int
-    variance: Variance
-    convention: Convention
-    components: tuple[Fraction, ...]
+    __slots__ = _fields = ("n", "degree", "variance", "convention", "components")
 
-    def __post_init__(self) -> None:
-        _check_variance(self.variance)
-        _check_convention(self.convention)
-        _check_shape(self.n, self.degree)
-        expected = sym_dim(self.n, self.degree)
-        comps = tuple(Fraction(c) for c in self.components)
+    def __init__(
+        self,
+        n: int,
+        degree: int,
+        variance: Variance,
+        convention: Convention,
+        components: tuple[Fraction, ...],
+    ) -> None:
+        _check_variance(variance)
+        _check_convention(convention)
+        _check_shape(n, degree)
+        expected = sym_dim(n, degree)
+        comps = tuple(Fraction(c) for c in components)
         if len(comps) != expected:
             raise ValueError(f"expected {expected} components, got {len(comps)}")
-        object.__setattr__(self, "components", comps)
+        self._store(n, degree, variance, convention, comps)
 
     @classmethod
     def zeros(

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from jetstress.multiindex import CardinalityIndex
 from jetstress.polyfield import PolyField, Polynomial
 from jetstress.hyperstress import TractionStressField, VariationalStressField
 from jetstress.symtensor import DenseTensor
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_json(path, obj):
@@ -264,6 +270,63 @@ def test_verify_duality_budget_admits_sizes_below_it(monkeypatch):
     for n, l in ((3, 5), (4, 6)):
         assert main(["verify", "duality", "--n", str(n), "--l", str(l)]) == 0
     assert calls == [(3, 5), (4, 6)]
+
+
+# One jet slot per case of either suite, so --cases alone meets the budget of 10,000.
+ONE_SLOT = ["--n", "1", "--m", "1", "--k", "0"]
+
+
+@pytest.mark.parametrize(
+    "suite, flags, named",
+    [
+        ("jets", ["--n", "8", "--k", "10", "--cases", "1"], "--n 8 --m 2 --k 10 --cases 1"),
+        ("cauchy", ["--cases", "1000000000"], "--n 3 --m 2 --k 2 --cases 1000000000"),
+        ("jets", [*ONE_SLOT, "--cases", "10001"], "--n 1 --m 1 --k 0 --cases 10001"),
+        ("cauchy", [*ONE_SLOT, "--cases", "10001"], "--n 1 --m 1 --k 0 --cases 10001"),
+    ],
+)
+def test_verify_jet_suites_refuse_sizes_past_their_budget(capsys, suite, flags, named):
+    assert main(["verify", suite, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    budget = "exceeds its budget of 10000 jet slots"
+    assert captured.err == f"error: verify {suite} at {named} {budget}\n"
+
+
+def test_verify_jet_suites_budget_admits_sizes_up_to_it(monkeypatch):
+    calls = []
+    monkeypatch.setattr(_checks, "verify_jets", lambda *args: calls.append(args[1:]) or 0)
+    monkeypatch.setattr(_checks, "verify_cauchy", lambda *args: calls.append(args[1:]) or 0)
+    for suite in ("jets", "cauchy"):
+        assert main(["verify", suite, *ONE_SLOT, "--cases", "10000"]) == 0
+    assert calls == [(1, 1, 0, 10000), (1, 1, 1, 10000)]
+
+
+def test_verify_jet_suites_run_at_the_benchmark_shapes(capsys):
+    # 6 jets cases at n=3, m=2, k=3 draw 240 jet slots; 12 cauchy cases at k=4 draw 1,440.
+    assert main(["verify", "jets", "--n", "3", "--k", "3", "--m", "2", "--cases", "6"]) == 0
+    assert capsys.readouterr().out == "jets: 6 cases at n=3, m=2, k=3: OK\n"
+    assert main(["verify", "cauchy", "--n", "3", "--k", "4", "--m", "2", "--cases", "12"]) == 0
+    assert capsys.readouterr().out == "cauchy: 12 cases at n=3, m=2, k=4: OK\n"
+
+
+def test_import_loads_no_module_beyond_the_package():
+    """``import jetstress.cli`` adds only jetstress modules to what the stdlib it uses loads."""
+    script = (
+        "import sys\n"
+        "import __future__, argparse, fractions, functools, itertools, json, math, operator\n"
+        "import random\n"
+        "before = set(sys.modules)\n"
+        "import jetstress.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    added = result.stdout.split()
+    assert "jetstress.cli" in added
+    assert [name for name in added if name.split(".")[0] != "jetstress"] == []
 
 
 def test_missing_file_is_an_error(capsys):
