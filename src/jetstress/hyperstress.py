@@ -143,16 +143,7 @@ class _PerAxis(_Record):
             if not 1 <= j <= n:
                 raise ValueError(f"axis {j} out of range 1..{n}")
             groups[j - 1][alpha, index] = value
-        return cls._from_axes(n, m, k, [cls._part.from_map(n, m, k - 1, g) for g in groups])
-
-    @classmethod
-    def _from_axes(cls, n: int, m: int, k: int, axes: Sequence) -> _PerAxis:
-        """The object made of its n parts ``axes``, already built, without splitting them again."""
-        _check_jet_shape(n, m, k)
-        self = object.__new__(cls)
-        object.__setattr__(self, "axes", tuple(axes))
-        self._store(n, m, k, _join_axes(axes))
-        return self
+        return cls(n, m, k, _join_axes([cls._part.from_map(n, m, k - 1, g) for g in groups]))
 
 
 class TractionHyperStress(_PerAxis):
@@ -347,11 +338,11 @@ class TractionStressField(_PerAxis):
     @classmethod
     def constant(cls, stress: TractionHyperStress) -> "TractionStressField":
         axes = [VariationalStressField.constant(VariationalHyperStress(ax)) for ax in stress.axes]
-        return cls._from_axes(stress.n, stress.m, stress.k, axes)
+        return cls(stress.n, stress.m, stress.k, _join_axes(axes))
 
     def at(self, x: Point) -> TractionHyperStress:
         axes = [ax.at(x).covector for ax in self.axes]
-        return TractionHyperStress._from_axes(self.n, self.m, self.k, axes)
+        return TractionHyperStress(self.n, self.m, self.k, _join_axes(axes))
 
     def density_coeffs(self, field: PolyField) -> list[Polynomial]:
         """Flux density coefficients against the (k-1)-jet of a field.

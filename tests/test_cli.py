@@ -311,18 +311,22 @@ def test_verify_jet_suites_run_at_the_benchmark_shapes(capsys):
 
 
 def test_import_loads_no_module_beyond_the_package():
-    """``import jetstress.cli`` adds only jetstress modules to what the stdlib it uses loads."""
+    """``import jetstress.cli`` adds only jetstress modules to what the stdlib it uses loads.
+
+    ``-S`` skips ``site``, whose ``.pth`` files may preload modules on one
+    interpreter and not on another.
+    """
     script = (
         "import sys\n"
         "import __future__, argparse, fractions, functools, itertools, json, math, operator\n"
-        "import random\n"
+        "import random, typing\n"
         "before = set(sys.modules)\n"
         "import jetstress.cli\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     )
     added = result.stdout.split()
     assert "jetstress.cli" in added

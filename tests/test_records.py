@@ -164,36 +164,3 @@ def test_records_are_slotted_and_list_their_fields(record):
     assert not hasattr(obj, "__dict__")
     assert type(obj)._fields == fields
 
-
-def test_traction_parts_are_built_once(monkeypatch):
-    """Each per-axis part is built once, not again from the joined blocks."""
-    built = {VariationalStressField: [], JetCovector: []}
-
-    def recording(cls):
-        original, seen = cls.__post_init__, built[cls]
-        return lambda self: original(self) or seen.append(self)
-
-    for cls in built:
-        monkeypatch.setattr(cls, "__post_init__", recording(cls))
-    n, m, k = 3, 2, 2
-    entries = {(1, (1,), 2): Polynomial.constant(n, 1), (2, (), 3): Polynomial.constant(n, 2)}
-    field = TractionStressField.from_map(n, m, k, entries)
-    assert built[VariationalStressField] == list(field.axes)
-    stress = rand_traction(random.Random(3), n, m, k)
-    del built[VariationalStressField][:], built[JetCovector][:]
-    constant = TractionStressField.constant(stress)
-    assert built[VariationalStressField] == list(constant.axes)
-    assert built[JetCovector] == []
-    at = constant.at(rand_point(random.Random(4), n))
-    assert built[JetCovector] == list(at.axes) == list(stress.axes)
-
-
-def test_traction_records_built_from_parts_equal_the_checked_constructor():
-    rng = random.Random(5)
-    stress = rand_traction(rng, 2, 2, 3)
-    field = TractionStressField.constant(stress)
-    x = rand_point(rng, 2)
-    for obj in (TractionHyperStress.from_map(2, 2, 3, {}), field, field.at(x)):
-        again = type(obj)(obj.n, obj.m, obj.k, obj.blocks)
-        assert again == obj and again.axes == obj.axes
-    assert field.at(x) == stress
