@@ -11,12 +11,10 @@ import argparse
 import random
 import sys
 from fractions import Fraction
-from itertools import accumulate
-from math import comb
-from typing import Iterable, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from . import _checks, fileio
-from .fileio import format_rational
+from .fileio import _JET_SLOTS, format_rational
 from .hyperstress import (
     BoxRegion,
     TractionStressField,
@@ -25,14 +23,16 @@ from .hyperstress import (
     total_power,
 )
 from .jet import jet_of
-from .multiindex import enumerate_nondecreasing, multiplicity, sym_dim
+from .multiindex import _check_budget, _slot_sizes, enumerate_nondecreasing, multiplicity, sym_dim
 from .polyfield import Point
 from .symtensor import DenseTensor, compress, pair, symmetrize_dense
 
 # The most basis pairs `verify duality` checks; each builds two tensors and pairs them.
 _DUALITY_PAIRS = 20_000
-# The most jet slots `verify jets` or `verify cauchy` draws over all its cases.
-_JET_SLOTS = 10_000
+# The most index classes `dims` lists over all its degrees.
+_DIMS_CLASSES = 10_000
+# The most cells per axis `--subdiv` cuts a box into.
+_CELLS = 100_000
 
 
 def _format_scalar(value: Fraction, as_float: bool) -> str:
@@ -68,6 +68,7 @@ def _region(args: argparse.Namespace) -> tuple[BoxRegion, str]:
     lower, upper = _parse_box(args.box)
     if args.subdiv is None:
         return BoxRegion(lower, upper), "exact"
+    _check_budget((args.subdiv,), _CELLS, f"--subdiv {args.subdiv}", "cells per axis")
     return BoxRegion(lower, upper, args.subdiv), "midpoint"
 
 
@@ -78,6 +79,8 @@ def cmd_dims(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be at least 1, got {n}")
     if kmax < 0:
         raise ValueError(f"--l must be non-negative, got {kmax}")
+    request = f"dims at --n {n} --l {kmax}"
+    _check_budget(_slot_sizes(n, 1, kmax), _DIMS_CLASSES, request, "index classes")
     print(f"{'l':>3} {'sym_dim':>10} {'dense_dim':>12} {'multiplicity_sum':>18} check")
     for l in range(kmax + 1):
         sym = sym_dim(n, l)
@@ -103,6 +106,8 @@ def cmd_symmetrize(args: argparse.Namespace) -> int:
 def cmd_jet(args: argparse.Namespace) -> int:
     field = fileio.field_from_obj(fileio.load(args.field))
     point = _parse_point(args.point)
+    request = f"jet at --k {args.k} of a field with n={field.n}, m={field.m}"
+    _check_budget(_slot_sizes(field.n, field.m, args.k), _JET_SLOTS, request, "jet slots")
     jet = jet_of(field, point, args.k)
     obj = fileio.jet_to_obj(jet)
     if args.out:
@@ -146,12 +151,6 @@ def cmd_pair(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_budget(sizes: Iterable[int], budget: int, request: str, unit: str) -> None:
-    """Refuse ``request`` once the running sum of ``sizes`` passes ``budget``."""
-    if any(total > budget for total in accumulate(sizes)):
-        raise ValueError(f"{request} exceeds its budget of {budget} {unit}")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     for flag, least in (("n", 1), ("m", 1), ("l", 0), ("k", 0), ("cases", 1)):
         value = getattr(args, flag)
@@ -170,9 +169,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Each case of `jets` draws an m-component k-jet; each case of `cauchy`, n of order k-1.
     jets = args.suite == "jets"
     order, width = (args.k, args.m) if jets else (max(args.k, 1) - 1, args.n * args.m)
-    slots = (args.cases * width * comb(args.n + degree - 1, degree) for degree in range(order + 1))
     request = f"verify {args.suite} at --n {args.n} --m {args.m} --k {args.k} --cases {args.cases}"
-    _check_budget(slots, _JET_SLOTS, request, "jet slots")
+    _check_budget(_slot_sizes(args.n, args.cases * width, order), _JET_SLOTS, request, "jet slots")
     if jets:
         return _checks.verify_jets(rng, args.n, args.m, order, args.cases)
     return _checks.verify_cauchy(rng, args.n, args.m, order + 1, args.cases)

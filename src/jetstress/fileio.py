@@ -33,15 +33,23 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .altforms import CoDimOneForm
-from .jet import JetElement, _slot_rows, _tensor_blocks
-from .hyperstress import TractionStressField, VariationalStressField
-from .multiindex import CardinalityIndex, MultiIndex, cardinality, enumerate_nondecreasing
+from .jet import JetElement, _check_jet_shape, _slot_rows, _tensor_blocks
+from .hyperstress import TractionStressField, VariationalStressField, _check_order
+from .multiindex import CardinalityIndex, MultiIndex, _canonical_axes, _check_axes
+from .multiindex import _check_budget, _check_shape, _slot_sizes, enumerate_nondecreasing
 from .polyfield import Point, PolyField, Polynomial
 from .symtensor import DenseTensor, SymTensor
+
+# The most jet slots a request may cover: a jet or stress file's header (a traction stress
+# of order k counts as n jets of order k-1), `jet`, and `verify jets` or `cauchy` over all cases.
+_JET_SLOTS = 10_000
+# The most stored components a tensor file's header may declare.
+_TENSOR_COMPONENTS = 100_000
 
 
 def format_rational(value: Fraction) -> str:
@@ -60,35 +68,42 @@ def axis_list_key(index: MultiIndex | Sequence[int]) -> str:
     return ",".join(map(str, entries))
 
 
-def _parse_axes(text: str) -> tuple[int, ...]:
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated ints of an axis list or a counts list; empty text is ``()``."""
     text = text.strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
-        raise ValueError(f"bad axis list {text!r}") from None
+        raise ValueError(f"bad {what} {text!r}") from None
 
 
 def parse_axis_list(text: str, n: int) -> MultiIndex:
-    return MultiIndex(_parse_axes(text), n)
+    return MultiIndex(_int_list(text, "axis list"), n)
+
+
+def _class_key(text: str, n: int) -> CardinalityIndex:
+    """The index class named by a non-decreasing axis list, the key of a symmetric slot."""
+    axes = _int_list(text, "axis list")
+    _check_axes(axes, n)
+    if list(axes) != sorted(axes):
+        raise ValueError(f"axis list {text!r} must be non-decreasing")
+    return CardinalityIndex(tuple(map(axes.count, range(1, n + 1))))
 
 
 def counts_key(card: CardinalityIndex) -> str:
     return str(card)
 
 
-def parse_counts(text: str, n: int) -> CardinalityIndex:
-    text = text.strip()
-    if not text:
-        return CardinalityIndex.zero(n)
-    try:
-        counts = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad counts list {text!r}") from None
+def _counts(text: str, n: int) -> tuple[int, ...]:
+    """The n counts of a counts list; empty text is the zero index."""
+    counts = _int_list(text, "counts list") or (0,) * n
     if len(counts) != n:
         raise ValueError(f"counts list {text!r} must have {n} entries")
-    return CardinalityIndex(counts)
+    return counts
+
+
+def parse_counts(text: str, n: int) -> CardinalityIndex:
+    return CardinalityIndex(_counts(text, n))
 
 
 def _json_object(value: Any, what: str) -> dict:
@@ -113,6 +128,35 @@ def _header(obj: dict, what: str, name: str, kind: type = int) -> Any:
     return value
 
 
+def _check_tensor_size(n: int, degree: int, storage: str) -> None:
+    """Refuse a tensor header declaring more than ``_TENSOR_COMPONENTS`` stored components.
+
+    With n > 1, ``n**degree`` and ``C(n + degree - 1, steps)`` are at least
+    ``2**steps``, so a header far past the budget is refused uncomputed.  At
+    n = 1 there is one component, but its index class is degree axes long,
+    so the degree is held to the budget too.
+    """
+    _check_shape(n, degree)
+    dense = storage == "dense"
+    steps = degree if dense else min(degree, n - 1)
+    if n > 1 and steps > _TENSOR_COMPONENTS.bit_length():
+        size = _TENSOR_COMPONENTS + 1
+    else:
+        size = max(n**degree if dense else math.comb(n + degree - 1, steps), degree)
+    request = f"{storage} tensor of n={n}, degree={degree}"
+    _check_budget((size,), _TENSOR_COMPONENTS, request, "components")
+
+
+def _check_slots(n: int, m: int, k: int, what: str, traction: bool = False) -> None:
+    """Check a jet-shaped header and refuse more than ``_JET_SLOTS`` slots."""
+    if traction:
+        _check_order(k)
+    _check_jet_shape(n, m, k)
+    width, order = (n * m, k - 1) if traction else (m, k)
+    request = f"{what} of n={n}, m={m}, k={k}"
+    _check_budget(_slot_sizes(n, width, order), _JET_SLOTS, request, "jet slots")
+
+
 def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, stable separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -135,7 +179,7 @@ def tensor_to_obj(tensor: DenseTensor | SymTensor) -> dict:
     components = {}
     for card, value in zip(tensor.slots(), tensor.components):
         if value != 0:
-            components[axis_list_key(card.canonical())] = format_rational(value)
+            components[axis_list_key(_canonical_axes(card.counts))] = format_rational(value)
     return {
         "n": tensor.n,
         "degree": tensor.degree,
@@ -155,26 +199,26 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
     if variance not in ("co", "contra"):
         raise ValueError(f"variance must be 'co' or 'contra', got {variance!r}")
     if storage == "dense":
+        _check_tensor_size(n, degree, storage)
         entries = {}
         for key, text in components.items():
-            axes = _parse_axes(key)
+            axes = _int_list(key, "axis list")
             if len(axes) != degree:
                 raise ValueError(f"component key {key!r} has degree {len(axes)}, expected {degree}")
             entries[axes] = parse_rational(text)
         # DenseTensor.from_map range-checks the axes.
         return DenseTensor.from_map(n, degree, variance, entries)
     if storage == "symmetric":
+        _check_tensor_size(n, degree, storage)
         convention = obj.get("convention", "plain")
         if convention not in ("plain", "arrow"):
             raise ValueError(f"convention must be 'plain' or 'arrow', got {convention!r}")
         entries = {}
         for key, text in components.items():
-            index = parse_axis_list(key, n)
-            if index.degree != degree:
-                raise ValueError(f"component key {key!r} has degree {index.degree}, expected {degree}")
-            if not index.is_nondecreasing():
-                raise ValueError(f"symmetric storage requires non-decreasing keys, got {key!r}")
-            entries[cardinality(index)] = parse_rational(text)
+            card = _class_key(key, n)
+            if card.degree != degree:
+                raise ValueError(f"component key {key!r} has degree {card.degree}, expected {degree}")
+            entries[card] = parse_rational(text)
         return SymTensor.from_map(n, degree, variance, convention, entries)
     raise ValueError(f"storage must be 'dense' or 'symmetric', got {storage!r}")
 
@@ -194,7 +238,7 @@ def polynomial_to_obj(poly: Polynomial) -> dict:
 
 
 def polynomial_from_obj(obj: dict, n: int) -> Polynomial:
-    coeffs = {parse_counts(key, n): parse_rational(text) for key, text in obj.items()}
+    coeffs = {_counts(key, n): parse_rational(text) for key, text in obj.items()}
     return Polynomial.from_map(n, coeffs)
 
 
@@ -259,6 +303,7 @@ def jet_from_obj(obj: dict) -> JetElement:
     k = _header(obj, "jet", "k")
     x = _header(obj, "jet", "x", list)
     blocks_obj = _json_object(obj.get("blocks", {}), "jet blocks")
+    _check_slots(n, m, k, "jet")
     point = Point(tuple(parse_rational(c) for c in x))
     slots = {}
     for order_key, entries in blocks_obj.items():
@@ -291,7 +336,7 @@ def stress_to_obj(stress: VariationalStressField | TractionStressField) -> dict:
             for alpha, row in enumerate(block, start=1):
                 for card, poly in zip(cards, row):
                     if poly.terms:
-                        key = f"{alpha}|{axis_list_key(card.canonical())}{suffix}"
+                        key = f"{alpha}|{axis_list_key(_canonical_axes(card.counts))}{suffix}"
                         blocks[key] = _poly_value_obj(poly)
     return {"n": stress.n, "m": stress.m, "k": stress.k, "kind": kind, "blocks": blocks}
 
@@ -310,14 +355,9 @@ def _parse_stress_slot_key(key: str, n: int, kind: str) -> tuple:
     if len(parts) != (2 if kind == "variational" else 3):
         raise ValueError(f"bad {kind} slot key {key!r}")
     try:
-        alpha = int(parts[0])
-        index = parse_axis_list(parts[1], n)
-        axis = [int(j) for j in parts[2:]]
+        return (int(parts[0]), _class_key(parts[1], n), *map(int, parts[2:]))
     except ValueError as exc:
         raise ValueError(f"bad {kind} slot key {key!r}: {exc}") from None
-    if not index.is_nondecreasing():
-        raise ValueError(f"slot key {key!r} must use non-decreasing axes")
-    return (alpha, cardinality(index), *axis)
 
 
 def stress_from_obj(obj: dict) -> VariationalStressField | TractionStressField:
@@ -329,6 +369,7 @@ def stress_from_obj(obj: dict) -> VariationalStressField | TractionStressField:
     fields = {"variational": VariationalStressField, "traction": TractionStressField}
     if kind not in fields:
         raise ValueError(f"kind must be 'variational' or 'traction', got {kind!r}")
+    _check_slots(n, m, k, f"{kind} stress", kind == "traction")
     entries = {
         _parse_stress_slot_key(key, n, kind): polynomial_from_obj(
             _json_object(value, f"stress slot {key!r}"), n

@@ -14,13 +14,16 @@ the combinatorial number system, which gives dense array addressing for
 compressed symmetric storage: the slot count for degree ``l`` in dimension
 ``n`` is ``C(n + l - 1, l)``; ``dense_classes`` and ``class_multiplicities``
 cache each dense offset's class rank and each class multiplicity as plain ints.
+Index classes are generated as count tuples sorted by ``_colex_key``, the one
+statement of that order.  ``_check_budget`` refuses oversized requests.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from operator import sub
+from typing import Iterable, Iterator, Sequence, Union
 
 #: Largest slot count for which permutation-group enumeration is allowed.
 #: Operations that sum over all l! permutations refuse larger degrees.
@@ -119,13 +122,7 @@ class CardinalityIndex(_Record):
     __slots__ = _fields = ("counts",)
 
     def __init__(self, counts: tuple[int, ...]) -> None:
-        counts = tuple(int(c) for c in counts)
-        if not counts:
-            raise ValueError("cardinality index needs at least one axis")
-        for c in counts:
-            if c < 0:
-                raise ValueError(f"negative count {c}")
-        self._store(counts)
+        self._store(_checked_counts(counts))
 
     @classmethod
     def zero(cls, n: int) -> "CardinalityIndex":
@@ -147,10 +144,7 @@ class CardinalityIndex(_Record):
 
     def canonical(self) -> MultiIndex:
         """The non-decreasing multi-index with these counts."""
-        entries: list[int] = []
-        for axis, count in enumerate(self.counts, start=1):
-            entries.extend([axis] * count)
-        return MultiIndex(tuple(entries), self.n)
+        return MultiIndex(_canonical_axes(self.counts), self.n)
 
     def __add__(self, other: "CardinalityIndex") -> "CardinalityIndex":
         if other.n != self.n:
@@ -218,12 +212,25 @@ class Permutation(_Record):
 IndexLike = Union[MultiIndex, CardinalityIndex, Sequence[int]]
 
 
+def _checked_counts(counts: Sequence[int]) -> tuple[int, ...]:
+    """``counts`` as a tuple of ints, checked to cover at least one axis with no negative count."""
+    counts = tuple(int(c) for c in counts)
+    if not counts:
+        raise ValueError("cardinality index needs at least one axis")
+    for c in counts:
+        if c < 0:
+            raise ValueError(f"negative count {c}")
+    return counts
+
+
+def _canonical_axes(counts: Sequence[int]) -> tuple[int, ...]:
+    """The non-decreasing axis list with these counts."""
+    return tuple(axis for axis, count in enumerate(counts, start=1) for _ in range(count))
+
+
 def cardinality(index: MultiIndex) -> CardinalityIndex:
     """Occurrence counts of the axes of an ordered multi-index."""
-    counts = [0] * index.n
-    for e in index.entries:
-        counts[e - 1] += 1
-    return CardinalityIndex(tuple(counts))
+    return CardinalityIndex(tuple(map(index.entries.count, range(1, index.n + 1))))
 
 
 def mi_factorial(card: CardinalityIndex) -> int:
@@ -235,8 +242,8 @@ def mi_factorial(card: CardinalityIndex) -> int:
 
 
 def multiplicity(card: CardinalityIndex) -> int:
-    """Number of ordered multi-indices with these counts: degree! over counts!."""
-    return math.factorial(card.degree) // mi_factorial(card)
+    """Number of ordered multi-indices with these counts: degree! over counts!, by binomials."""
+    return math.prod(map(math.comb, itertools.accumulate(card.counts), card.counts))
 
 
 def apply_permutation(p: Permutation, index: MultiIndex) -> MultiIndex:
@@ -291,20 +298,39 @@ def sym_dim(n: int, l: int) -> int:
     return math.comb(n + l - 1, l)
 
 
-def _colex_sequences(n: int, l: int) -> Iterator[tuple[int, ...]]:
-    if l == 0:
-        yield ()
-        return
-    for last in range(1, n + 1):
-        for head in _colex_sequences(last, l - 1):
-            yield head + (last,)
+def _check_budget(sizes: Iterable[int], budget: int, request: str, unit: str) -> None:
+    """Refuse ``request`` once the running sum of ``sizes`` passes ``budget``.
+
+    The sum stops at the first total past the budget, so ``sizes`` may be lazy and long.
+    """
+    if any(total > budget for total in itertools.accumulate(sizes)):
+        raise ValueError(f"{request} exceeds its budget of {budget} {unit}")
+
+
+def _slot_sizes(n: int, width: int, k: int) -> Iterator[int]:
+    """``width * C(n + l - 1, l)`` for l = 0..k: the slots of ``width`` rows of each order."""
+    return (width * math.comb(n + l - 1, l) for l in range(k + 1))
+
+
+def _colex_key(counts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded colex order of the canonical axis lists: degree, then counts from the last axis."""
+    return (sum(counts), counts[::-1])
+
+
+def _class_counts(n: int, l: int) -> list[tuple[int, ...]]:
+    """The counts of every degree-l index class in dimension n, in rank order.
+
+    Cut points ``0 <= q_1 <= ... <= q_{n-1} <= l`` split l into the n counts.
+    """
+    _check_shape(n, l)
+    cuts = itertools.combinations_with_replacement(range(l + 1), n - 1)
+    return sorted((tuple(map(sub, (*q, l), (0, *q))) for q in cuts), key=_colex_key)
 
 
 def enumerate_nondecreasing(n: int, l: int) -> list[CardinalityIndex]:
     """All degree-l cardinality indices in dimension n, in graded colex order
     of their canonical non-decreasing multi-indices."""
-    _check_shape(n, l)
-    return [cardinality(MultiIndex(seq, n)) for seq in _colex_sequences(n, l)]
+    return [CardinalityIndex(counts) for counts in _class_counts(n, l)]
 
 
 def rank(card: CardinalityIndex) -> int:
@@ -313,8 +339,7 @@ def rank(card: CardinalityIndex) -> int:
     With entries ``i_1 <= ... <= i_l`` the rank is the combinatorial number
     system value ``sum_j C(i_j + j - 2, j)``.
     """
-    entries = [i for i, count in enumerate(card.counts, start=1) for _ in range(count)]
-    return sum(math.comb(i + j - 2, j) for j, i in enumerate(entries, start=1))
+    return sum(math.comb(i + j - 2, j) for j, i in enumerate(_canonical_axes(card.counts), 1))
 
 
 def unrank(n: int, l: int, r: int) -> CardinalityIndex:
@@ -323,14 +348,14 @@ def unrank(n: int, l: int, r: int) -> CardinalityIndex:
     if not 0 <= r < total:
         raise ValueError(f"rank {r} out of range 0..{total - 1}")
     remaining = r
-    entries = [0] * l
+    counts = [0] * n
     for j in range(l, 0, -1):
         c = j - 1
         while math.comb(c + 1, j) <= remaining:
             c += 1
         remaining -= math.comb(c, j)
-        entries[j - 1] = c - j + 2
-    return cardinality(MultiIndex(tuple(entries), n))
+        counts[c - j + 1] += 1
+    return CardinalityIndex(tuple(counts))
 
 
 def _dense_offset(entries: Sequence[int], n: int) -> int:
@@ -353,14 +378,13 @@ def dense_classes(n: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     holds the class's non-decreasing member, because the non-decreasing
     arrangement is the lexicographically smallest.
     """
-    _check_shape(n, l)
-    sequences = list(_colex_sequences(n, l))
-    ranks = {seq: r for r, seq in enumerate(sequences)}
+    canonical = [_canonical_axes(counts) for counts in _class_counts(n, l)]
+    ranks = {axes: r for r, axes in enumerate(canonical)}
     classes = tuple(
         ranks[tuple(sorted(entries))]
         for entries in itertools.product(range(1, n + 1), repeat=l)
     )
-    return classes, tuple(_dense_offset(seq, n) for seq in sequences)
+    return classes, tuple(_dense_offset(axes, n) for axes in canonical)
 
 
 @lru_cache(maxsize=4)

@@ -31,27 +31,21 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import _linalg
 from .multiindex import CardinalityIndex, IndexLike, MultiIndex, _Record, cardinality
+from .multiindex import _checked_counts, _colex_key
 
 Scalar = Fraction | int | str
 Counts = tuple[int, ...]
 Terms = Collection[tuple[Counts, int]]
 
 
-def _as_counts(index: IndexLike, n: int) -> CardinalityIndex:
-    """Normalize a monomial label to a cardinality index.
-
-    Polynomials label monomials by exponent counts, so a raw sequence here
-    is a count vector, not a list of axis numbers.
-    """
-    if isinstance(index, CardinalityIndex):
-        card = index
-    elif isinstance(index, MultiIndex):
-        card = cardinality(index)
-    else:
-        card = CardinalityIndex(tuple(index))
-    if card.n != n:
+def _as_counts(index: IndexLike, n: int) -> Counts:
+    """The checked exponent counts of a monomial label; a raw sequence is counts, not axes."""
+    if isinstance(index, MultiIndex):
+        index = cardinality(index)
+    counts = index.counts if isinstance(index, CardinalityIndex) else _checked_counts(index)
+    if len(counts) != n:
         raise ValueError("dimension mismatch")
-    return card
+    return counts
 
 
 class Point(_Record):
@@ -72,16 +66,6 @@ class Point(_Record):
     @property
     def n(self) -> int:
         return len(self.coords)
-
-
-def _term_sort_key(item: tuple[CardinalityIndex, Fraction]) -> tuple[int, tuple[int, ...]]:
-    """Graded colex rank order, read off the counts.
-
-    Within a degree, colex order of the canonical non-decreasing multi-index
-    is lexicographic order of the counts read from the last axis down.
-    """
-    counts = item[0].counts
-    return (sum(counts), counts[::-1])
 
 
 def _denominator(*polys: "Polynomial") -> int:
@@ -120,12 +104,10 @@ def _from_numerators(n: int, acc: Mapping[Counts, int], den: int) -> "Polynomial
     so neither they nor the terms are validated again.
     """
     terms = []
-    for counts, value in acc.items():
-        if value:
-            card = object.__new__(CardinalityIndex)
-            object.__setattr__(card, "counts", counts)
-            terms.append((card, Fraction(value, den)))
-    terms.sort(key=_term_sort_key)
+    for counts in sorted((counts for counts, value in acc.items() if value), key=_colex_key):
+        card = object.__new__(CardinalityIndex)
+        object.__setattr__(card, "counts", counts)
+        terms.append((card, Fraction(acc[counts], den)))
     poly = object.__new__(Polynomial)
     object.__setattr__(poly, "n", n)
     object.__setattr__(poly, "terms", tuple(terms))
@@ -153,12 +135,12 @@ class Polynomial(_Record):
                 if card in cleaned:
                     raise ValueError(f"duplicate term {card}")
                 cleaned[card] = value
-        self._store(n, tuple(sorted(cleaned.items(), key=_term_sort_key)))
+        self._store(n, tuple(sorted(cleaned.items(), key=lambda term: _colex_key(term[0].counts))))
 
     @classmethod
     def from_map(cls, n: int, coeffs: Mapping[IndexLike, Scalar]) -> "Polynomial":
         """Build from a coefficient map keyed by exponent count vectors; colliding keys add up."""
-        pairs = [(_as_counts(key, n).counts, Fraction(value)) for key, value in coeffs.items()]
+        pairs = [(_as_counts(key, n), Fraction(value)) for key, value in coeffs.items()]
         if n < 1:
             raise ValueError(f"dimension must be positive, got {n}")
         den = math.lcm(*(value.denominator for _, value in pairs))
@@ -185,9 +167,9 @@ class Polynomial(_Record):
 
     def coeff(self, index: IndexLike) -> Fraction:
         """Coefficient of the monomial with the given exponent counts."""
-        card = _as_counts(index, self.n)
-        for term_card, value in self.terms:
-            if term_card == card:
+        counts = _as_counts(index, self.n)
+        for card, value in self.terms:
+            if card.counts == counts:
                 return value
         return Fraction(0)
 
@@ -251,7 +233,7 @@ class Polynomial(_Record):
         requested order; the surviving coefficient picks up the falling
         factorial of each exponent.  The order is an exponent count vector.
         """
-        order = _as_counts(order, self.n).counts
+        order = _as_counts(order, self.n)
         den = _denominator(self)
         # math.perm(c, j) is the falling factorial c (c-1) ... (c-j+1).
         derived = {

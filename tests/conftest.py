@@ -36,6 +36,19 @@ def rng() -> random.Random:
     return random.Random(0)
 
 
+def built_records(monkeypatch, cls: type) -> list:
+    """The instances of record class ``cls`` constructed from now on, caught at ``__post_init__``."""
+    built: list = []
+    original = cls.__post_init__
+
+    def counting(self) -> None:
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
+
+
 def rand_dense(rng: random.Random, n: int, l: int, variance: str = "contra") -> DenseTensor:
     comps = tuple(rand_fraction(rng) for _ in range(n**l))
     return DenseTensor(n, l, variance, comps)

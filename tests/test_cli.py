@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from jetstress import _checks, fileio
+from jetstress import _checks, cli, fileio
 from jetstress.cli import main
 from jetstress.multiindex import CardinalityIndex
 from jetstress.polyfield import PolyField, Polynomial
@@ -415,6 +416,142 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind):
         assert "'x||1'" in lines[0]
     if kind == "traction-order-zero":
         assert lines[0] == "error: order must be at least 1, got 0"
+
+
+HUGE = 10**20
+X1X2 = {"n": 2, "m": 1, "components": [{"1,1": "1"}]}
+BOX = ["--box", "0,0:1,1"]
+
+
+def stress_obj(kind, n=2, m=1, k=1):
+    return {"n": n, "m": m, "k": k, "kind": kind, "blocks": {}}
+
+
+# Requests past a stated budget: files and argv as in MALFORMED, then the budget the error names.
+OVERSIZED = {
+    "dense-10-9": (
+        {"dense.json": tensor_obj("contra", "dense", 9, {}) | {"n": 10}},
+        ["symmetrize", "dense.json", "--out", "out.json"],
+        "100000 components",
+    ),
+    "dense-huge-degree": (
+        {"dense.json": tensor_obj("contra", "dense", HUGE, {})},
+        ["symmetrize", "dense.json", "--out", "out.json"],
+        "100000 components",
+    ),
+    "symmetric-1000-1000": (
+        {
+            "co.json": tensor_obj("co", "symmetric", 1000, {}) | {"n": 1000},
+            "contra.json": tensor_obj("contra", "symmetric", 1, {}),
+        },
+        ["pair", "co.json", "contra.json"],
+        "100000 components",
+    ),
+    "symmetric-huge": (
+        {
+            "co.json": tensor_obj("co", "symmetric", HUGE, {}) | {"n": HUGE},
+            "contra.json": tensor_obj("contra", "symmetric", 1, {}),
+        },
+        ["pair", "co.json", "contra.json"],
+        "100000 components",
+    ),
+    "symmetric-one-axis-huge-degree": (
+        {
+            "co.json": tensor_obj("co", "symmetric", HUGE, {}) | {"n": 1},
+            "contra.json": tensor_obj("contra", "symmetric", HUGE, {}) | {"n": 1},
+        },
+        ["pair", "co.json", "contra.json"],
+        "100000 components",
+    ),
+    "variational-huge-k": (
+        {"stress.json": stress_obj("variational", k=HUGE), "field.json": X1X2},
+        ["power", "stress.json", "field.json", *BOX],
+        "10000 jet slots",
+    ),
+    "variational-huge-n": (
+        {"stress.json": stress_obj("variational", n=HUGE), "field.json": X1X2},
+        ["power", "stress.json", "field.json", *BOX],
+        "10000 jet slots",
+    ),
+    "traction-huge-k": (
+        {"stress.json": stress_obj("traction", k=HUGE), "field.json": X1X2},
+        ["flux", "stress.json", "field.json", *BOX],
+        "10000 jet slots",
+    ),
+    "traction-huge-m": (
+        {"stress.json": stress_obj("traction", m=HUGE), "field.json": X1X2},
+        ["flux", "stress.json", "field.json", *BOX],
+        "10000 jet slots",
+    ),
+    "dims-16-8": ({}, ["dims", "--n", "16", "--l", "8"], "10000 index classes"),
+    "dims-40-10": ({}, ["dims", "--n", "40", "--l", "10"], "10000 index classes"),
+    "dims-one-axis-huge": ({}, ["dims", "--n", "1", "--l", str(HUGE)], "10000 index classes"),
+    "jet-k-200": (
+        {"field.json": X1X2},
+        ["jet", "field.json", "--point", "0,0", "--k", "200", "--out", "out.json"],
+        "10000 jet slots",
+    ),
+    "jet-k-800": (
+        {"field.json": X1X2},
+        ["jet", "field.json", "--point", "0,0", "--k", "800"],
+        "10000 jet slots",
+    ),
+    "jet-k-huge": (
+        {"field.json": X1X2},
+        ["jet", "field.json", "--point", "0,0", "--k", str(HUGE)],
+        "10000 jet slots",
+    ),
+    "power-subdiv": (
+        {"stress.json": stress_obj("variational"), "field.json": X1X2},
+        ["power", "stress.json", "field.json", *BOX, "--subdiv", str(HUGE)],
+        "100000 cells per axis",
+    ),
+    "flux-subdiv": (
+        {"stress.json": stress_obj("traction"), "field.json": X1X2},
+        ["flux", "stress.json", "field.json", *BOX, "--subdiv", "100001"],
+        "100000 cells per axis",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERSIZED))
+def test_oversized_request_is_refused_at_once(tmp_path, capsys, kind):
+    files, args, budget = OVERSIZED[kind]
+    for name, obj in files.items():
+        write_json(tmp_path / name, obj)
+    argv = [str(tmp_path / arg) if arg in files or arg == "out.json" else arg for arg in args]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith(f" exceeds its budget of {budget}")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["dims", "--n", "8", "--l", "7"], False),
+        (["dims", "--n", "1", "--l", "9999"], False),
+        (["dims", "--n", "1", "--l", "10000"], True),
+        (["jet", "field.json", "--point", "0,0", "--k", "139"], False),
+        (["jet", "field.json", "--point", "0,0", "--k", "140"], True),
+    ],
+)
+def test_flag_budgets_admit_sizes_up_to_them(tmp_path, monkeypatch, capsys, argv, refused):
+    # dims --n 8 --l 7 lists 6,435 classes; a jet of order 139 of a one-component field on the
+    # plane has 9,870 slots and one of order 140 has 10,011.  The work itself is stubbed out.
+    monkeypatch.setattr(cli, "sym_dim", lambda n, l: 0)
+    monkeypatch.setattr(cli, "enumerate_nondecreasing", lambda n, l: [])
+    monkeypatch.setattr(cli, "jet_of", lambda field, point, k: None)
+    monkeypatch.setattr(fileio, "jet_to_obj", lambda jet: {})
+    write_json(tmp_path / "field.json", X1X2)
+    argv = [str(tmp_path / arg) if arg == "field.json" else arg for arg in argv]
+    main(argv)
+    assert ("exceeds its budget" in capsys.readouterr().err) == refused
 
 
 @pytest.mark.parametrize(

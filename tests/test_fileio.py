@@ -11,6 +11,7 @@ from jetstress.altforms import CoDimOneForm
 from jetstress.polyfield import PolyField, Polynomial
 
 from conftest import (
+    built_records,
     rand_dense,
     rand_field,
     rand_jet,
@@ -121,6 +122,40 @@ def test_dense_reader_parses_each_key_once(monkeypatch):
     obj["components"] = {"1,x,1,1": "1"}
     with pytest.raises(ValueError, match="bad axis list"):
         fileio.tensor_from_obj(obj)
+
+
+def test_field_and_stress_readers_build_no_index_per_monomial(monkeypatch):
+    rng = random.Random(90)
+    field = fileio.field_to_obj(rand_field(rng, 3, 2, 3))
+    stresses = [
+        fileio.stress_to_obj(rand_variational_field(rng, 2, 2, 2, 2)),
+        fileio.stress_to_obj(rand_traction_field(rng, 2, 1, 2, 2)),
+    ]
+    cards = built_records(monkeypatch, CardinalityIndex)
+    indices = built_records(monkeypatch, MultiIndex)
+    fileio.field_from_obj(field)
+    assert cards == [] and indices == []
+    for obj in stresses:
+        fileio.stress_from_obj(obj)
+        # One index class per slot key; the monomials of its polynomial stay count tuples.
+        assert len(cards) == len(obj["blocks"]) and indices == []
+        cards.clear()
+
+
+def test_class_keys_are_checked_alike_in_tensor_and_stress_files():
+    tensor = {"n": 2, "degree": 2, "variance": "co", "storage": "symmetric"}
+    stress = {"n": 2, "m": 1, "k": 2, "kind": "variational"}
+    for bad, message in (("3,3", r"axis 3 out of range 1\.\.2"), ("2,1", "non-decreasing")):
+        with pytest.raises(ValueError, match=message):
+            fileio.tensor_from_obj({**tensor, "components": {bad: "1"}})
+        with pytest.raises(ValueError, match=rf"^bad variational slot key '1\|{bad}': .*{message}"):
+            fileio.stress_from_obj({**stress, "blocks": {f"1|{bad}": {"": "1"}}})
+
+
+def test_jet_header_past_its_budget_is_refused_before_reading():
+    obj = {"n": 2, "m": 1, "k": 10**20, "x": ["0", "0"], "blocks": {"0": {"x": "1"}}}
+    with pytest.raises(ValueError, match=r"^jet of n=2, m=1, k=\d+ exceeds its budget of 10000 jet"):
+        fileio.jet_from_obj(obj)
 
 
 def test_tensor_object_validation():

@@ -90,7 +90,7 @@ def ref_taylor(p: Polynomial, center: Point, order: int) -> Polynomial:
 def ref_from_map(n: int, coeffs) -> Polynomial:
     acc: dict[CardinalityIndex, Fraction] = {}
     for key, value in coeffs.items():
-        card = _as_counts(key, n)
+        card = CardinalityIndex(_as_counts(key, n))
         acc[card] = acc.get(card, Fraction(0)) + Fraction(value)
     return Polynomial(n, tuple(acc.items()))
 

@@ -27,6 +27,8 @@ from jetstress.multiindex import (
     unrank,
 )
 
+from conftest import built_records
+
 
 def test_cardinality_counts_axis_occurrences():
     card = cardinality(MultiIndex((1, 2, 2), 3))
@@ -134,6 +136,31 @@ def test_permutation_cap_is_enforced():
 def test_colex_order_n3_l2():
     got = [card.canonical().entries for card in enumerate_nondecreasing(3, 2)]
     assert got == [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
+
+
+def test_colex_order_is_reversed_counts_order():
+    """Every count vector of degree l, sorted by its counts read from the last axis down."""
+    for n in range(1, 6):
+        for l in range(0, 10):
+            vectors = [c for c in itertools.product(range(l + 1), repeat=n) if sum(c) == l]
+            expected = [CardinalityIndex(c) for c in sorted(vectors, key=lambda c: c[::-1])]
+            cards = enumerate_nondecreasing(n, l)
+            assert cards == expected
+            for pos, card in enumerate(cards):
+                assert rank(card) == pos
+                assert unrank(n, l, pos) == card
+
+
+def test_enumeration_builds_no_multi_index(monkeypatch):
+    built = built_records(monkeypatch, MultiIndex)
+    assert len(enumerate_nondecreasing(4, 6)) == sym_dim(4, 6)
+    assert unrank(4, 6, 17) == enumerate_nondecreasing(4, 6)[17]
+    assert built == []
+
+
+def test_multiplicity_of_one_axis_at_a_high_degree():
+    assert multiplicity(CardinalityIndex((10**6,))) == 1
+    assert class_multiplicities(1, 10**5) == (1,)
 
 
 def test_rank_examples_n2_l2():
