@@ -8,13 +8,13 @@ nonzero with a single ``error:`` line on failure.
 from __future__ import annotations
 
 import argparse
-import random
+import math
 import sys
 from fractions import Fraction
 from typing import NoReturn, Sequence
 
-from . import _checks, fileio
-from .fileio import _JET_SLOTS, format_rational
+from . import fileio
+from .fileio import _JET_SLOTS, _TENSOR_COMPONENTS, format_rational
 from .hyperstress import (
     BoxRegion,
     TractionStressField,
@@ -23,12 +23,15 @@ from .hyperstress import (
     total_power,
 )
 from .jet import jet_of
-from .multiindex import _check_budget, _slot_sizes, enumerate_nondecreasing, multiplicity, sym_dim
+from .multiindex import _check_budget, _slot_sizes, enumerate_nondecreasing, multiplicity
+from .multiindex import permutations_of, sym_dim
 from .polyfield import Point
 from .symtensor import DenseTensor, compress, pair, symmetrize_dense
 
 # The most basis pairs `verify duality` checks; each builds two tensors and pairs them.
 _DUALITY_PAIRS = 20_000
+# The most permutation applications `verify epsilon` makes: l! per case.
+_EPSILON_PERMUTATIONS = 1_000_000
 # The most index classes `dims` lists over all its degrees.
 _DIMS_CLASSES = 10_000
 # The most cells per axis `--subdiv` cuts a box into.
@@ -156,8 +159,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         value = getattr(args, flag)
         if value < least:
             raise ValueError(f"--{flag} must be at least {least}, got {value}")
+    # The suites and their generators load only here, so other commands never import them.
+    import random
+
+    from . import _checks
+
     rng = random.Random(args.seed)
     if args.suite == "epsilon":
+        # permutations_of refuses an --l above the cap before l! is computed.
+        permutations_of(args.l)
+        request = f"verify epsilon at --n {args.n} --l {args.l} --cases {args.cases}"
+        applied = args.cases * math.factorial(args.l)
+        _check_budget((applied,), _EPSILON_PERMUTATIONS, request, "permutation applications")
+        dense = max(args.cases // 5, 1) * args.n**args.l
+        _check_budget((dense,), _TENSOR_COMPONENTS, request, "dense components")
         return _checks.verify_epsilon(rng, args.n, args.l, args.cases)
     if args.suite == "duality":
         pairs = (sym_dim(args.n, degree) ** 2 for degree in range(args.l + 1))

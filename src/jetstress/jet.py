@@ -160,14 +160,16 @@ def _jet_of_taylor(polys: Sequence[Polynomial], x: Point, k: int) -> JetElement:
     """The k-jet at x of the fields whose Taylor polynomials in the offset from x are ``polys``.
 
     Slot J of component alpha is ``J!`` times the coefficient of ``y^J``;
-    terms above order k are ignored.
+    terms above order k are ignored, and only the nonzero terms are placed.
     """
-    coeffs = [poly.coeff_map() for poly in polys]
-    rows = []
-    for l in range(k + 1):
-        cards = enumerate_nondecreasing(x.n, l)
-        rows.append([[c.get(card, 0) * mi_factorial(card) for card in cards] for c in coeffs])
-    return JetElement(x.n, len(polys), k, x, _tensor_blocks(x.n, rows, "co", "plain"))
+    n, m = x.n, len(polys)
+    entries = {
+        (alpha, card): c * mi_factorial(card)
+        for alpha, poly in enumerate(polys, 1)
+        for card, c in poly.terms
+        if card.degree <= k
+    }
+    return JetElement(n, m, k, x, _tensor_blocks(n, _slot_rows(n, m, k, entries, 0), "co", "plain"))
 
 
 def _taylor_of_jet(jet: JetElement) -> list[Polynomial]:
@@ -177,7 +179,7 @@ def _taylor_of_jet(jet: JetElement) -> list[Polynomial]:
         terms = []
         for l, block in enumerate(jet.blocks):
             cards = enumerate_nondecreasing(jet.n, l)
-            terms += [(c, v / mi_factorial(c)) for c, v in zip(cards, block[alpha].components)]
+            terms += [(c, v / mi_factorial(c)) for c, v in zip(cards, block[alpha].components) if v]
         polys.append(Polynomial(jet.n, tuple(terms)))
     return polys
 

@@ -275,14 +275,13 @@ def epsilon_abs(left: MultiIndex, right: MultiIndex) -> int:
     return int(sorted(left.entries) == sorted(right.entries))
 
 
-def permutations_of(l: int, cap: int = PERMUTATION_CAP) -> Iterator[Permutation]:
-    """All l! slot permutations. Refuses degrees above the cap."""
+def permutations_of(l: int) -> Iterator[Permutation]:
+    """All l! slot permutations, lazily; degrees above the cap are refused at the call."""
     if l < 0:
         raise ValueError(f"negative degree {l}")
-    if l > cap:
-        raise ValueError(f"degree {l} exceeds permutation cap {cap}")
-    for mapping in itertools.permutations(range(1, l + 1)):
-        yield Permutation(mapping)
+    if l > PERMUTATION_CAP:
+        raise ValueError(f"degree {l} exceeds permutation cap {PERMUTATION_CAP}")
+    return map(Permutation, itertools.permutations(range(1, l + 1)))
 
 
 def _check_shape(n: int, l: int) -> None:

@@ -173,9 +173,6 @@ class Polynomial(_Record):
                 return value
         return Fraction(0)
 
-    def coeff_map(self) -> dict[CardinalityIndex, Fraction]:
-        return dict(self.terms)
-
     @property
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""

@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Literal, Mapping
 
 from .multiindex import (
-    PERMUTATION_CAP,
     CardinalityIndex,
     IndexLike,
     MultiIndex,
@@ -58,19 +57,9 @@ _VARIANCES = ("co", "contra")
 _CONVENTIONS = ("plain", "arrow")
 
 
-def _check_variance(variance: str) -> None:
-    if variance not in _VARIANCES:
-        raise ValueError(f"variance must be 'co' or 'contra', got {variance!r}")
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"convention must be 'plain' or 'arrow', got {convention!r}")
-
-
-def _check_cap(degree: int, cap: int) -> None:
-    if degree > cap:
-        raise ValueError(f"degree {degree} exceeds permutation cap {cap}")
+def _check_choice(name: str, value: str, choices: tuple[str, str]) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be {choices[0]!r} or {choices[1]!r}, got {value!r}")
 
 
 def ordered_indices(n: int, l: int) -> Iterable[MultiIndex]:
@@ -87,7 +76,7 @@ class DenseTensor(_Record):
     def __init__(
         self, n: int, degree: int, variance: Variance, components: tuple[Fraction, ...]
     ) -> None:
-        _check_variance(variance)
+        _check_choice("variance", variance, _VARIANCES)
         _check_shape(n, degree)
         expected = n**degree
         comps = tuple(Fraction(c) for c in components)
@@ -135,13 +124,8 @@ class DenseTensor(_Record):
             raise ValueError("index shape does not match tensor")
         return self.components[_dense_offset(index.entries, self.n)]
 
-    def is_symmetric(self, cap: int = PERMUTATION_CAP) -> bool:
-        """Exact check that every index class is constant.
-
-        Refuses degrees above the permutation cap like every operation that
-        walks index classes.
-        """
-        _check_cap(self.degree, cap)
+    def is_symmetric(self) -> bool:
+        """Exact check that every index class is constant."""
         classes, firsts = dense_classes(self.n, self.degree)
         return all(v == self.components[firsts[r]] for r, v in zip(classes, self.components))
 
@@ -159,8 +143,8 @@ class SymTensor(_Record):
         convention: Convention,
         components: tuple[Fraction, ...],
     ) -> None:
-        _check_variance(variance)
-        _check_convention(convention)
+        _check_choice("variance", variance, _VARIANCES)
+        _check_choice("convention", convention, _CONVENTIONS)
         _check_shape(n, degree)
         expected = sym_dim(n, degree)
         comps = tuple(Fraction(c) for c in components)
@@ -211,7 +195,7 @@ def convert_convention(tensor: SymTensor, target: Convention) -> SymTensor:
     Arrow components are plain components times the class multiplicity, so
     either direction is a bijection and a round trip is the identity.
     """
-    _check_convention(target)
+    _check_choice("convention", target, _CONVENTIONS)
     if tensor.convention == target:
         return tensor
     mults = class_multiplicities(tensor.n, tensor.degree)
@@ -231,7 +215,7 @@ def _class_sums(tensor: DenseTensor) -> SymTensor:
     return SymTensor(tensor.n, tensor.degree, tensor.variance, "arrow", tuple(sums))
 
 
-def symmetrize_dense(tensor: DenseTensor, cap: int = PERMUTATION_CAP) -> DenseTensor:
+def symmetrize_dense(tensor: DenseTensor) -> DenseTensor:
     """Average of the tensor over all slot permutations.
 
     Computed per index class: the symmetrized value on a class is the class
@@ -240,17 +224,16 @@ def symmetrize_dense(tensor: DenseTensor, cap: int = PERMUTATION_CAP) -> DenseTe
     are arrow components, so this is the inclusion of their tensor.
     Idempotent.
     """
-    _check_cap(tensor.degree, cap)
     return include(_class_sums(tensor))
 
 
-def compress(tensor: DenseTensor, cap: int = PERMUTATION_CAP) -> SymTensor:
+def compress(tensor: DenseTensor) -> SymTensor:
     """Read a symmetric dense tensor into compressed plain storage.
 
     Requires exact symmetry; asymmetric input is an error, not silently
     symmetrized.
     """
-    if not tensor.is_symmetric(cap=cap):
+    if not tensor.is_symmetric():
         raise ValueError("tensor is not symmetric")
     _, firsts = dense_classes(tensor.n, tensor.degree)
     comps = tuple(tensor.components[offset] for offset in firsts)

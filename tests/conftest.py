@@ -26,7 +26,7 @@ from jetstress._checks import (
 from jetstress._linalg import inverse, mat_mul, mat_vec
 from jetstress.hyperstress import TractionHyperStress, TractionStressField, VariationalStressField
 from jetstress.jet import ChartMap, JetCovector, JetElement
-from jetstress.multiindex import enumerate_nondecreasing, epsilon_abs, sym_dim
+from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing, epsilon_abs, sym_dim
 from jetstress.polyfield import PolyField, Polynomial
 from jetstress.symtensor import DenseTensor, SymTensor, ordered_indices
 
@@ -101,6 +101,28 @@ def rand_variational_field(
         for l in range(k + 1)
     )
     return VariationalStressField(n, m, k, blocks)
+
+
+def induced_variational_field(stress: TractionStressField) -> VariationalStressField:
+    """The variational stress field S whose power over any box is the flux of ``stress``.
+
+    Flux density coefficient j is ``sum sigma_j[alpha, I] * d^I w_alpha`` over
+    the slots of part j.  Its divergence, which the divergence theorem turns
+    into the flux, is the same sum with ``d_j sigma_j[alpha, I] * d^I w_alpha``
+    plus ``sigma_j[alpha, I] * d^(I + e_j) w_alpha`` in each slot, so
+    ``S[alpha, I]`` collects ``d_j sigma_j[alpha, I]`` and
+    ``sigma_j[alpha, I - e_j]`` over j, in arrow convention like the parts.
+    """
+    n = stress.n
+    entries: dict = {}
+    for j, part in enumerate(stress.axes, 1):
+        unit = CardinalityIndex.unit(n, j)
+        for l, block in enumerate(part.blocks):
+            for alpha, row in enumerate(block, 1):
+                for card, poly in zip(enumerate_nondecreasing(n, l), row):
+                    for key, value in ((card, poly.derive(unit)), (card + unit, poly)):
+                        entries[alpha, key] = entries.get((alpha, key), Polynomial.zero(n)) + value
+    return VariationalStressField.from_map(n, stress.m, stress.k, entries)
 
 
 def rand_invertible_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:

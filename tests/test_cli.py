@@ -15,7 +15,7 @@ from jetstress.cli import main
 from jetstress.multiindex import CardinalityIndex
 from jetstress.polyfield import PolyField, Polynomial
 from jetstress.hyperstress import TractionStressField, VariationalStressField
-from jetstress.symtensor import DenseTensor
+from jetstress.symtensor import DenseTensor, SymTensor, include
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -60,6 +60,21 @@ def test_symmetrize_round_trip(tmp_path, capsys):
     loaded = fileio.tensor_from_obj(fileio.load(str(out)))
     assert loaded.convention == "plain"
     assert loaded.component((1, 2)) == Fraction(1, 2)
+
+
+def test_symmetrize_and_pair_take_dense_files_above_the_permutation_cap(tmp_path, capsys):
+    # At n=2 the degree-9 class with counts (8, 1) holds 9 of the 512 dense components.
+    dense = DenseTensor.from_map(2, 9, "contra", {(2,) + (1,) * 8: 9})
+    src = write_json(tmp_path / "dense.json", fileio.tensor_to_obj(dense))
+    out = tmp_path / "sym.json"
+    assert main(["symmetrize", src, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    expected = SymTensor.from_map(2, 9, "contra", "plain", {(1,) * 8 + (2,): 1})
+    assert fileio.tensor_from_obj(fileio.load(str(out))) == expected
+    co = include(SymTensor.from_map(2, 9, "co", "plain", {(1,) * 8 + (2,): 1}))
+    co_file = write_json(tmp_path / "co.json", fileio.tensor_to_obj(co))
+    assert main(["pair", co_file, str(out)]) == 0
+    assert capsys.readouterr().out == "9\n"
 
 
 def test_symmetrize_rejects_symmetric_input(tmp_path, capsys):
@@ -273,6 +288,48 @@ def test_verify_duality_budget_admits_sizes_below_it(monkeypatch):
     assert calls == [(3, 5), (4, 6)]
 
 
+@pytest.mark.parametrize(
+    "flags, budget",
+    [
+        # 25 cases of 8! permutations each are 1,008,000 applications.
+        (["--n", "3", "--l", "8", "--cases", "25"], "1000000 permutation applications"),
+        # One dense draw of 9**6 = 531,441 components.
+        (["--n", "9", "--l", "6", "--cases", "5"], "100000 dense components"),
+        (["--n", "100", "--l", "8", "--cases", "1"], "100000 dense components"),
+    ],
+)
+def test_verify_epsilon_refuses_sizes_past_its_budgets(capsys, monkeypatch, flags, budget):
+    monkeypatch.setattr(_checks, "verify_epsilon", lambda *args: pytest.fail("drew cases"))
+    assert main(["verify", "epsilon", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = " ".join(flags)
+    assert captured.err == f"error: verify epsilon at {named} exceeds its budget of {budget}\n"
+
+
+@pytest.mark.parametrize("l", ["9", "1000000000"])
+def test_verify_epsilon_refuses_degrees_past_the_permutation_cap(capsys, l):
+    assert main(["verify", "epsilon", "--l", l]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: degree {l} exceeds permutation cap 8\n"
+
+
+def test_verify_epsilon_budgets_admit_sizes_up_to_them(monkeypatch):
+    calls = []
+    monkeypatch.setattr(_checks, "verify_epsilon", lambda *args: calls.append(args[1:]) or 0)
+    # 24 * 8! = 967,680 applications; one draw of 10**5 dense components.
+    for n, l, cases in ((3, 8, 24), (10, 5, 9)):
+        assert main(["verify", "epsilon", "--n", str(n), "--l", str(l), "--cases", str(cases)]) == 0
+    assert calls == [(3, 8, 24), (10, 5, 9)]
+
+
+def test_verify_epsilon_runs_at_the_benchmark_shape(capsys):
+    # 8,640 permutation applications and 1,458 dense components.
+    assert main(["verify", "epsilon", "--n", "3", "--l", "6", "--cases", "12"]) == 0
+    assert capsys.readouterr().out == "epsilon: 12 cases at n=3, l=6: OK\n"
+
+
 # One jet slot per case of either suite, so --cases alone meets the budget of 10,000.
 ONE_SLOT = ["--n", "1", "--m", "1", "--k", "0"]
 
@@ -315,12 +372,13 @@ def test_import_loads_no_module_beyond_the_package():
     """``import jetstress.cli`` adds only jetstress modules to what the stdlib it uses loads.
 
     ``-S`` skips ``site``, whose ``.pth`` files may preload modules on one
-    interpreter and not on another.
+    interpreter and not on another.  The ``verify`` suites, and ``random``
+    with them, load only when ``verify`` runs.
     """
     script = (
         "import sys\n"
         "import __future__, argparse, fractions, functools, itertools, json, math, operator\n"
-        "import random, typing\n"
+        "import typing\n"
         "before = set(sys.modules)\n"
         "import jetstress.cli\n"
         "print(*sorted(set(sys.modules) - before))\n"
@@ -331,6 +389,7 @@ def test_import_loads_no_module_beyond_the_package():
     )
     added = result.stdout.split()
     assert "jetstress.cli" in added
+    assert "random" not in added and "jetstress._checks" not in added
     assert [name for name in added if name.split(".")[0] != "jetstress"] == []
 
 

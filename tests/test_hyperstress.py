@@ -24,11 +24,13 @@ from jetstress.hyperstress import (
 from jetstress.jet import JetCovector, jet_of
 from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing
 from jetstress.polyfield import Point, PolyField, Polynomial, box_integral
-from jetstress.symtensor import include, ordered_indices
+from jetstress.symtensor import DenseTensor, cosymmetrize_project, include, ordered_indices
 
 from conftest import (
+    induced_variational_field,
     oracle_traction_density,
     rand_field,
+    rand_fraction,
     rand_frame,
     rand_jet,
     rand_point,
@@ -296,6 +298,44 @@ def test_flux_matches_divergence_integral():
         for j in range(1, n + 1):
             divergence = divergence + coeffs[j - 1].derive(CardinalityIndex.unit(n, j))
         assert flux == box_integral(divergence, region.lower, region.upper)
+
+
+def test_flux_equals_the_power_of_the_induced_variational_field():
+    rng = random.Random(79)
+    for _ in range(40):
+        n, m, k = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
+        sfield = rand_traction_field(rng, n, m, k, 2)
+        field = rand_field(rng, n, m, k + 1)
+        lower = tuple(rand_fraction(rng, span=2, den=2) for _ in range(n))
+        upper = tuple(lo + Fraction(rng.randint(1, 3), rng.randint(1, 2)) for lo in lower)
+        region = BoxRegion(lower, upper)
+        induced = induced_variational_field(sfield)
+        assert boundary_power_flux(sfield, field, region) == total_power(induced, field, region)
+        # The top block of S is the symmetric restriction of tau[j, I] = sigma_j[I].
+        x = rand_point(rng, n)
+        top, legs = induced.at(x).covector.blocks[k], sfield.at(x).blocks[k - 1]
+        for alpha in range(m):
+            dense = [c for t in legs[alpha] for c in include(t).components]
+            tau = DenseTensor(n, k, "co", tuple(dense))
+            assert cosymmetrize_project(tau).components == top[alpha].components
+
+
+def test_a_traction_stress_is_not_fixed_by_the_variational_field_it_induces():
+    # sigma_2[1, e_1] = 1 and sigma_1[1, e_2] = -1 both feed S[1, e_1 + e_2], and cancel.
+    e1, e2 = CardinalityIndex.unit(2, 1), CardinalityIndex.unit(2, 2)
+    one = Polynomial.constant(2, 1)
+    sfield = TractionStressField.from_map(2, 1, 2, {(1, e1, 2): one, (1, e2, 1): -one})
+    assert induced_variational_field(sfield) == VariationalStressField.from_map(2, 1, 2, {})
+    rng = random.Random(80)
+    region = BoxRegion((0, 0), (1, 2))
+    for _ in range(5):
+        assert boundary_power_flux(sfield, rand_field(rng, 2, 1, 3), region) == 0
+    frame, sign = box_face_frame(2, 1, True)
+    assert sign == 1
+    traction = cauchy_traction(sfield.at(Point.origin(2)), frame)
+    assert traction.covector == JetCovector.from_map(2, 1, 1, {(1, e2): -1})
+    slots = [c for block in traction.covector.blocks for t in block for c in t.components]
+    assert slots == [0, 0, -1]
 
 
 def test_flux_is_additive_over_box_splits():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetstress import jet as jet_module
 from jetstress.jet import (
     ChartMap,
     JetCovector,
@@ -100,6 +101,36 @@ def test_jet_then_realize_recovers_low_degree_fields():
         field = rand_field(rng, n, m, k)
         x = rand_point(rng, n)
         assert realize(jet_of(field, x, k)) == field
+
+
+def counted_factorials(monkeypatch) -> list:
+    """The arguments of every ``mi_factorial`` call the jet layer makes from now on."""
+    calls: list = []
+    original = jet_module.mi_factorial
+    monkeypatch.setattr(jet_module, "mi_factorial", lambda c: calls.append(c) or original(c))
+    return calls
+
+
+def test_taylor_placement_costs_one_factorial_per_nonzero_term(monkeypatch):
+    # x1**3 at x1 = 1 is 1 + 3y + 3y**2 + y**3: four terms, whatever the order.
+    cube = PolyField(1, 1, (Polynomial.variable(1, 1).power(3),))
+    calls = counted_factorials(monkeypatch)
+    jet = jet_of(cube, Point((1,)), 200)
+    assert len(calls) == 4
+    assert [jet.component(1, (1,) * l) for l in range(5)] == [1, 3, 6, 6, 0]
+    calls.clear()
+    assert realize(jet) == cube
+    assert len(calls) == 4
+
+
+def test_realize_costs_one_factorial_per_nonzero_slot(monkeypatch):
+    polys = (Polynomial.from_map(2, {(2, 1): 1}), Polynomial.from_map(2, {(0, 5): 2}))
+    field = PolyField(2, 2, polys)
+    jet = jet_of(field, Point((0, 1)), 12)
+    nonzero = sum(v != 0 for block in jet.blocks for row in block for v in row.components)
+    calls = counted_factorials(monkeypatch)
+    assert realize(jet) == field
+    assert len(calls) == nonzero
 
 
 def test_truncate_drops_high_blocks():

@@ -108,13 +108,22 @@ def test_symmetrize_is_idempotent():
         assert s.is_symmetric()
 
 
-def test_class_walks_refuse_degrees_above_the_permutation_cap():
-    at_cap = DenseTensor(1, PERMUTATION_CAP, "contra", (Fraction(3),))
-    assert compress(symmetrize_dense(at_cap)).components == (Fraction(3),)
-    above = DenseTensor(1, PERMUTATION_CAP + 1, "contra", (Fraction(3),))
-    for walk in (above.is_symmetric, lambda: symmetrize_dense(above), lambda: compress(above)):
-        with pytest.raises(ValueError, match="permutation cap"):
-            walk()
+@pytest.mark.parametrize("degree", [PERMUTATION_CAP + 1, PERMUTATION_CAP + 2])
+def test_class_walks_match_a_sorting_oracle_above_the_permutation_cap(degree):
+    # The oracle groups dense indices by their sorted entries; it enumerates no permutation.
+    tensor = rand_dense(random.Random(degree), 2, degree)
+    groups: dict[tuple[int, ...], list[Fraction]] = {}
+    for index, value in zip(ordered_indices(2, degree), tensor.components):
+        groups.setdefault(tuple(sorted(index.entries)), []).append(value)
+    means = {axes: sum(values) / len(values) for axes, values in groups.items()}
+    symmetric = symmetrize_dense(tensor)
+    assert symmetric.components == tuple(
+        means[tuple(sorted(index.entries))] for index in ordered_indices(2, degree)
+    )
+    assert symmetric.is_symmetric() and not tensor.is_symmetric()
+    assert compress(symmetric) == SymTensor.from_map(2, degree, "contra", "plain", means)
+    with pytest.raises(ValueError, match="not symmetric"):
+        compress(tensor)
 
 
 def test_compress_rejects_asymmetric_input():
