@@ -49,8 +49,8 @@ def _format_scalar(value: Fraction, as_float: bool) -> str:
 
 def _parse_point(text: str) -> Point:
     try:
-        coords = tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
+        coords = tuple(fileio.parse_rational(part) for part in text.split(","))
+    except ValueError:
         raise ValueError(f"bad point {text!r}; expected comma-separated rationals") from None
     return Point(coords)
 

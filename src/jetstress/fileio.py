@@ -34,22 +34,27 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .altforms import CoDimOneForm
-from .jet import JetElement, _check_jet_shape, _slot_rows, _tensor_blocks
+from .jet import JetElement, _check_jet_shape, _slot_items, _slot_rows, _tensor_blocks
 from .hyperstress import TractionStressField, VariationalStressField, _check_order
 from .multiindex import CardinalityIndex, MultiIndex, _canonical_axes, _check_axes
-from .multiindex import _check_budget, _check_shape, _slot_sizes, enumerate_nondecreasing
+from .multiindex import _check_budget, _check_shape, _class_counts, _slot_sizes
 from .polyfield import Point, PolyField, Polynomial
-from .symtensor import DenseTensor, SymTensor
+from .symtensor import _CONVENTIONS, _VARIANCES, DenseTensor, SymTensor, _check_choice
 
 # The most jet slots a request may cover: a jet or stress file's header (a traction stress
 # of order k counts as n jets of order k-1), `jet`, and `verify jets` or `cauchy` over all cases.
 _JET_SLOTS = 10_000
 # The most stored components a tensor file's header may declare.
 _TENSOR_COMPONENTS = 100_000
+# The largest exponent magnitude of a rational literal like "2.5e-3", as Fraction builds
+# 10**exponent; Python's int limit of 4,300 digits on a digit string sets the scale.
+_EXPONENT = 4_300
+_EXPONENT_DIGITS = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
 
 
 def format_rational(value: Fraction) -> str:
@@ -57,8 +62,12 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    text = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        exponent = _EXPONENT_DIGITS.search(text)
+        if exponent and int(exponent[1]) > _EXPONENT:
+            raise ValueError(f"exponent exceeds its budget of {_EXPONENT}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
@@ -177,9 +186,9 @@ def tensor_to_obj(tensor: DenseTensor | SymTensor) -> dict:
             "components": components,
         }
     components = {}
-    for card, value in zip(tensor.slots(), tensor.components):
+    for counts, value in zip(_class_counts(tensor.n, tensor.degree), tensor.components):
         if value != 0:
-            components[axis_list_key(_canonical_axes(card.counts))] = format_rational(value)
+            components[axis_list_key(_canonical_axes(counts))] = format_rational(value)
     return {
         "n": tensor.n,
         "degree": tensor.degree,
@@ -196,10 +205,10 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
     variance = _header(obj, "tensor", "variance", str)
     storage = _header(obj, "tensor", "storage", str)
     components = _json_object(obj.get("components", {}), "tensor components")
-    if variance not in ("co", "contra"):
-        raise ValueError(f"variance must be 'co' or 'contra', got {variance!r}")
+    _check_choice("variance", variance, _VARIANCES)
+    _check_choice("storage", storage, ("dense", "symmetric"))
+    _check_tensor_size(n, degree, storage)
     if storage == "dense":
-        _check_tensor_size(n, degree, storage)
         entries = {}
         for key, text in components.items():
             axes = _int_list(key, "axis list")
@@ -208,19 +217,15 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
             entries[axes] = parse_rational(text)
         # DenseTensor.from_map range-checks the axes.
         return DenseTensor.from_map(n, degree, variance, entries)
-    if storage == "symmetric":
-        _check_tensor_size(n, degree, storage)
-        convention = obj.get("convention", "plain")
-        if convention not in ("plain", "arrow"):
-            raise ValueError(f"convention must be 'plain' or 'arrow', got {convention!r}")
-        entries = {}
-        for key, text in components.items():
-            card = _class_key(key, n)
-            if card.degree != degree:
-                raise ValueError(f"component key {key!r} has degree {card.degree}, expected {degree}")
-            entries[card] = parse_rational(text)
-        return SymTensor.from_map(n, degree, variance, convention, entries)
-    raise ValueError(f"storage must be 'dense' or 'symmetric', got {storage!r}")
+    convention = obj.get("convention", "plain")
+    _check_choice("convention", convention, _CONVENTIONS)
+    entries = {}
+    for key, text in components.items():
+        card = _class_key(key, n)
+        if card.degree != degree:
+            raise ValueError(f"component key {key!r} has degree {card.degree}, expected {degree}")
+        entries[card] = parse_rational(text)
+    return SymTensor.from_map(n, degree, variance, convention, entries)
 
 
 def form_to_obj(form: CoDimOneForm) -> dict:
@@ -263,10 +268,6 @@ def field_from_obj(obj: dict) -> PolyField:
     return PolyField(n, m, tuple(polys))
 
 
-def _jet_slot_key(alpha: int, card: CardinalityIndex) -> str:
-    return f"{alpha}|{counts_key(card)}"
-
-
 def _parse_jet_slot_key(key: str, n: int) -> tuple[int, CardinalityIndex]:
     parts = key.split("|")
     if len(parts) != 2:
@@ -279,15 +280,10 @@ def _parse_jet_slot_key(key: str, n: int) -> tuple[int, CardinalityIndex]:
 
 
 def jet_to_obj(jet: JetElement) -> dict:
-    blocks: dict[str, dict[str, str]] = {}
-    for l in range(jet.k + 1):
-        entries = {}
-        for alpha in range(1, jet.m + 1):
-            tensor = jet.blocks[l][alpha - 1]
-            for card, value in zip(tensor.slots(), tensor.components):
-                if value != 0:
-                    entries[_jet_slot_key(alpha, card)] = format_rational(value)
-        blocks[str(l)] = entries
+    blocks: dict[str, dict[str, str]] = {str(l): {} for l in range(jet.k + 1)}
+    rows = ((t.components for t in block) for block in jet.blocks)
+    for l, alpha, counts, value in _slot_items(jet.n, rows, 0):
+        blocks[str(l)][f"{alpha}|{','.join(map(str, counts))}"] = format_rational(value)
     return {
         "n": jet.n,
         "m": jet.m,
@@ -329,15 +325,11 @@ def stress_to_obj(stress: VariationalStressField | TractionStressField) -> dict:
         kind, parts = "traction", [(ax, f"|{j}") for j, ax in enumerate(stress.axes, start=1)]
     else:
         raise ValueError(f"unsupported stress type {type(stress).__name__}")
-    blocks: dict[str, dict[str, str]] = {}
+    blocks, zero = {}, Polynomial.zero(stress.n)
     for part, suffix in parts:
-        for l, block in enumerate(part.blocks):
-            cards = enumerate_nondecreasing(stress.n, l)
-            for alpha, row in enumerate(block, start=1):
-                for card, poly in zip(cards, row):
-                    if poly.terms:
-                        key = f"{alpha}|{axis_list_key(_canonical_axes(card.counts))}{suffix}"
-                        blocks[key] = _poly_value_obj(poly)
+        for _, alpha, counts, poly in _slot_items(stress.n, part.blocks, zero):
+            key = f"{alpha}|{axis_list_key(_canonical_axes(counts))}{suffix}"
+            blocks[key] = _poly_value_obj(poly)
     return {"n": stress.n, "m": stress.m, "k": stress.k, "kind": kind, "blocks": blocks}
 
 
@@ -367,8 +359,7 @@ def stress_from_obj(obj: dict) -> VariationalStressField | TractionStressField:
     kind = _header(obj, "stress", "kind", str)
     blocks = obj.get("blocks", {})
     fields = {"variational": VariationalStressField, "traction": TractionStressField}
-    if kind not in fields:
-        raise ValueError(f"kind must be 'variational' or 'traction', got {kind!r}")
+    _check_choice("kind", kind, tuple(fields))
     _check_slots(n, m, k, f"{kind} stress", kind == "traction")
     entries = {
         _parse_stress_slot_key(key, n, kind): polynomial_from_obj(

@@ -33,11 +33,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
-from .multiindex import IndexLike, _Record, enumerate_nondecreasing, sym_dim
+from .multiindex import IndexLike, _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral, midpoint_integral
 from .polyfield import _sum_of_products
-from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _slot_rows
-from .jet import _tensor_blocks, pair_jet
+from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _slot_items
+from .jet import _slot_rows, _tensor_blocks, pair_jet
 
 
 class BoxRegion(_Record):
@@ -311,15 +311,10 @@ class VariationalStressField(_Record):
         if (field.n, field.m) != (self.n, self.m):
             raise ValueError("shape mismatch")
         pairs = []
-        for l in range(self.k + 1):
-            cards = enumerate_nondecreasing(self.n, l)
-            for a, row in enumerate(self.blocks[l]):
-                for card, poly in zip(cards, row):
-                    if poly.terms:
-                        key = (a, card.counts)
-                        if key not in derivatives:
-                            derivatives[key] = field.components[a].derive(card)
-                        pairs.append((poly, derivatives[key]))
+        for _, alpha, counts, poly in _slot_items(self.n, self.blocks, Polynomial.zero(self.n)):
+            if (alpha, counts) not in derivatives:
+                derivatives[alpha, counts] = field.components[alpha - 1].derive(counts)
+            pairs.append((poly, derivatives[alpha, counts]))
         return _sum_of_products(self.n, pairs)
 
 

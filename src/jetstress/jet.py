@@ -28,16 +28,17 @@ Jets, jet covectors, hyper-stresses and stress fields all use the same slot
 table: slot (alpha, J) with ``|J| <= k`` sits in row ``blocks[l][alpha-1]``,
 ``l = |J|``, at the colex rank of J.  ``_slot`` is the one place that
 addresses a slot and range-checks it, ``_slot_rows`` fills the rows from a
-slot map, and ``_tensor_blocks`` turns rows into symmetric tensor blocks.
+slot map, ``_slot_items`` is the one reader that turns rows back into slots,
+and ``_tensor_blocks`` turns rows into symmetric tensor blocks.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _linalg
-from .multiindex import IndexLike, as_cardinality, enumerate_nondecreasing, mi_factorial, rank
-from .multiindex import _Record, sym_dim
+from .multiindex import CardinalityIndex, IndexLike, as_cardinality, mi_factorial, rank
+from .multiindex import _class_counts, _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, _sum_of_products
 from .symtensor import SymTensor
 
@@ -94,6 +95,20 @@ def _slot_rows(
         l, a, r = _slot(n, m, k, alpha, index)
         rows[l][a][r] = value
     return rows
+
+
+def _slot_items(n: int, rows: Iterable[Iterable[Sequence]], zero: object) -> Iterator[tuple]:
+    """``(l, alpha, counts, value)`` for every value other than ``zero`` in rows ``[l][alpha-1]``.
+
+    The inverse of ``_slot_rows``, in block, row and rank order.  The index
+    classes of an order are listed only when some row of it holds a value.
+    """
+    for l, block in enumerate(rows):
+        held = [(a, r, v) for a, row in enumerate(block, 1) for r, v in enumerate(row) if v != zero]
+        if held:
+            classes = _class_counts(n, l)
+            for alpha, r, value in held:
+                yield l, alpha, classes[r], value
 
 
 def _tensor_blocks(
@@ -174,14 +189,12 @@ def _jet_of_taylor(polys: Sequence[Polynomial], x: Point, k: int) -> JetElement:
 
 def _taylor_of_jet(jet: JetElement) -> list[Polynomial]:
     """Per component, ``sum_J value_J / J! * y^J`` in the offset y from the base point."""
-    polys = []
-    for alpha in range(jet.m):
-        terms = []
-        for l, block in enumerate(jet.blocks):
-            cards = enumerate_nondecreasing(jet.n, l)
-            terms += [(c, v / mi_factorial(c)) for c, v in zip(cards, block[alpha].components) if v]
-        polys.append(Polynomial(jet.n, tuple(terms)))
-    return polys
+    terms: list[list] = [[] for _ in range(jet.m)]
+    rows = ((t.components for t in block) for block in jet.blocks)
+    for _, alpha, counts, value in _slot_items(jet.n, rows, 0):
+        card = CardinalityIndex(counts)
+        terms[alpha - 1].append((card, value / mi_factorial(card)))
+    return [Polynomial(jet.n, tuple(t)) for t in terms]
 
 
 def jet_of(field: PolyField, x: Point, k: int) -> JetElement:

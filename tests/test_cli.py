@@ -590,6 +590,47 @@ def test_oversized_request_is_refused_at_once(tmp_path, capsys, kind):
     assert not (tmp_path / "out.json").exists()
 
 
+HUGE_EXPONENT = "1e999999999"
+X1 = {"n": 1, "m": 1, "components": [{"1": "1"}]}
+
+# A literal whose exponent is past its budget, in a file value, --point and --box: files and
+# argv as in MALFORMED, then text the error line must hold.
+HUGE_EXPONENTS = {
+    "file-value": (
+        {"field.json": {"n": 1, "m": 1, "components": [{"1": HUGE_EXPONENT}]}},
+        ["jet", "field.json", "--point", "1", "--k", "1"],
+        "exponent exceeds its budget of 4300",
+    ),
+    "point": (
+        {"field.json": X1},
+        ["jet", "field.json", "--point", HUGE_EXPONENT, "--k", "1"],
+        f"bad point '{HUGE_EXPONENT}'",
+    ),
+    "box": (
+        {"stress.json": stress_obj("variational", n=1), "field.json": X1},
+        ["power", "stress.json", "field.json", "--box", f"0:{HUGE_EXPONENT}"],
+        f"bad point '{HUGE_EXPONENT}'",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_EXPONENTS))
+def test_huge_exponent_is_refused_at_once(tmp_path, kind):
+    # In a child with a timeout, so that building 10**999999999 fails the test instead of hanging.
+    files, args, text = HUGE_EXPONENTS[kind]
+    for name, obj in files.items():
+        write_json(tmp_path / name, obj)
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in args]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "jetstress.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and text in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv, refused",
     [

@@ -33,6 +33,18 @@ def test_rational_round_trip():
         fileio.parse_rational("pi")
 
 
+def test_rational_exponent_is_held_to_its_budget():
+    assert fileio.parse_rational("2.5e-3") == Fraction(1, 400)
+    assert fileio.parse_rational("1e4300") == 10**4300
+    assert fileio.parse_rational("-1E-4_300") == Fraction(-1, 10**4300)
+    for text in ("1e4301", "1E+4301", "2.5e-4301", "1e999999999", "-1e-1_000_000"):
+        with pytest.raises(ValueError, match=r"exponent exceeds its budget of 4300$"):
+            fileio.parse_rational(text)
+    # An exponent too long for an int is refused by Python's own digit limit.
+    with pytest.raises(ValueError, match="^bad rational"):
+        fileio.parse_rational("1e" + "9" * 5000)
+
+
 def test_axis_list_keys():
     index = MultiIndex((1, 2, 2), 3)
     assert fileio.axis_list_key(index) == "1,2,2"
@@ -175,6 +187,31 @@ def test_tensor_object_validation():
                 "components": {"1": "1"},
             }
         )
+
+
+TENSOR = {"n": 2, "degree": 1, "variance": "co", "storage": "symmetric", "convention": "plain"}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"variance": "up"}, "variance must be 'co' or 'contra', got 'up'"),
+        ({"storage": "packed"}, "storage must be 'dense' or 'symmetric', got 'packed'"),
+        ({"convention": "flat"}, "convention must be 'plain' or 'arrow', got 'flat'"),
+        # Several faults: variance is checked first, then storage, then the size.
+        ({"variance": "up", "storage": "packed", "degree": 10**20}, "variance must be"),
+        ({"storage": "packed", "degree": 10**20, "convention": "flat"}, "storage must be"),
+    ],
+)
+def test_tensor_file_choices_report_the_first_fault(bad, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        fileio.tensor_from_obj({**TENSOR, **bad})
+
+
+def test_stress_file_kind_is_a_choice():
+    obj = {"n": 2, "m": 1, "k": 10**20, "kind": "mystery", "blocks": {}}
+    with pytest.raises(ValueError, match="^kind must be 'variational' or 'traction', got 'myst"):
+        fileio.stress_from_obj(obj)
 
 
 def test_form_round_trip():

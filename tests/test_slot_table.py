@@ -11,15 +11,16 @@ import random
 import pytest
 
 from jetstress import fileio
+from jetstress import jet as jet_module
 from jetstress.hyperstress import (
     TractionHyperStress,
     TractionStressField,
     VariationalHyperStress,
     VariationalStressField,
 )
-from jetstress.jet import JetCovector, JetElement
-from jetstress.multiindex import enumerate_nondecreasing, rank
-from jetstress.polyfield import Polynomial
+from jetstress.jet import JetCovector, JetElement, _slot_items, _slot_rows, jet_of, realize
+from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing, rank
+from jetstress.polyfield import PolyField, Point, Polynomial
 
 from conftest import (
     rand_covector,
@@ -139,3 +140,63 @@ def test_traction_blocks_from_lists_and_tuples_agree():
         again = TractionStressField(n, m, k, as_lists(field.blocks))
         assert again == field and repr(again) == repr(field)
         assert all_tuples(again.blocks, 4)
+
+
+def scalar_rows(blocks):
+    """Rows ``[l][alpha-1]`` of the stored components of symmetric tensor blocks."""
+    return [[list(t.components) for t in block] for block in blocks]
+
+
+def zero_some_orders(rng, rows, zero):
+    """The rows with about half of the orders, and some single values, set to ``zero``."""
+    drop = {l for l in range(len(rows)) if rng.random() < 0.5}
+    return [
+        [[zero if l in drop or rng.random() < 0.2 else v for v in row] for row in block]
+        for l, block in enumerate(rows)
+    ]
+
+
+def check_slot_items_invert_slot_rows(n, m, rows, zero):
+    items = list(_slot_items(n, rows, zero))
+    assert all(value != zero for *_, value in items)
+    places = [(l, alpha, rank(CardinalityIndex(counts))) for l, alpha, counts, _ in items]
+    assert places == sorted(places) and len(set(places)) == len(places)
+    entries = {(alpha, CardinalityIndex(counts)): value for _, alpha, counts, value in items}
+    assert _slot_rows(n, m, len(rows) - 1, entries, zero) == rows
+
+
+def test_slot_items_invert_slot_rows():
+    rng = random.Random(704)
+    for _ in range(25):
+        n, m, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3)
+        for rows in (
+            scalar_rows(rand_jet(rng, n, m, k).blocks),
+            scalar_rows(rand_covector(rng, n, m, k).blocks),
+            scalar_rows(JetElement.zero(n, m, k).blocks),
+        ):
+            check_slot_items_invert_slot_rows(n, m, zero_some_orders(rng, rows, 0), 0)
+            check_slot_items_invert_slot_rows(n, m, rows, 0)
+        zero = Polynomial.zero(n)
+        traction = rand_traction_field(rng, n, m, k + 1, 1)
+        empty = VariationalStressField.from_map(n, m, k, {})
+        for field in (rand_variational_field(rng, n, m, k, 2), empty, *traction.axes):
+            rows = as_lists(field.blocks)
+            check_slot_items_invert_slot_rows(n, m, zero_some_orders(rng, rows, zero), zero)
+            check_slot_items_invert_slot_rows(n, m, rows, zero)
+    assert list(_slot_items(2, scalar_rows(JetElement.zero(2, 2, 3).blocks), 0)) == []
+
+
+def test_readers_list_the_classes_of_nonzero_orders_only(monkeypatch):
+    # x1**3 at x1 = 1 is 1 + 3y + 3y**2 + y**3, so only orders 0-3 of the 200-jet hold values.
+    cube = PolyField(1, 1, (Polynomial.variable(1, 1).power(3),))
+    jet = jet_of(cube, Point((1,)), 200)
+    calls: list = []
+    original = jet_module._class_counts
+    monkeypatch.setattr(jet_module, "_class_counts", lambda n, l: calls.append(l) or original(n, l))
+    obj = fileio.jet_to_obj(jet)
+    assert sorted(calls) == [0, 1, 2, 3]
+    assert len(obj["blocks"]) == 201 and obj["blocks"]["200"] == {}
+    assert obj["blocks"]["3"] == {"1|3": "6"}
+    calls.clear()
+    assert realize(jet) == cube
+    assert sorted(calls) == [0, 1, 2, 3]
