@@ -35,6 +35,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -55,10 +56,19 @@ _TENSOR_COMPONENTS = 100_000
 # 10**exponent; Python's int limit of 4,300 digits on a digit string sets the scale.
 _EXPONENT = 4_300
 _EXPONENT_DIGITS = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+# The highest total degree of a monomial in a field or stress file: the jet's Taylor shift and
+# the density products grow with it, and the bench fields reach degree 12.
+_DEGREE = 100
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        # Python's int-to-string limit, 4,300 digits by default.
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"exact value too long to print: more than {limit} digits") from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -243,7 +253,11 @@ def polynomial_to_obj(poly: Polynomial) -> dict:
 
 
 def polynomial_from_obj(obj: dict, n: int) -> Polynomial:
-    coeffs = {_counts(key, n): parse_rational(text) for key, text in obj.items()}
+    coeffs = {}
+    for key, text in obj.items():
+        counts = _counts(key, n)
+        _check_budget((sum(counts),), _DEGREE, f"monomial {key!r}", "in total degree")
+        coeffs[counts] = parse_rational(text)
     return Polynomial.from_map(n, coeffs)
 
 

@@ -30,12 +30,13 @@ component products.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence
 
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
 from .multiindex import IndexLike, _Record, sym_dim
-from .polyfield import Point, PolyField, Polynomial, Scalar, box_integral, midpoint_integral
-from .polyfield import _sum_of_products
+from .polyfield import Point, PolyField, Polynomial, Scalar
+from .polyfield import _antiderivatives, _midpoint_sums, _separable_sum, _sum_of_products
 from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _slot_items
 from .jet import _slot_rows, _tensor_blocks, pair_jet
 
@@ -348,15 +349,14 @@ class TractionStressField(_PerAxis):
         return [axis._density(field, derivatives) for axis in self.axes]
 
 
-def _integrate(
-    poly: Polynomial, region: BoxRegion, method: str, skip_axes: Sequence[int] = ()
-) -> Fraction:
-    """Integral over the region's box, in closed form or by its midpoint rule."""
-    if method == "exact":
-        return box_integral(poly, region.lower, region.upper, skip_axes)
-    if method == "midpoint":
-        return midpoint_integral(poly, region.lower, region.upper, region.subdivisions, skip_axes)
-    raise ValueError(f"unknown method {method!r}")
+def _integrate(poly: Polynomial, region: BoxRegion, method: str, face_axis: int = 0) -> Fraction:
+    """Integral over the region's box, in closed form or by its midpoint rule.
+
+    A face axis gives the upper face normal to it minus the lower face."""
+    tables = {"exact": _antiderivatives, "midpoint": partial(_midpoint_sums, region.subdivisions)}
+    if method not in tables:
+        raise ValueError(f"unknown method {method!r}")
+    return _separable_sum(poly, region.lower, region.upper, (), tables[method], face_axis)
 
 
 def total_power(
@@ -391,21 +391,15 @@ def boundary_power_flux(
     with the outward orientation convention of this module: the face where
     axis i is at its upper bound contributes the i-th density coefficient
     positively, the lower face negatively.  The midpoint method applies the
-    region's subdivisions on each face.
+    region's subdivisions on each face.  The two faces normal to axis i make
+    one separable sum, whose factor on axis i is ``upper**e - lower**e``.
     """
     if region.n != stress.n:
         raise ValueError("region dimension mismatch")
     if k is not None and k != stress.k:
         raise ValueError(f"stress has order {stress.k}, got k={k}")
     coeffs = stress.density_coeffs(field)
-    total = Fraction(0)
-    for axis in range(1, stress.n + 1):
-        for is_upper in (True, False):
-            bound = region.upper[axis - 1] if is_upper else region.lower[axis - 1]
-            sign = 1 if is_upper else -1
-            face_poly = coeffs[axis - 1].substitute(axis, bound)
-            total += sign * _integrate(face_poly, region, method, skip_axes=(axis,))
-    return total
+    return sum(_integrate(c, region, method, axis) for axis, c in enumerate(coeffs, start=1))
 
 
 def box_face_frame(n: int, axis: int, is_upper: bool) -> tuple[list[Vector], int]:

@@ -9,23 +9,24 @@ are all exact.
 A ``PolyField`` is a tuple of m such polynomials, a polynomial map from the
 n-dimensional space to an m-dimensional value space.
 
-Products, sums of products, derivatives, substitution and the box and
-midpoint sums share one fraction-free kernel: a polynomial's coefficients
-are split once into integer numerators over one common denominator, the
-loop adds and multiplies plain ints keyed by plain count tuples, and
-``_from_numerators`` divides once per distinct term at the end.  The results
-are the same ``Fraction``s, because every ``Fraction`` is reduced.
-
-Pullback along an affine map, ``compose_affine``, is the one substitution
-kernel: the affine data is split over its own common denominator q, the
-replacement powers are memoized per variable and exponent, and each term is
-scaled to ``q**top``.  ``taylor`` is the shift ``p(center + y)`` truncated
-at the order; the jet layer builds on the same kernel.
+Sums, products, values, substitution and box sums run on three fraction-free
+kernels.  Each splits the coefficients into integer numerators over one
+common denominator, works on plain ints keyed by count tuples, and divides
+once at the end, so the results are the same reduced ``Fraction``s.
+``_sum_of_products`` sums products; a sum, a negation or a scalar multiple
+is a sum of products with constants.  ``compose_affine`` is the pullback
+along an affine map, with the replacement powers memoized per variable and
+exponent; ``substitute`` sends one variable to a constant and ``taylor`` is
+the shift ``p(center + y)`` truncated at the order.  ``_separable_sum`` is a
+functional that factors over the axes, one table of factors per axis: the
+powers of a coordinate give the value at a point, and the antiderivatives,
+midpoint sums and face pairs the box integrals, midpoint rules and fluxes.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from operator import add, ge, sub
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -95,6 +96,13 @@ def _add_product(acc: dict[Counts, int], left: Terms, right: Terms) -> dict[Coun
             key = tuple(map(add, counts_a, counts_b))
             acc[key] = acc.get(key, 0) + a * b
     return acc
+
+
+def _scaled_sum(n: int, *scaled: tuple["Polynomial", Scalar]) -> "Polynomial":
+    """``sum(factor * poly for poly, factor in scaled)``, as products with constants."""
+    if any(poly.n != n for poly, _ in scaled):
+        raise ValueError("dimension mismatch")
+    return _sum_of_products(n, [(poly, Polynomial.constant(n, f)) for poly, f in scaled])
 
 
 def _from_numerators(n: int, acc: Mapping[Counts, int], den: int) -> "Polynomial":
@@ -179,23 +187,17 @@ class Polynomial(_Record):
         return max((card.degree for card, _ in self.terms), default=0)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        acc = dict(self.terms)
-        for card, coeff in other.terms:
-            acc[card] = acc.get(card, Fraction(0)) + coeff
-        return Polynomial(self.n, tuple(acc.items()))
+        return _scaled_sum(self.n, (self, 1), (other, 1))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, tuple((card, -coeff) for card, coeff in self.terms))
+        return _scaled_sum(self.n, (self, -1))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return _scaled_sum(self.n, (self, 1), (other, -1))
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            factor = Fraction(other)
-            return Polynomial(self.n, tuple((card, factor * c) for card, c in self.terms))
+            return _scaled_sum(self.n, (self, other))
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         return _sum_of_products(self.n, [(self, other)])
@@ -211,17 +213,10 @@ class Polynomial(_Record):
         return result
 
     def __call__(self, point: Point | Sequence[Scalar]) -> Fraction:
-        coords = point.coords if isinstance(point, Point) else tuple(Fraction(c) for c in point)
+        coords = point.coords if isinstance(point, Point) else tuple(point)
         if len(coords) != self.n:
             raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for card, coeff in self.terms:
-            value = coeff
-            for coord, count in zip(coords, card.counts):
-                if count:
-                    value *= coord**count
-            total += value
-        return total
+        return _separable_sum(self, coords, coords, (), _powers)
 
     def derive(self, order: IndexLike) -> "Polynomial":
         """Iterated partial derivative, one differentiation per count.
@@ -256,22 +251,18 @@ class Polynomial(_Record):
         return Polynomial(self.n, tuple(term for term in shifted.terms if term[0].degree <= order))
 
     def substitute(self, axis: int, value: Scalar) -> "Polynomial":
-        """Freeze one variable at an exact value; the axis count drops to zero."""
+        """Freeze one variable at an exact value; the axis count drops to zero.
+
+        This is the pullback along the affine map that keeps the other
+        variables and sends this one to the constant ``value``.
+        """
         if not 1 <= axis <= self.n:
             raise ValueError(f"axis {axis} out of range 1..{self.n}")
-        fixed = Fraction(value)
-        den = _denominator(self)
-        terms = _numerators(self, den)
-        # value = p/q enters term by term as p**c * q**(top - c) over q**top.
-        top = max((counts[axis - 1] for counts, _ in terms), default=0)
-        p_powers = [fixed.numerator**c for c in range(top + 1)]
-        q_powers = [fixed.denominator**c for c in range(top + 1)]
-        acc: dict[Counts, int] = {}
-        for counts, num in terms:
-            c = counts[axis - 1]
-            key = counts[: axis - 1] + (0,) + counts[axis:]
-            acc[key] = acc.get(key, 0) + num * p_powers[c] * q_powers[top - c]
-        return _from_numerators(self.n, acc, den * q_powers[top])
+        matrix = _linalg.identity(self.n)
+        matrix[axis - 1][axis - 1] = 0
+        offset = [0] * self.n
+        offset[axis - 1] = value
+        return self.compose_affine(matrix, offset)
 
     def compose_affine(
         self, matrix: Sequence[Sequence[Scalar]], offset: Sequence[Scalar]
@@ -322,13 +313,15 @@ def _separable_sum(
     upper: Sequence[Scalar],
     skip_axes: Iterable[int],
     axis_table: Callable[[int, int, int, int], tuple[list[int], int]],
+    face_axis: int = 0,
 ) -> Fraction:
     """Sum over terms of the coefficient times one factor per integrated axis.
 
     ``axis_table(lo, hi, q, top)`` gets an axis's bounds as ``lo/q`` and
     ``hi/q`` and returns the factors for the exponents 0..top as integer
     numerators over one denominator.  Skipped axes contribute no factor; the
-    polynomial must not depend on them.
+    polynomial must not depend on them.  Axis ``face_axis`` takes the factors
+    of ``_face_pair`` instead of ``axis_table``'s.
     """
     lo = [Fraction(v) for v in lower]
     hi = [Fraction(v) for v in upper]
@@ -348,9 +341,10 @@ def _separable_sum(
         if r + 1 not in skip:
             a, b = lo[r], hi[r]
             top = max((counts[r] for counts, _ in terms), default=0)
-            q = a.denominator * b.denominator
-            nums, axis_den = axis_table(
-                a.numerator * b.denominator, b.numerator * a.denominator, q, top
+            q = math.lcm(a.denominator, b.denominator)
+            table = _face_pair if r + 1 == face_axis else axis_table
+            nums, axis_den = table(
+                a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q, top
             )
             tables.append((r, nums))
             den *= axis_den
@@ -360,6 +354,35 @@ def _separable_sum(
             num *= nums[counts[r]]
         total += num
     return Fraction(total, den)
+
+
+def _powers(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+    """The powers of the upper bound ``hi/q``, over ``q**top``: evaluation at a point."""
+    return [hi**e * q ** (top - e) for e in range(top + 1)], q**top
+
+
+def _face_pair(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+    """``(hi/q)**e - (lo/q)**e`` over ``q**top``: the upper face minus the lower face."""
+    return [(hi**e - lo**e) * q ** (top - e) for e in range(top + 1)], q**top
+
+
+def _antiderivatives(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+    """``(hi**(e+1) - lo**(e+1)) / ((e+1) q**(e+1))``, over ``lcm(1..top+1) q**(top+1)``."""
+    scale = math.lcm(*range(1, top + 2))
+    nums = [
+        (hi ** (e + 1) - lo ** (e + 1)) * q ** (top - e) * (scale // (e + 1))
+        for e in range(top + 1)
+    ]
+    return nums, scale * q ** (top + 1)
+
+
+def _midpoint_sums(cells: int, lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+    # The cell width times the sums of the powers of the midpoints, over one denominator.
+    # Midpoint c is (2 cells lo + (hi - lo)(2c + 1)) / step; width is (hi - lo) / (q cells).
+    step = 2 * cells * q
+    mids = [2 * cells * lo + (hi - lo) * (2 * c + 1) for c in range(cells)]
+    nums = [(hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in range(top + 1)]
+    return nums, q * cells * step**top
 
 
 def box_integral(
@@ -374,17 +397,7 @@ def box_integral(
     ``skip_axes`` are not integrated; the polynomial must not depend on them
     (freeze them with ``substitute`` first).
     """
-
-    def antiderivatives(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
-        # (hi**(e+1) - lo**(e+1)) / ((e+1) q**(e+1)), over lcm(1..top+1) q**(top+1).
-        scale = math.lcm(*range(1, top + 2))
-        nums = [
-            (hi ** (e + 1) - lo ** (e + 1)) * q ** (top - e) * (scale // (e + 1))
-            for e in range(top + 1)
-        ]
-        return nums, scale * q ** (top + 1)
-
-    return _separable_sum(poly, lower, upper, skip_axes, antiderivatives)
+    return _separable_sum(poly, lower, upper, skip_axes, _antiderivatives)
 
 
 def midpoint_integral(
@@ -405,15 +418,7 @@ def midpoint_integral(
     """
     if cells < 1:
         raise ValueError(f"cells must be positive, got {cells}")
-
-    def midpoint_sums(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
-        # Midpoint c is (2 cells lo + (hi - lo)(2c + 1)) / step; width is (hi - lo) / (q cells).
-        step = 2 * cells * q
-        mids = [2 * cells * lo + (hi - lo) * (2 * c + 1) for c in range(cells)]
-        nums = [(hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in range(top + 1)]
-        return nums, q * cells * step**top
-
-    return _separable_sum(poly, lower, upper, skip_axes, midpoint_sums)
+    return _separable_sum(poly, lower, upper, skip_axes, partial(_midpoint_sums, cells))
 
 
 class PolyField(_Record):

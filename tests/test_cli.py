@@ -486,6 +486,26 @@ def stress_obj(kind, n=2, m=1, k=1):
     return {"n": n, "m": m, "k": k, "kind": kind, "blocks": {}}
 
 
+# A 42-byte field file of x1**100000, past the degree budget, and for each command that reads
+# it the other files and the argv, as in MALFORMED.
+X1_DEGREE_HUGE = {"n": 1, "m": 1, "components": [{"100000": "1"}]}
+DEGREE_FILES = {
+    "jet": ({}, ["jet", "field.json", "--point", "1", "--k", "1"]),
+    "power": (
+        {"stress.json": stress_obj("variational", n=1) | {"blocks": {"1|": {"": "1"}}}},
+        ["power", "stress.json", "field.json", "--box", "0:1"],
+    ),
+    "power-subdiv": (
+        {"stress.json": stress_obj("variational", n=1) | {"blocks": {"1|": {"": "1"}}}},
+        ["power", "stress.json", "field.json", "--box", "0:1", "--subdiv", "7"],
+    ),
+    "flux": (
+        {"stress.json": stress_obj("traction", n=1) | {"blocks": {"1||1": {"": "1"}}}},
+        ["flux", "stress.json", "field.json", "--box", "0:1"],
+    ),
+}
+
+
 # Requests past a stated budget: files and argv as in MALFORMED, then the budget the error names.
 OVERSIZED = {
     "dense-10-9": (
@@ -541,6 +561,20 @@ OVERSIZED = {
         {"stress.json": stress_obj("traction", m=HUGE), "field.json": X1X2},
         ["flux", "stress.json", "field.json", *BOX],
         "10000 jet slots",
+    ),
+    **{
+        f"field-degree-{command}": (
+            {"field.json": X1_DEGREE_HUGE, **files}, args, "100 in total degree"
+        )
+        for command, (files, args) in DEGREE_FILES.items()
+    },
+    "stress-degree-101": (
+        {
+            "stress.json": stress_obj("variational") | {"blocks": {"1|": {"50,51": "1"}}},
+            "field.json": X1X2,
+        },
+        ["power", "stress.json", "field.json", *BOX],
+        "100 in total degree",
     ),
     "dims-16-8": ({}, ["dims", "--n", "16", "--l", "8"], "10000 index classes"),
     "dims-40-10": ({}, ["dims", "--n", "40", "--l", "10"], "10000 index classes"),
@@ -629,6 +663,36 @@ def test_huge_exponent_is_refused_at_once(tmp_path, kind):
     assert result.returncode == 1 and result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and text in lines[0]
+
+
+@pytest.mark.parametrize("command", sorted(DEGREE_FILES))
+def test_huge_degree_is_refused_in_a_child_at_once(tmp_path, command):
+    # In a child with a timeout, so that expanding x1**100000 fails the test instead of hanging.
+    files, args = DEGREE_FILES[command]
+    for name, obj in {"field.json": X1_DEGREE_HUGE, **files}.items():
+        write_json(tmp_path / name, obj)
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in args]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "jetstress.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == (
+        "error: monomial '100000' exceeds its budget of 100 in total degree\n"
+    )
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+def test_value_too_long_to_print_is_one_error_line(tmp_path, capsys, out):
+    # x1**3 at 10**1500 is 10**4500, past Python's 4,300-digit limit on printing an int.
+    field = write_json(tmp_path / "field.json", {"n": 1, "m": 1, "components": [{"3": "1"}]})
+    argv = ["jet", field, "--point", "1e1500", "--k", "0"]
+    assert main(argv + ["--out", str(tmp_path / "jet.json")] if out else argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exact value too long to print: more than 4300 digits\n"
+    assert not (tmp_path / "jet.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,31 @@ def test_class_keys_are_checked_alike_in_tensor_and_stress_files():
             fileio.stress_from_obj({**stress, "blocks": {f"1|{bad}": {"": "1"}}})
 
 
+def test_monomial_degree_is_held_to_its_budget():
+    for n, key in ((1, "100"), (2, "50,50"), (3, "0,100,0")):
+        field = fileio.field_from_obj({"n": n, "m": 1, "components": [{key: "1"}]})
+        assert field.components[0].degree == 100
+        stress = {"n": n, "m": 1, "k": 0, "kind": "variational", "blocks": {"1|": {key: "1"}}}
+        assert fileio.stress_from_obj(stress).blocks[0][0][0].degree == 100
+    for n, key in ((1, "101"), (2, "50,51"), (1, "100000"), (3, "1," + "9" * 40 + ",0")):
+        message = rf"^monomial '{key}' exceeds its budget of 100 in total degree$"
+        with pytest.raises(ValueError, match=message):
+            fileio.field_from_obj({"n": n, "m": 1, "components": [{"": "1", key: "1"}]})
+        stress = {"n": n, "m": 1, "k": 1, "kind": "traction", "blocks": {"1||1": {key: "2"}}}
+        with pytest.raises(ValueError, match=message):
+            fileio.stress_from_obj(stress)
+    # Jet slot keys are held to the slot budget only: the 9,999-jet of x1**9999 at 0 loads.
+    obj = {"n": 1, "m": 1, "k": 9999, "x": ["0"], "blocks": {"9999": {"1|9999": "1"}}}
+    assert fileio.jet_from_obj(obj).k == 9999
+
+
+def test_value_too_long_to_print_names_the_digit_limit():
+    assert fileio.format_rational(Fraction(-(10**4299), 7)) == f"-{10**4299}/7"
+    for value in (Fraction(10**4300), Fraction(1, 3**9100)):
+        with pytest.raises(ValueError, match=r"^exact value too long to print: more than 4300 digits$"):
+            fileio.format_rational(value)
+
+
 def test_jet_header_past_its_budget_is_refused_before_reading():
     obj = {"n": 2, "m": 1, "k": 10**20, "x": ["0", "0"], "blocks": {"0": {"x": "1"}}}
     with pytest.raises(ValueError, match=r"^jet of n=2, m=1, k=\d+ exceeds its budget of 10000 jet"):

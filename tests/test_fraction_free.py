@@ -5,8 +5,12 @@ The reference functions below are the coefficient loops ``polyfield`` and
 one common denominator, and the power products and per-slot derivatives
 ``compose_affine`` and ``taylor`` used before they became one affine
 substitution kernel; ``ref_from_map`` is the ``Fraction`` dictionary
-``Polynomial.from_map`` summed colliding keys in.  Results must be equal
-term for term, in the same order, with every coefficient a ``Fraction``.
+``Polynomial.from_map`` summed colliding keys in.  ``ref_add``,
+``ref_scale`` and ``ref_evaluate`` are the ``Fraction`` loops of ``+``,
+scalar ``*`` and ``-``, and evaluation at a point, before sums became
+products with constants and evaluation a separable sum.  Results must be
+equal term for term, in the same order, with every coefficient a
+``Fraction``.
 """
 from __future__ import annotations
 
@@ -56,6 +60,29 @@ def ref_substitute(p: Polynomial, axis: int, value: Fraction) -> Polynomial:
         key = CardinalityIndex(new_counts)
         acc[key] = acc.get(key, Fraction(0)) + coeff * value**count
     return Polynomial(p.n, tuple(acc.items()))
+
+
+def ref_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    acc = dict(p.terms)
+    for card, coeff in q.terms:
+        acc[card] = acc.get(card, Fraction(0)) + coeff
+    return Polynomial(p.n, tuple(acc.items()))
+
+
+def ref_scale(p: Polynomial, factor) -> Polynomial:
+    factor = Fraction(factor)
+    return Polynomial(p.n, tuple((card, factor * c) for card, c in p.terms))
+
+
+def ref_evaluate(p: Polynomial, coords) -> Fraction:
+    total = Fraction(0)
+    for card, coeff in p.terms:
+        value = coeff
+        for coord, count in zip(coords, card.counts):
+            if count:
+                value *= Fraction(coord) ** count
+        total += value
+    return total
 
 
 def ref_compose_affine(p: Polynomial, matrix, offset) -> Polynomial:
@@ -201,6 +228,40 @@ def test_products_that_cancel():
         assert (p + q) * (p - q) == p * p - q * q
         assert_exact(p * Polynomial.zero(n), Polynomial.zero(n))
         assert_exact(Polynomial.constant(n, 5).derive(CardinalityIndex.unit(n, 1)), Polynomial.zero(n))
+
+
+def test_sums_scalar_multiples_and_values_match_the_fraction_loops():
+    rng = random.Random(309)
+    for trial in range(60):
+        n = 1 + trial % 4
+        degree = 4 if n < 3 else 2
+        p, q = poly(rng, n, degree), poly(rng, n, degree)
+        assert_exact(p + q, ref_add(p, q))
+        assert_exact(p - q, ref_add(p, ref_scale(q, -1)))
+        assert_exact(-p, ref_scale(p, -1))
+        for factor in (coeff(rng), 0, "3/2", -1):
+            assert_exact(p * factor, ref_scale(p, factor))
+            assert_exact(factor * p, ref_scale(p, factor))
+        for _ in range(3):
+            coords = [coeff(rng) if rng.random() < 0.5 else rand_fraction(rng) for _ in range(n)]
+            coords[rng.randrange(n)] = rng.choice((Fraction(0), coords[0]))
+            value = p(coords)
+            assert value == ref_evaluate(p, coords) and type(value) is Fraction
+            assert p(Point(tuple(coords))) == value
+
+
+def test_sums_and_multiples_that_cancel_are_zero():
+    rng = random.Random(310)
+    for n in range(1, 5):
+        p = poly(rng, n, 3, density=1.0)
+        zero = Polynomial.zero(n)
+        assert_exact(p - p, zero)
+        assert_exact(p + -p, zero)
+        assert_exact(ref_add(p, ref_scale(p, -1)), zero)
+        assert_exact(p * 0, zero)
+        assert_exact(p * "3/2" - p * Fraction(3, 2), zero)
+        assert_exact(zero + zero, zero)
+        assert zero([1] * n) == 0 and type(zero([1] * n)) is Fraction
 
 
 def outcome(build):

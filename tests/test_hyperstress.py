@@ -23,7 +23,7 @@ from jetstress.hyperstress import (
 )
 from jetstress.jet import JetCovector, jet_of
 from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing
-from jetstress.polyfield import Point, PolyField, Polynomial, box_integral
+from jetstress.polyfield import Point, PolyField, Polynomial, box_integral, midpoint_integral
 from jetstress.symtensor import DenseTensor, cosymmetrize_project, include, ordered_indices
 
 from conftest import (
@@ -336,6 +336,36 @@ def test_a_traction_stress_is_not_fixed_by_the_variational_field_it_induces():
     assert traction.covector == JetCovector.from_map(2, 1, 1, {(1, e2): -1})
     slots = [c for block in traction.covector.blocks for t in block for c in t.components]
     assert slots == [0, 0, -1]
+
+
+def face_by_face_flux(sfield, field, region, method):
+    """The flux as 2n face integrals of the frozen density coefficients, through public calls."""
+    total = Fraction(0)
+    for axis, coeff in enumerate(sfield.density_coeffs(field), start=1):
+        for sign, bound in ((1, region.upper), (-1, region.lower)):
+            face = coeff.substitute(axis, bound[axis - 1])
+            if method == "exact":
+                value = box_integral(face, region.lower, region.upper, skip_axes=(axis,))
+            else:
+                cells = region.subdivisions
+                value = midpoint_integral(face, region.lower, region.upper, cells, skip_axes=(axis,))
+            total += sign * value
+    return total
+
+
+def test_flux_equals_the_sum_of_its_face_integrals():
+    rng = random.Random(81)
+    for trial in range(36):
+        n, k, m = 1 + trial % 3, 1 + trial // 3 % 3, rng.randint(1, 2)
+        sfield = rand_traction_field(rng, n, m, k, 2)
+        field = rand_field(rng, n, m, k + 1)
+        lower = tuple(rand_fraction(rng, span=2, den=3) for _ in range(n))
+        upper = tuple(lo + Fraction(rng.randint(1, 3), rng.randint(1, 3)) for lo in lower)
+        for method, cells in (("exact", 1), ("midpoint", 1 + trial % 4)):
+            region = BoxRegion(lower, upper, cells)
+            flux = boundary_power_flux(sfield, field, region, method=method)
+            assert flux == face_by_face_flux(sfield, field, region, method)
+            assert type(flux) is Fraction
 
 
 def test_flux_is_additive_over_box_splits():

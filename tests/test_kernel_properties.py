@@ -1,11 +1,17 @@
-"""Laws of the affine substitution kernel on small random polynomials.
+"""Laws of the polynomial kernels on small random polynomials.
 
 ``compose_affine`` is pullback along an affine map, so the identity map
 leaves a polynomial alone, two pullbacks are one pullback along the composed
 map, and shifting a full Taylor expansion back to the original variables
-gives the polynomial again.
+gives the polynomial again.  Polynomials form a commutative ring, evaluation
+at a point is a ring homomorphism, freezing a variable and then evaluating is
+evaluating at the point with that coordinate replaced, and ``derive`` obeys
+the Leibniz rule.
 """
 from __future__ import annotations
+
+import itertools
+import math
 
 import pytest
 
@@ -63,3 +69,53 @@ def test_full_taylor_expansion_shifts_back_to_the_polynomial(data, n):
     p, center = data.draw(polynomials(n)), data.draw(vectors(n))
     expansion = p.taylor(Point(tuple(center)), p.degree)
     assert expansion.compose_affine(identity(n), [-v for v in center]) == p
+
+
+@SETTINGS
+@hypothesis.given(st.data(), dimensions)
+def test_polynomials_form_a_commutative_ring(data, n):
+    p, q, r = (data.draw(polynomials(n)) for _ in range(3))
+    zero, one = Polynomial.zero(n), Polynomial.constant(n, 1)
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and p * zero == zero
+    assert p + -p == zero and p - q == p + -q
+    c = data.draw(fractions)
+    assert c * p == Polynomial.constant(n, c) * p == p * c
+
+
+@SETTINGS
+@hypothesis.given(st.data(), dimensions)
+def test_evaluation_is_a_ring_homomorphism(data, n):
+    p, q, x = data.draw(polynomials(n)), data.draw(polynomials(n)), data.draw(vectors(n))
+    c = data.draw(fractions)
+    assert (p + q)(x) == p(x) + q(x)
+    assert (p - q)(x) == p(x) - q(x)
+    assert (p * q)(x) == p(x) * q(x)
+    assert (c * p)(x) == c * p(x)
+    assert Polynomial.constant(n, c)(x) == c
+
+
+@SETTINGS
+@hypothesis.given(st.data(), dimensions)
+def test_substitute_then_evaluate_is_evaluation_at_the_replaced_point(data, n):
+    p, x = data.draw(polynomials(n)), data.draw(vectors(n))
+    axis, value = data.draw(st.integers(1, n)), data.draw(fractions)
+    frozen = p.substitute(axis, value)
+    replaced = x[: axis - 1] + [value] + x[axis:]
+    assert frozen(x) == p(replaced)
+    assert all(card.counts[axis - 1] == 0 for card, _ in frozen.terms)
+
+
+@SETTINGS
+@hypothesis.given(st.data(), dimensions)
+def test_derive_obeys_the_leibniz_rule(data, n):
+    p, q = data.draw(polynomials(n)), data.draw(polynomials(n))
+    order = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    expected = Polynomial.zero(n)
+    for part in itertools.product(*(range(c + 1) for c in order)):
+        rest = tuple(c - j for c, j in zip(order, part))
+        weight = math.prod(math.comb(c, j) for c, j in zip(order, part))
+        expected = expected + weight * p.derive(part) * q.derive(rest)
+    assert (p * q).derive(order) == expected
