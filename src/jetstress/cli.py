@@ -26,7 +26,7 @@ from .jet import jet_of
 from .multiindex import _check_budget, _slot_sizes, enumerate_nondecreasing, multiplicity
 from .multiindex import permutations_of, sym_dim
 from .polyfield import Point
-from .symtensor import DenseTensor, compress, pair, symmetrize_dense
+from .symtensor import DenseTensor, _class_sums, compress, pair
 
 # The most basis pairs `verify duality` checks; each builds two tensors and pairs them.
 _DUALITY_PAIRS = 20_000
@@ -100,7 +100,8 @@ def cmd_symmetrize(args: argparse.Namespace) -> int:
     tensor = fileio.tensor_from_obj(fileio.load(args.input))
     if not isinstance(tensor, DenseTensor):
         raise ValueError("symmetrize expects a dense tensor file")
-    result = compress(symmetrize_dense(tensor))
+    # The class averages are the plain components of the symmetrized tensor.
+    result = _class_sums(tensor, "plain")
     fileio.save(fileio.tensor_to_obj(result), args.out)
     print(f"wrote {args.out}")
     return 0

@@ -42,10 +42,10 @@ from typing import Any, Sequence
 from .altforms import CoDimOneForm
 from .jet import JetElement, _check_jet_shape, _slot_items, _slot_rows, _tensor_blocks
 from .hyperstress import TractionStressField, VariationalStressField, _check_order
-from .multiindex import CardinalityIndex, MultiIndex, _canonical_axes, _check_axes
+from .multiindex import CardinalityIndex, MultiIndex, _canonical_axes, _check_axes, _dense_offset
 from .multiindex import _check_budget, _check_shape, _class_counts, _slot_sizes
 from .polyfield import Point, PolyField, Polynomial
-from .symtensor import _CONVENTIONS, _VARIANCES, DenseTensor, SymTensor, _check_choice
+from .symtensor import _CONVENTIONS, _VARIANCES, _ZERO, DenseTensor, SymTensor, _check_choice
 
 # The most jet slots a request may cover: a jet or stress file's header (a traction stress
 # of order k counts as n jets of order k-1), `jet`, and `verify jets` or `cauchy` over all cases.
@@ -91,7 +91,7 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
     """The comma-separated ints of an axis list or a counts list; empty text is ``()``."""
     text = text.strip()
     try:
-        return tuple(int(part) for part in text.split(",")) if text else ()
+        return tuple(map(int, text.split(","))) if text else ()
     except ValueError:
         raise ValueError(f"bad {what} {text!r}") from None
 
@@ -219,14 +219,22 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
     _check_choice("storage", storage, ("dense", "symmetric"))
     _check_tensor_size(n, degree, storage)
     if storage == "dense":
-        entries = {}
+        # Each value goes straight to its row-major offset, and each distinct literal is parsed
+        # once.  The memo is keyed on the literal's text, all that parse_rational reads, so
+        # JSON true is not taken for 1.
+        comps = [_ZERO] * n**degree
+        parsed: dict[str, Fraction] = {}
         for key, text in components.items():
             axes = _int_list(key, "axis list")
             if len(axes) != degree:
                 raise ValueError(f"component key {key!r} has degree {len(axes)}, expected {degree}")
-            entries[axes] = parse_rational(text)
-        # DenseTensor.from_map range-checks the axes.
-        return DenseTensor.from_map(n, degree, variance, entries)
+            if axes and (min(axes) < 1 or max(axes) > n):
+                _check_axes(axes, n)
+            literal = str(text)
+            if literal not in parsed:
+                parsed[literal] = parse_rational(literal)
+            comps[_dense_offset(axes, n)] = parsed[literal]
+        return DenseTensor._trusted(n, degree, variance, tuple(comps))
     convention = obj.get("convention", "plain")
     _check_choice("convention", convention, _CONVENTIONS)
     entries = {}

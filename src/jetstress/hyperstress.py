@@ -114,7 +114,7 @@ class _PerAxis(_Record):
     ``blocks[l][alpha-1][j-1]`` is ``blocks[l][alpha-1]`` of part j, which
     is ``axes[j-1]``, an instance of the class attribute ``_part``.  The
     part's own constructor validates everything but the order and the axis
-    count.
+    count.  ``_of_axes`` keeps parts that are already built as they are.
     """
 
     __slots__ = ("n", "m", "k", "blocks", "axes")
@@ -144,7 +144,15 @@ class _PerAxis(_Record):
             if not 1 <= j <= n:
                 raise ValueError(f"axis {j} out of range 1..{n}")
             groups[j - 1][alpha, index] = value
-        return cls(n, m, k, _join_axes([cls._part.from_map(n, m, k - 1, g) for g in groups]))
+        _check_jet_shape(n, m, k)
+        return cls._of_axes(n, m, k, [cls._part.from_map(n, m, k - 1, g) for g in groups])
+
+    @classmethod
+    def _of_axes(cls, n: int, m: int, k: int, axes: Sequence) -> _PerAxis:
+        """The object whose part j is ``axes[j-1]``, n checked parts of order k-1."""
+        self = cls._trusted(n, m, k, _join_axes(axes))
+        object.__setattr__(self, "axes", tuple(axes))
+        return self
 
 
 class TractionHyperStress(_PerAxis):
@@ -334,11 +342,11 @@ class TractionStressField(_PerAxis):
     @classmethod
     def constant(cls, stress: TractionHyperStress) -> "TractionStressField":
         axes = [VariationalStressField.constant(VariationalHyperStress(ax)) for ax in stress.axes]
-        return cls(stress.n, stress.m, stress.k, _join_axes(axes))
+        return cls._of_axes(stress.n, stress.m, stress.k, axes)
 
     def at(self, x: Point) -> TractionHyperStress:
         axes = [ax.at(x).covector for ax in self.axes]
-        return TractionHyperStress(self.n, self.m, self.k, _join_axes(axes))
+        return TractionHyperStress._of_axes(self.n, self.m, self.k, axes)
 
     def density_coeffs(self, field: PolyField) -> list[Polynomial]:
         """Flux density coefficients against the (k-1)-jet of a field.

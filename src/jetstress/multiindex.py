@@ -36,10 +36,21 @@ class _Record:
     A subclass sets ``__slots__ = _fields = (...)``; its ``__init__`` checks
     the arguments and ends with ``_store``, which sets the fields and then
     calls ``__post_init__``, a no-op looked up on the class each time.
+    ``_trusted`` is the one unchecked build, for values the library has just
+    checked or computed itself; it runs neither ``__init__`` nor
+    ``__post_init__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _trusted(cls, *values: object) -> "_Record":
+        """The record of these field values, in ``_fields`` order, built without checks."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def _store(self, *values: object) -> None:
         for name, value in zip(self._fields, values):
@@ -252,14 +263,15 @@ def apply_permutation(p: Permutation, index: MultiIndex) -> MultiIndex:
     Acting twice composes contravariantly: applying ``p1`` then ``p2``
     equals applying ``p1.compose(p2)`` once.
     """
-    if p.degree != index.degree:
+    entries = index.entries
+    if len(p.mapping) != len(entries):
         raise ValueError("length mismatch")
-    return MultiIndex(tuple(index.entries[v - 1] for v in p.mapping), index.n)
+    return MultiIndex._trusted(tuple([entries[v - 1] for v in p.mapping]), index.n)
 
 
 def kron_delta(left: MultiIndex, right: MultiIndex) -> int:
     """1 if the two ordered multi-indices agree slot by slot, else 0."""
-    if left.degree != right.degree:
+    if len(left.entries) != len(right.entries):
         raise ValueError("length mismatch")
     return int(left.entries == right.entries)
 
@@ -281,7 +293,7 @@ def permutations_of(l: int) -> Iterator[Permutation]:
         raise ValueError(f"negative degree {l}")
     if l > PERMUTATION_CAP:
         raise ValueError(f"degree {l} exceeds permutation cap {PERMUTATION_CAP}")
-    return map(Permutation, itertools.permutations(range(1, l + 1)))
+    return map(Permutation._trusted, itertools.permutations(range(1, l + 1)))
 
 
 def _check_shape(n: int, l: int) -> None:

@@ -32,11 +32,16 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import _linalg
 from .multiindex import CardinalityIndex, IndexLike, MultiIndex, _Record, cardinality
-from .multiindex import _checked_counts, _colex_key
+from .multiindex import _check_budget, _checked_counts, _colex_key
 
 Scalar = Fraction | int | str
 Counts = tuple[int, ...]
 Terms = Collection[tuple[Counts, int]]
+
+# The most midpoint powers one axis of a midpoint rule raises: cells times (degree + 1).  Each
+# power costs about 0.3 us at degree 14 and 1.1 us at degree 200, the highest density two
+# degree-budgeted files make, so an axis stays near 1 s; the bench's rules raise at most 1,200.
+_MIDPOINT_POWERS = 1_000_000
 
 
 def _as_counts(index: IndexLike, n: int) -> Counts:
@@ -111,15 +116,9 @@ def _from_numerators(n: int, acc: Mapping[Counts, int], den: int) -> "Polynomial
     The keys are sums and differences of valid count vectors of length n,
     so neither they nor the terms are validated again.
     """
-    terms = []
-    for counts in sorted((counts for counts, value in acc.items() if value), key=_colex_key):
-        card = object.__new__(CardinalityIndex)
-        object.__setattr__(card, "counts", counts)
-        terms.append((card, Fraction(acc[counts], den)))
-    poly = object.__new__(Polynomial)
-    object.__setattr__(poly, "n", n)
-    object.__setattr__(poly, "terms", tuple(terms))
-    return poly
+    keys = sorted((counts for counts, value in acc.items() if value), key=_colex_key)
+    trusted = CardinalityIndex._trusted
+    return Polynomial._trusted(n, tuple([(trusted(c), Fraction(acc[c], den)) for c in keys]))
 
 
 class Polynomial(_Record):
@@ -379,6 +378,8 @@ def _antiderivatives(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int
 def _midpoint_sums(cells: int, lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
     # The cell width times the sums of the powers of the midpoints, over one denominator.
     # Midpoint c is (2 cells lo + (hi - lo)(2c + 1)) / step; width is (hi - lo) / (q cells).
+    request = f"midpoint rule of {cells} cells at degree {top}"
+    _check_budget((cells * (top + 1),), _MIDPOINT_POWERS, request, "midpoint powers")
     step = 2 * cells * q
     mids = [2 * cells * lo + (hi - lo) * (2 * c + 1) for c in range(cells)]
     nums = [(hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in range(top + 1)]

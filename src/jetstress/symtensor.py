@@ -27,12 +27,22 @@ Converting between the two is an exact componentwise scaling and never loses
 information.  The invariant pairing of a covariant with a contravariant
 symmetric tensor multiplies a plain component with an arrow component slot by
 slot, whichever way the inputs are stored; ``pair`` normalizes internally.
+
+Kernels
+-------
+The class sums of a dense tensor and the pairing split the components once
+into int numerators over a common denominator, one per class or one per
+tensor, add plain ints, and build one ``Fraction`` per result; a class
+average, a plain component of the symmetrized tensor, is its sum over the
+denominator times the multiplicity.  Results computed from checked records are built by
+``_Record._trusted``, without the constructor's checks.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Callable, Iterable, Literal, Mapping
+from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 from .multiindex import (
     CardinalityIndex,
@@ -55,6 +65,7 @@ Convention = Literal["plain", "arrow"]
 
 _VARIANCES = ("co", "contra")
 _CONVENTIONS = ("plain", "arrow")
+_ZERO = Fraction(0)
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, str]) -> None:
@@ -64,8 +75,10 @@ def _check_choice(name: str, value: str, choices: tuple[str, str]) -> None:
 
 def ordered_indices(n: int, l: int) -> Iterable[MultiIndex]:
     """All ordered multi-indices of degree l, in dense storage order."""
+    # Below n = 1 the one index yielded, the empty one at l = 0, is left to be refused.
+    build = MultiIndex._trusted if n >= 1 else MultiIndex
     for entries in itertools.product(range(1, n + 1), repeat=l):
-        yield MultiIndex(entries, n)
+        yield build(entries, n)
 
 
 class DenseTensor(_Record):
@@ -97,14 +110,15 @@ class DenseTensor(_Record):
         entries: Mapping[tuple[int, ...], Fraction | int | str],
     ) -> "DenseTensor":
         _check_shape(n, degree)
-        comps = [Fraction(0)] * n**degree
+        comps = [_ZERO] * n**degree
         for key, value in entries.items():
             axes = tuple(map(int, key))
             _check_axes(axes, n)
             if len(axes) != degree:
                 raise ValueError(f"index {key} has degree {len(axes)}, expected {degree}")
             comps[_dense_offset(axes, n)] = Fraction(value)
-        return cls(n, degree, variance, tuple(comps))
+        _check_choice("variance", variance, _VARIANCES)
+        return cls._trusted(n, degree, variance, tuple(comps))
 
     @classmethod
     def from_function(
@@ -115,7 +129,9 @@ class DenseTensor(_Record):
         fn: Callable[[MultiIndex], Fraction],
     ) -> "DenseTensor":
         comps = tuple(Fraction(fn(index)) for index in ordered_indices(n, degree))
-        return cls(n, degree, variance, comps)
+        _check_choice("variance", variance, _VARIANCES)
+        _check_shape(n, degree)
+        return cls._trusted(n, degree, variance, comps)
 
     def component(self, index: MultiIndex | tuple[int, ...]) -> Fraction:
         if not isinstance(index, MultiIndex):
@@ -167,13 +183,15 @@ class SymTensor(_Record):
         convention: Convention,
         entries: Mapping[IndexLike, Fraction | int | str],
     ) -> "SymTensor":
-        comps = [Fraction(0)] * sym_dim(n, degree)
+        comps = [_ZERO] * sym_dim(n, degree)
         for key, value in entries.items():
             card = as_cardinality(key, n)
             if card.degree != degree:
                 raise ValueError(f"index {key} has degree {card.degree}, expected {degree}")
             comps[rank(card)] = Fraction(value)
-        return cls(n, degree, variance, convention, tuple(comps))
+        _check_choice("variance", variance, _VARIANCES)
+        _check_choice("convention", convention, _CONVENTIONS)
+        return cls._trusted(n, degree, variance, convention, tuple(comps))
 
     def component(self, index: IndexLike) -> Fraction:
         """Stored value at an index class, in this tensor's convention."""
@@ -203,16 +221,35 @@ def convert_convention(tensor: SymTensor, target: Convention) -> SymTensor:
         comps = tuple(c * m for c, m in zip(tensor.components, mults))
     else:
         comps = tuple(c / m for c, m in zip(tensor.components, mults))
-    return SymTensor(tensor.n, tensor.degree, tensor.variance, target, comps)
+    return SymTensor._trusted(tensor.n, tensor.degree, tensor.variance, target, comps)
 
 
-def _class_sums(tensor: DenseTensor) -> SymTensor:
-    """The sums of the dense components over each index class, as arrow components."""
+def _common_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as int numerators over their least common denominator, and that denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _class_sums(tensor: DenseTensor, convention: Convention = "arrow") -> SymTensor:
+    """The sums of the dense components over each index class, as arrow components.
+
+    In plain convention the same sums are divided by the class
+    multiplicities, which gives the class averages.
+    """
     classes, firsts = dense_classes(tensor.n, tensor.degree)
-    sums = [Fraction(0)] * len(firsts)
+    # One denominator per class: a shared one would carry every class's denominators.
+    members: list[list[Fraction]] = [[] for _ in firsts]
     for r, value in zip(classes, tensor.components):
-        sums[r] += value
-    return SymTensor(tensor.n, tensor.degree, tensor.variance, "arrow", tuple(sums))
+        members[r].append(value)
+    mults = itertools.repeat(1)
+    if convention == "plain":
+        mults = class_multiplicities(tensor.n, tensor.degree)
+    comps = []
+    for values, m in zip(members, mults):
+        nums, den = _common_numerators(values)
+        comps.append(Fraction(sum(nums), den * m))
+    return SymTensor._trusted(tensor.n, tensor.degree, tensor.variance, convention, tuple(comps))
 
 
 def symmetrize_dense(tensor: DenseTensor) -> DenseTensor:
@@ -220,11 +257,11 @@ def symmetrize_dense(tensor: DenseTensor) -> DenseTensor:
 
     Computed per index class: the symmetrized value on a class is the class
     sum scaled by counts!/degree!, which equals the permutation average and
-    is what the class-indicator form of the projector gives.  The class sums
-    are arrow components, so this is the inclusion of their tensor.
-    Idempotent.
+    is what the class-indicator form of the projector gives.  Those averages
+    are the plain components of the symmetrized tensor, so this is their
+    inclusion.  Idempotent.
     """
-    return include(_class_sums(tensor))
+    return include(_class_sums(tensor, "plain"))
 
 
 def compress(tensor: DenseTensor) -> SymTensor:
@@ -237,7 +274,7 @@ def compress(tensor: DenseTensor) -> SymTensor:
         raise ValueError("tensor is not symmetric")
     _, firsts = dense_classes(tensor.n, tensor.degree)
     comps = tuple(tensor.components[offset] for offset in firsts)
-    return SymTensor(tensor.n, tensor.degree, tensor.variance, "plain", comps)
+    return SymTensor._trusted(tensor.n, tensor.degree, tensor.variance, "plain", comps)
 
 
 def include(tensor: SymTensor) -> DenseTensor:
@@ -248,7 +285,8 @@ def include(tensor: SymTensor) -> DenseTensor:
     """
     plain = convert_convention(tensor, "plain").components
     classes, _ = dense_classes(tensor.n, tensor.degree)
-    return DenseTensor(tensor.n, tensor.degree, tensor.variance, tuple(plain[r] for r in classes))
+    comps = tuple([plain[r] for r in classes])
+    return DenseTensor._trusted(tensor.n, tensor.degree, tensor.variance, comps)
 
 
 def pair(cotensor: SymTensor, tensor: SymTensor) -> Fraction:
@@ -265,9 +303,19 @@ def pair(cotensor: SymTensor, tensor: SymTensor) -> Fraction:
         raise ValueError("second argument must be contravariant")
     if cotensor.n != tensor.n or cotensor.degree != tensor.degree:
         raise ValueError("shape mismatch")
-    co_arrow = convert_convention(cotensor, "arrow").components
-    contra_plain = convert_convention(tensor, "plain").components
-    return sum((a * b for a, b in zip(co_arrow, contra_plain)), Fraction(0))
+    co, co_den = _common_numerators(cotensor.components)
+    contra, contra_den = _common_numerators(tensor.components)
+    # Arrow is plain times the multiplicity m, so a slot's product of stored values is
+    # weighted by m when both are plain, by 1/m (over the lcm of all m) when both are arrow.
+    mults = class_multiplicities(tensor.n, tensor.degree)
+    weights, scale = itertools.repeat(1), 1
+    if cotensor.convention == tensor.convention == "plain":
+        weights = mults
+    elif cotensor.convention == tensor.convention:
+        scale = math.lcm(*mults)
+        weights = [scale // m for m in mults]
+    total = sum([a * b * w for a, b, w in zip(co, contra, weights)])
+    return Fraction(total, co_den * contra_den * scale)
 
 
 def cosymmetrize_project(cotensor: DenseTensor) -> SymTensor:

@@ -604,6 +604,15 @@ OVERSIZED = {
         ["flux", "stress.json", "field.json", *BOX, "--subdiv", "100001"],
         "100000 cells per axis",
     ),
+    # A degree-200 density, each file within the degree budget, under the most cells allowed.
+    "power-subdiv-degree-200": (
+        {
+            "stress.json": stress_obj("variational", n=1, k=0) | {"blocks": {"1|": {"100": "1"}}},
+            "field.json": {"n": 1, "m": 1, "components": [{"100": "1"}]},
+        },
+        ["power", "stress.json", "field.json", "--box", "0:1", "--subdiv", "100000"],
+        "1000000 midpoint powers",
+    ),
 }
 
 

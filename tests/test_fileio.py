@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from jetstress import fileio
+from jetstress.cli import main
+from jetstress.hyperstress import VariationalStressField
 from jetstress.multiindex import CardinalityIndex, MultiIndex
 from jetstress.altforms import CoDimOneForm
 from jetstress.polyfield import PolyField, Polynomial
@@ -134,6 +136,61 @@ def test_dense_reader_parses_each_key_once(monkeypatch):
     obj["components"] = {"1,x,1,1": "1"}
     with pytest.raises(ValueError, match="bad axis list"):
         fileio.tensor_from_obj(obj)
+
+
+def test_dense_reader_parses_each_distinct_literal_once(monkeypatch):
+    parsed = []
+    original = fileio.parse_rational
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(fileio, "parse_rational", counting)
+    components = {"1,1": "1/2", "1,2": "-3", "2,1": "1/2", "2,2": " 1/2"}
+    obj = {"n": 2, "degree": 2, "variance": "co", "storage": "dense", "components": components}
+    t = fileio.tensor_from_obj(obj)
+    assert t.components == (Fraction(1, 2), -3, Fraction(1, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in t.components)
+    # " 1/2" is another literal, though it parses to the same value.
+    assert sorted(parsed) == [" 1/2", "-3", "1/2"]
+
+
+@pytest.mark.parametrize("order", [("1", "true"), ("true", "1"), ("1.0", "true"), ("true", "1.0")])
+def test_dense_reader_keeps_json_numbers_and_refuses_booleans(tmp_path, capsys, order):
+    # JSON true equals 1 in Python, so a memo keyed on the value would take it for 1.
+    text = '{"n": 2, "degree": 1, "variance": "co", "storage": "dense", "components": '
+    source = tmp_path / "dense.json"
+    source.write_text(text + f'{{"1": {order[0]}, "2": {order[1]}}}}}')
+    out = tmp_path / "out.json"
+    assert main(["symmetrize", str(source), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        "error: bad rational 'True': Invalid literal for Fraction: 'True'"
+    ]
+    source.write_text(text + f'{{"1": {order[0].replace("true", "1")}, "2": 1.0}}}}')
+    assert main(["symmetrize", str(source), "--out", str(out)]) == 0
+    assert fileio.tensor_from_obj(fileio.load(str(out))).components == (1, 1)
+
+
+def test_traction_stress_reader_builds_each_part_once(monkeypatch):
+    built = []
+    original = VariationalStressField.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(VariationalStressField, "__init__", counting)
+    rng = random.Random(91)
+    for n in (1, 2, 3):
+        stress = rand_traction_field(rng, n, rng.randint(1, 2), rng.randint(1, 3), 1)
+        obj = fileio.stress_to_obj(stress)
+        built.clear()
+        loaded = fileio.stress_from_obj(obj)
+        assert len(built) == n
+        assert all(ax is part for ax, part in zip(loaded.axes, built)) and loaded == stress
 
 
 def test_field_and_stress_readers_build_no_index_per_monomial(monkeypatch):

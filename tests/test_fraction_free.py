@@ -11,17 +11,27 @@ scalar ``*`` and ``-``, and evaluation at a point, before sums became
 products with constants and evaluation a separable sum.  Results must be
 equal term for term, in the same order, with every coefficient a
 ``Fraction``.
+
+``ref_class_sums`` and ``ref_pair`` are the ``Fraction`` loops of the
+symmetric tensor layer, the class sums of a dense tensor and the invariant
+pairing, before both added int numerators over one common denominator.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+import pytest
+
+from jetstress import fileio
+from jetstress.cli import main
 from jetstress.hyperstress import TractionStressField, VariationalStressField
 from jetstress.multiindex import CardinalityIndex, MultiIndex, enumerate_nondecreasing, mi_factorial
-from jetstress.multiindex import sym_dim
+from jetstress.multiindex import dense_classes, sym_dim
 from jetstress.polyfield import Point, PolyField, Polynomial, _as_counts, box_integral
 from jetstress.polyfield import midpoint_integral
+from jetstress.symtensor import DenseTensor, SymTensor, _class_sums, compress, convert_convention
+from jetstress.symtensor import cosymmetrize_project, include, pair, symmetrize_dense
 
 from conftest import rand_fraction
 
@@ -395,3 +405,107 @@ def test_taylor_matches_the_per_slot_derivatives():
         # Orders below, at and above the degree.
         for order in sorted({0, max(p.degree - 1, 0), p.degree, p.degree + 1}):
             assert_exact(p.taylor(center, order), ref_taylor(p, center, order))
+
+
+def ref_class_sums(tensor: DenseTensor) -> SymTensor:
+    classes, firsts = dense_classes(tensor.n, tensor.degree)
+    sums = [Fraction(0)] * len(firsts)
+    for r, value in zip(classes, tensor.components):
+        sums[r] += value
+    return SymTensor(tensor.n, tensor.degree, tensor.variance, "arrow", tuple(sums))
+
+
+def ref_pair(cotensor: SymTensor, tensor: SymTensor) -> Fraction:
+    co_arrow = convert_convention(cotensor, "arrow").components
+    contra_plain = convert_convention(tensor, "plain").components
+    return sum((a * b for a, b in zip(co_arrow, contra_plain)), Fraction(0))
+
+
+def assert_fractions(tensor) -> None:
+    assert all(type(c) is Fraction for c in tensor.components)
+
+
+def check_class_sums(dense: DenseTensor) -> None:
+    """The class sums, class averages and symmetrization of ``dense`` against the reference loop."""
+    sums = ref_class_sums(dense)
+    results = [_class_sums(dense)]
+    if dense.variance == "co":
+        results.append(cosymmetrize_project(dense))
+    for result in results:
+        assert result == sums
+        assert_fractions(result)
+    averages = _class_sums(dense, "plain")
+    assert averages == convert_convention(sums, "plain")
+    assert_fractions(averages)
+    symmetrized = symmetrize_dense(dense)
+    assert symmetrized == include(convert_convention(sums, "plain"))
+    assert compress(symmetrized) == averages
+    assert_fractions(symmetrized)
+
+
+def check_pairings(co: SymTensor, contra: SymTensor) -> None:
+    """``pair`` against the reference loop for all four convention pairings; one value for all."""
+    values = set()
+    for co_convention in ("plain", "arrow"):
+        for contra_convention in ("plain", "arrow"):
+            left = convert_convention(co, co_convention)
+            right = convert_convention(contra, contra_convention)
+            value = pair(left, right)
+            assert value == ref_pair(left, right) and type(value) is Fraction
+            values.add(value)
+    assert len(values) == 1
+
+
+def tensor_values(rng: random.Random, count: int, zero_share: float) -> tuple[Fraction, ...]:
+    return tuple(Fraction(0) if rng.random() < zero_share else coeff(rng) for _ in range(count))
+
+
+def test_class_sums_and_pair_match_the_fraction_loops():
+    rng = random.Random(311)
+    for trial in range(70):
+        n = 1 + trial % 4
+        degree = trial % 7 if n < 4 else trial % 5
+        variance = ("co", "contra")[trial % 2]
+        zero_share = (0.0, 0.5, 1.0)[trial % 3]
+        dense = DenseTensor(n, degree, variance, tensor_values(rng, n**degree, zero_share))
+        check_class_sums(dense)
+        size = sym_dim(n, degree)
+        co = SymTensor(n, degree, "co", "plain", tensor_values(rng, size, zero_share))
+        contra = SymTensor(n, degree, "contra", "arrow", tensor_values(rng, size, zero_share))
+        check_pairings(co, contra)
+
+
+def test_class_sums_and_pair_match_on_hypothesis_tensors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # Zero, small fractions and big coprime denominators, spread over a tensor by a seeded draw.
+    values = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+        st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(BIG_DENOMINATORS)),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(1, 4), st.integers(0, 6), st.lists(values, min_size=1, max_size=6), st.randoms()
+    )
+    def check(n, degree, pool, rng):
+        dense = DenseTensor(n, degree, "co", tuple(rng.choice(pool) for _ in range(n**degree)))
+        check_class_sums(dense)
+        size = sym_dim(n, degree)
+        co = SymTensor(n, degree, "co", "arrow", tuple(rng.choice(pool) for _ in range(size)))
+        contra = SymTensor(n, degree, "contra", "plain", tuple(rng.choice(pool) for _ in range(size)))
+        check_pairings(co, contra)
+
+    check()
+
+
+def test_symmetrize_writes_the_symmetrized_tensor(tmp_path):
+    rng = random.Random(312)
+    for n, degree in ((1, 3), (2, 0), (2, 5), (3, 4), (4, 3)):
+        dense = DenseTensor(n, degree, ("co", "contra")[n % 2], tensor_values(rng, n**degree, 0.2))
+        source, out = tmp_path / "dense.json", tmp_path / "out.json"
+        fileio.save(fileio.tensor_to_obj(dense), str(source))
+        assert main(["symmetrize", str(source), "--out", str(out)]) == 0
+        expected = fileio.dumps(fileio.tensor_to_obj(compress(symmetrize_dense(dense))))
+        assert out.read_bytes() == expected.encode()

@@ -4,6 +4,11 @@ One seeded instance per class.  The compared fields of each class are
 spelled out here in constructor order, so these checks do not depend on how
 a class declares them.  The traction classes also carry ``axes``, their
 per-axis parts, which is derived data and not a compared field.
+
+Records the library builds from values it has just checked or computed skip
+their constructor's checks; each such path must give the record the checked
+constructor gives on the same values, while the public constructors and
+builders still refuse bad input.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetstress import fileio
 from jetstress.altforms import CoDimOneForm, TopForm, Vector
 from jetstress.hyperstress import (
     BoxRegion,
@@ -24,9 +30,11 @@ from jetstress.hyperstress import (
     VariationalStressField,
 )
 from jetstress.jet import ChartMap, JetCovector, JetElement
-from jetstress.multiindex import CardinalityIndex, MultiIndex, Permutation
+from jetstress.multiindex import CardinalityIndex, MultiIndex, Permutation, apply_permutation
+from jetstress.multiindex import permutations_of
 from jetstress.polyfield import Point, PolyField, Polynomial
-from jetstress.symtensor import DenseTensor, SymTensor
+from jetstress.symtensor import DenseTensor, SymTensor, _class_sums, compress, convert_convention
+from jetstress.symtensor import include, ordered_indices
 
 from conftest import (
     rand_chart,
@@ -164,3 +172,101 @@ def test_records_are_slotted_and_list_their_fields(record):
     assert not hasattr(obj, "__dict__")
     assert type(obj)._fields == fields
 
+
+
+def _polynomials(rng: random.Random) -> list:
+    p, q = rand_poly(rng, 2, 3), rand_poly(rng, 2, 3)
+    return [p * q, p + q, -p, p * "3/2", p.derive((1, 0)), p.substitute(2, Fraction(1, 3))]
+
+
+# Each library path that builds records without checks, and records it built from seeded data.
+TRUSTED = {
+    "apply_permutation": lambda rng: [
+        apply_permutation(p, MultiIndex((1, 3, 2, 3), 3)) for p in permutations_of(4)
+    ],
+    "permutations_of": lambda rng: list(permutations_of(4)) + list(permutations_of(0)),
+    "ordered_indices": lambda rng: list(ordered_indices(3, 2)) + list(ordered_indices(2, 0)),
+    "convert_convention": lambda rng: [
+        convert_convention(rand_sym(rng, 3, 3, "co", "plain"), "arrow"),
+        convert_convention(rand_sym(rng, 3, 3, "contra", "arrow"), "plain"),
+    ],
+    "class_sums": lambda rng: [_class_sums(rand_dense(rng, 3, 3, "co"), c) for c in ("arrow", "plain")],
+    "compress": lambda rng: [compress(include(rand_sym(rng, 2, 4, "co")))],
+    "include": lambda rng: [include(rand_sym(rng, 3, 2, "contra", "arrow"))],
+    "DenseTensor.from_map": lambda rng: [
+        DenseTensor.from_map(2, 2, "co", {(1, 2): "3/4", (2, 1): 2, ("2", 2.0): Fraction(-1, 7)})
+    ],
+    "DenseTensor.from_function": lambda rng: [
+        DenseTensor.from_function(2, 3, "contra", lambda index: sum(index.entries) / 3)
+    ],
+    "SymTensor.from_map": lambda rng: [
+        SymTensor.from_map(3, 2, "contra", "arrow", {(1, 2): "1/3", MultiIndex((3, 3), 3): 5})
+    ],
+    "dense reader": lambda rng: [fileio.tensor_from_obj(fileio.tensor_to_obj(rand_dense(rng, 3, 2)))],
+    "polynomial kernels": _polynomials,
+    "traction from_map": lambda rng: [
+        fileio.stress_from_obj(fileio.stress_to_obj(rand_traction_field(rng, 2, 1, 2, 1))),
+        TractionHyperStress.from_map(2, 1, 2, {(1, (1,), 2): 3, (1, (), 1): "1/2"}),
+    ],
+    "traction at and constant": lambda rng: [
+        rand_traction_field(rng, 2, 2, 2, 1).at(rand_point(rng, 2)),
+        TractionStressField.constant(rand_traction(rng, 2, 1, 2)),
+    ],
+}
+
+
+@pytest.mark.parametrize("path", list(TRUSTED))
+def test_trusted_paths_build_the_checked_records(path):
+    built = TRUSTED[path](random.Random(12))
+    assert built
+    for obj in built:
+        fields = FIELDS[type(obj)]
+        checked = type(obj)(*values(obj, fields))
+        assert checked == obj and hash(checked) == hash(obj) and repr(checked) == repr(obj)
+        if hasattr(obj, "axes"):
+            assert obj.axes == checked.axes
+            assert all(type(ax) is type(obj)._part for ax in obj.axes)
+        if isinstance(obj, (DenseTensor, SymTensor)):
+            assert all(type(c) is Fraction for c in obj.components)
+        if isinstance(obj, Polynomial):
+            for card, coeff in obj.terms:
+                assert type(card) is CardinalityIndex and type(coeff) is Fraction
+                assert card == CardinalityIndex(card.counts)
+        if isinstance(obj, MultiIndex):
+            assert all(type(e) is int for e in obj.entries)
+
+
+def test_checked_builders_still_refuse_bad_input():
+    dense_file = {"n": 2, "degree": 2, "variance": "co", "storage": "dense"}
+    refused = [
+        (lambda: DenseTensor(2, 1, "up", (0, 0)), "variance must be 'co' or 'contra', got 'up'"),
+        (lambda: DenseTensor.from_map(2, 1, "up", {}), "variance must be"),
+        (lambda: DenseTensor.from_function(2, 1, "up", lambda index: 0), "variance must be"),
+        (lambda: SymTensor.from_map(2, 1, "up", "plain", {}), "variance must be"),
+        (lambda: SymTensor(2, 1, "co", "bent", (0, 0)), "convention must be 'plain' or 'arrow'"),
+        (lambda: SymTensor.from_map(2, 1, "co", "bent", {}), "convention must be"),
+        (lambda: DenseTensor(2, 2, "co", (0,) * 3), "expected 4 components, got 3"),
+        (lambda: SymTensor(2, 2, "co", "plain", (0,) * 4), "expected 3 components, got 4"),
+        (lambda: DenseTensor.from_map(2, 2, "co", {(1, 3): 1}), r"axis 3 out of range 1\.\.2"),
+        (lambda: SymTensor.from_map(2, 2, "co", "plain", {(3, 3): 1}), r"axis 3 out of range"),
+        (lambda: DenseTensor.from_function(0, 0, "co", lambda index: 0), "dimension must be positive"),
+        (lambda: list(ordered_indices(0, 0)), "dimension must be positive"),
+        (
+            lambda: fileio.tensor_from_obj(dense_file | {"components": {"1,3": "1"}}),
+            r"axis 3 out of range 1\.\.2",
+        ),
+        (
+            lambda: fileio.tensor_from_obj(dense_file | {"components": {"1,1": "1", "2,0": "1"}}),
+            r"axis 0 out of range 1\.\.2",
+        ),
+        (
+            lambda: TractionStressField.from_map(2, 1, 1, {(1, (), 3): Polynomial.zero(2)}),
+            r"axis 3 out of range 1\.\.2",
+        ),
+        (lambda: TractionHyperStress.from_map(0, 1, 1, {}), "n must be at least 1, got 0"),
+        (lambda: TractionHyperStress.from_map(2, 0, 1, {}), "m must be at least 1, got 0"),
+        (lambda: TractionHyperStress.from_map(2, 1, 0, {}), "order must be at least 1, got 0"),
+    ]
+    for build, message in refused:
+        with pytest.raises(ValueError, match=message):
+            build()
