@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .altforms import CoDimOneForm
-from .jet import JetElement, _check_jet_shape, _slot_items, _slot_rows, _tensor_blocks
+from .jet import JetElement, _check_jet_shape, _jet_of_slots, _slot_items
 from .hyperstress import TractionStressField, VariationalStressField, _check_order
 from .multiindex import CardinalityIndex, MultiIndex, _canonical_axes, _check_axes, _dense_offset
 from .multiindex import _check_budget, _check_shape, _class_counts, _slot_sizes
@@ -336,8 +336,7 @@ def jet_from_obj(obj: dict) -> JetElement:
             if card.degree != l:
                 raise ValueError(f"slot {key!r} has degree {card.degree}, expected {l}")
             slots[alpha, card] = parse_rational(text)
-    blocks = _tensor_blocks(n, _slot_rows(n, m, k, slots, 0), "co", "plain")
-    return JetElement(n, m, k, point, blocks)
+    return _jet_of_slots(n, m, k, point, slots)
 
 
 def stress_to_obj(stress: VariationalStressField | TractionStressField) -> dict:

@@ -37,8 +37,8 @@ from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
 from .multiindex import IndexLike, _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar
 from .polyfield import _antiderivatives, _midpoint_sums, _separable_sum, _sum_of_products
-from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _slot_items
-from .jet import _slot_rows, _tensor_blocks, pair_jet
+from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _covector_of_rows
+from .jet import _slot_items, _slot_rows, pair_jet
 
 
 class BoxRegion(_Record):
@@ -258,8 +258,7 @@ def cauchy_traction(stress: TractionHyperStress, frame: Sequence[Vector]) -> Hyp
         ]
         for block in stress.blocks
     ]
-    covector = JetCovector(n, stress.m, stress.k - 1, _tensor_blocks(n, rows, "contra", "arrow"))
-    return HyperTraction(stress.k, covector)
+    return HyperTraction(stress.k, _covector_of_rows(n, stress.m, stress.k - 1, rows))
 
 
 class VariationalStressField(_Record):
@@ -304,8 +303,7 @@ class VariationalStressField(_Record):
 
     def at(self, x: Point) -> VariationalHyperStress:
         rows = [[[poly(x) for poly in row] for row in block] for block in self.blocks]
-        blocks = _tensor_blocks(self.n, rows, "contra", "arrow")
-        return VariationalHyperStress(JetCovector(self.n, self.m, self.k, blocks))
+        return VariationalHyperStress(_covector_of_rows(self.n, self.m, self.k, rows))
 
     def density(self, field: PolyField) -> Polynomial:
         """Power density against the jet of a polynomial field, as a polynomial."""

@@ -29,7 +29,8 @@ table: slot (alpha, J) with ``|J| <= k`` sits in row ``blocks[l][alpha-1]``,
 ``l = |J|``, at the colex rank of J.  ``_slot`` is the one place that
 addresses a slot and range-checks it, ``_slot_rows`` fills the rows from a
 slot map, ``_slot_items`` is the one reader that turns rows back into slots,
-and ``_tensor_blocks`` turns rows into symmetric tensor blocks.
+and ``_tensor_blocks`` builds each block of ``_jet_of_slots`` and
+``_covector_of_rows`` once.  A jet pairing is the sum of its blocks' pairings.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from . import _linalg
 from .multiindex import CardinalityIndex, IndexLike, as_cardinality, mi_factorial, rank
 from .multiindex import _class_counts, _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, _sum_of_products
-from .symtensor import SymTensor
+from .symtensor import _ZERO, SymTensor, pair
 
 
 def _check_jet_shape(n: int, m: int, k: int) -> None:
@@ -111,14 +112,23 @@ def _slot_items(n: int, rows: Iterable[Iterable[Sequence]], zero: object) -> Ite
                 yield l, alpha, classes[r], value
 
 
-def _tensor_blocks(
-    n: int, rows: Sequence[Sequence[Sequence]], variance: str, convention: str
-) -> tuple[tuple[SymTensor, ...], ...]:
-    """Blocks of symmetric tensors from rows ``[l][alpha-1]`` of components in rank order."""
+def _tensor_blocks(n: int, rows: Sequence[Sequence], variance: str, convention: str) -> tuple:
+    """Blocks of symmetric tensors from rows ``[l][alpha-1]`` of ``Fraction``s in rank order."""
     return tuple(
-        tuple(SymTensor(n, l, variance, convention, row) for row in block)
+        tuple(SymTensor._trusted(n, l, variance, convention, tuple(row)) for row in block)
         for l, block in enumerate(rows)
     )
+
+
+def _jet_of_slots(n: int, m: int, k: int, x: Point, slots: Mapping) -> JetElement:
+    """The jet at x holding the ``Fraction``s ``slots[alpha, index]``, zero elsewhere."""
+    rows = _slot_rows(n, m, k, slots, _ZERO)
+    return JetElement(n, m, k, x, _tensor_blocks(n, rows, "co", "plain"))
+
+
+def _covector_of_rows(n: int, m: int, k: int, rows: Sequence[Sequence]) -> JetCovector:
+    """The jet covector with rows ``[l][alpha-1]`` of ``Fraction``s in rank order."""
+    return JetCovector(n, m, k, _tensor_blocks(n, rows, "contra", "arrow"))
 
 
 class JetElement(_Record):
@@ -137,11 +147,10 @@ class JetElement(_Record):
 
     @classmethod
     def zero(cls, n: int, m: int, k: int, x: Point | None = None) -> "JetElement":
-        base = x if x is not None else Point.origin(n)
-        return cls(n, m, k, base, _tensor_blocks(n, _slot_rows(n, m, k, {}, 0), "co", "plain"))
+        return _jet_of_slots(n, m, k, x if x is not None else Point.origin(n), {})
 
     def component(self, alpha: int, index: IndexLike) -> Fraction:
-        """Derivative value for component alpha at a differentiation index."""
+        """Stored value of the jet slot (alpha, index)."""
         l, a, r = _slot(self.n, self.m, self.k, alpha, index)
         return self.blocks[l][a].components[r]
 
@@ -164,11 +173,10 @@ class JetCovector(_Record):
     def from_map(
         cls, n: int, m: int, k: int, entries: dict[tuple[int, IndexLike], Scalar]
     ) -> "JetCovector":
-        return cls(n, m, k, _tensor_blocks(n, _slot_rows(n, m, k, entries, 0), "contra", "arrow"))
+        slots = {slot: Fraction(value) for slot, value in entries.items()}
+        return _covector_of_rows(n, m, k, _slot_rows(n, m, k, slots, _ZERO))
 
-    def component(self, alpha: int, index: IndexLike) -> Fraction:
-        l, a, r = _slot(self.n, self.m, self.k, alpha, index)
-        return self.blocks[l][a].components[r]
+    component = JetElement.component
 
 
 def _jet_of_taylor(polys: Sequence[Polynomial], x: Point, k: int) -> JetElement:
@@ -177,14 +185,13 @@ def _jet_of_taylor(polys: Sequence[Polynomial], x: Point, k: int) -> JetElement:
     Slot J of component alpha is ``J!`` times the coefficient of ``y^J``;
     terms above order k are ignored, and only the nonzero terms are placed.
     """
-    n, m = x.n, len(polys)
     entries = {
         (alpha, card): c * mi_factorial(card)
         for alpha, poly in enumerate(polys, 1)
         for card, c in poly.terms
         if card.degree <= k
     }
-    return JetElement(n, m, k, x, _tensor_blocks(n, _slot_rows(n, m, k, entries, 0), "co", "plain"))
+    return _jet_of_slots(x.n, len(polys), k, x, entries)
 
 
 def _taylor_of_jet(jet: JetElement) -> list[Polynomial]:
@@ -226,16 +233,10 @@ def realize(jet: JetElement) -> PolyField:
 
 
 def pair_jet(covector: JetCovector, jet: JetElement) -> Fraction:
-    """Plain sum over jet slots of covector coefficient times derivative value."""
+    """The sum of the tensor pairings of the jet's blocks with the covector's."""
     if (covector.n, covector.m, covector.k) != (jet.n, jet.m, jet.k):
         raise ValueError("shape mismatch")
-    total = Fraction(0)
-    for l in range(jet.k + 1):
-        for alpha in range(jet.m):
-            phi = covector.blocks[l][alpha].components
-            a = jet.blocks[l][alpha].components
-            total += sum((p * v for p, v in zip(phi, a)), Fraction(0))
-    return total
+    return sum(pair(a, phi) for both in zip(jet.blocks, covector.blocks) for a, phi in zip(*both))
 
 
 class ChartMap(_Record):
@@ -323,7 +324,7 @@ def transform_1jet(jet: JetElement, chart: ChartMap) -> JetElement:
     inv, x0 = _linalg.inverse(chart.matrix), jet.x.coords
     slots = [poly.compose_affine(inv, (0,) * jet.n) for poly in _taylor_of_jet(jet)]
     new = [
-        _sum_of_products(jet.n, [(f.compose_affine(inv, x0), t) for f, t in zip(row, slots)])
+        _sum_of_products(jet.n, [(f._pullback(inv, x0, 1), t) for f, t in zip(row, slots)])
         for row in chart.frame
     ]
     return _jet_of_taylor(new, chart.apply_point(jet.x), 1)

@@ -17,10 +17,11 @@ once at the end, so the results are the same reduced ``Fraction``s.
 is a sum of products with constants.  ``compose_affine`` is the pullback
 along an affine map, with the replacement powers memoized per variable and
 exponent; ``substitute`` sends one variable to a constant and ``taylor`` is
-the shift ``p(center + y)`` truncated at the order.  ``_separable_sum`` is a
-functional that factors over the axes, one table of factors per axis: the
-powers of a coordinate give the value at a point, and the antiderivatives,
-midpoint sums and face pairs the box integrals, midpoint rules and fluxes.
+the shift ``p(center + y)`` truncated at the order as it is built.
+``_separable_sum`` is a functional that factors over the axes, one table of
+factors per axis: the powers of a coordinate give the value at a point, and
+the antiderivatives, midpoint sums and face pairs the box integrals,
+midpoint rules and fluxes.
 """
 from __future__ import annotations
 
@@ -241,13 +242,13 @@ class Polynomial(_Record):
         derivative at the center divided by counts!.  These are the terms of
         degree at most ``order`` of the shift ``p(center + y)``, so for a
         polynomial of degree at most the order this is an exact re-centering.
+        The shift drops higher terms from every partial product as it is built.
         """
         if center.n != self.n:
             raise ValueError("point dimension mismatch")
         if order < 0:
             raise ValueError(f"negative order {order}")
-        shifted = self.compose_affine(_linalg.identity(self.n), center.coords)
-        return Polynomial(self.n, tuple(term for term in shifted.terms if term[0].degree <= order))
+        return self._pullback(_linalg.identity(self.n), center.coords, order)
 
     def substitute(self, axis: int, value: Scalar) -> "Polynomial":
         """Freeze one variable at an exact value; the axis count drops to zero.
@@ -271,11 +272,19 @@ class Polynomial(_Record):
         Variable j is replaced by ``sum_i matrix[j][i] * x^i + offset[j]``;
         the result is the pullback of the polynomial along the affine map.
         """
+        return self._pullback(matrix, offset)
+
+    def _pullback(self, matrix: Sequence, offset: Sequence, cap: int | None = None) -> "Polynomial":
+        """``compose_affine``, keeping only the terms of total degree at most ``cap``."""
         n = self.n
         rows = [[Fraction(v) for v in row] for row in matrix]
         shift = [Fraction(v) for v in offset]
         if len(rows) != n or len(shift) != n or any(len(row) != n for row in rows):
             raise ValueError("affine data dimension mismatch")
+        # Degrees only add, so every partial product can drop its terms above the cap.
+        def kept(acc: dict[Counts, int]) -> dict[Counts, int]:
+            return acc if cap is None else {key: v for key, v in acc.items() if sum(key) <= cap}
+
         # Replacement j is (sum_i a_ji x^i + b_j) / q over ints, zero entries skipped.
         q = math.lcm(*(v.denominator for row in rows + [shift] for v in row))
         zero = (0,) * n
@@ -291,7 +300,7 @@ class Polynomial(_Record):
             ]
             table = [{zero: 1}]
             for _ in range(max((counts[j] for counts, _ in terms), default=0)):
-                table.append(_add_product({}, table[-1].items(), replacement))
+                table.append(kept(_add_product({}, table[-1].items(), replacement)))
             powers.append(table)
         # A degree-d term is over q**d; scaling it by q**(top - d) puts every term over q**top.
         top = max((sum(counts) for counts, _ in terms), default=0)
@@ -300,7 +309,7 @@ class Polynomial(_Record):
             product = {zero: num * q ** (top - sum(counts))}
             for j, c in enumerate(counts):
                 if c:
-                    product = _add_product({}, product.items(), powers[j][c].items())
+                    product = kept(_add_product({}, product.items(), powers[j][c].items()))
             for key, value in product.items():
                 acc[key] = acc.get(key, 0) + value
         return _from_numerators(n, acc, den * q**top)

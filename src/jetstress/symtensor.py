@@ -307,13 +307,13 @@ def pair(cotensor: SymTensor, tensor: SymTensor) -> Fraction:
     contra, contra_den = _common_numerators(tensor.components)
     # Arrow is plain times the multiplicity m, so a slot's product of stored values is
     # weighted by m when both are plain, by 1/m (over the lcm of all m) when both are arrow.
-    mults = class_multiplicities(tensor.n, tensor.degree)
+    # Mixed conventions, as in a jet pairing, weigh 1 and leave the multiplicity cache alone.
     weights, scale = itertools.repeat(1), 1
-    if cotensor.convention == tensor.convention == "plain":
-        weights = mults
-    elif cotensor.convention == tensor.convention:
-        scale = math.lcm(*mults)
-        weights = [scale // m for m in mults]
+    if cotensor.convention == tensor.convention:
+        weights = mults = class_multiplicities(tensor.n, tensor.degree)
+        if tensor.convention == "arrow":
+            scale = math.lcm(*mults)
+            weights = [scale // m for m in mults]
     total = sum([a * b * w for a, b, w in zip(co, contra, weights)])
     return Fraction(total, co_den * contra_den * scale)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -690,6 +691,42 @@ def test_huge_degree_is_refused_in_a_child_at_once(tmp_path, command):
     assert result.stderr == (
         "error: monomial '100000' exceeds its budget of 100 in total degree\n"
     )
+
+
+# Three degree-100 monomials in four variables, inside every budget: a jet's cost follows its
+# order and slot count, not the field's degree.
+F4 = {
+    "n": 4,
+    "m": 1,
+    "components": [{"25,25,25,25": "1/3", "10,30,30,30": "2", "40,20,20,20": "-1"}],
+}
+
+
+def test_jet_of_a_degree_100_field_is_quick_and_matches_sympy(tmp_path):
+    sympy = pytest.importorskip("sympy")
+    point = ("1/2", "2/3", "3/4", "4/5")
+    argv = ["jet", write_json(tmp_path / "f4.json", F4), "--point", ",".join(point), "--k", "2"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "jetstress.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 0 and result.stderr == ""
+    xs = sympy.symbols("x1:5")
+    field = sum(
+        sympy.Rational(c) * sympy.prod([x**int(e) for x, e in zip(xs, key.split(","))])
+        for key, c in F4["components"][0].items()
+    )
+    at = dict(zip(xs, map(sympy.Rational, point)))
+    expected: dict = {str(l): {} for l in range(3)}
+    for counts in itertools.product(range(3), repeat=4):
+        if sum(counts) <= 2:
+            value = sympy.diff(field, *zip(xs, counts)).subs(at)
+            key = f"1|{','.join(map(str, counts))}"
+            expected[str(sum(counts))][key] = fileio.format_rational(Fraction(value.p, value.q))
+    assert json.loads(result.stdout)["blocks"] == expected
 
 
 @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])

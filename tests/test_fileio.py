@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,10 +8,12 @@ import pytest
 
 from jetstress import fileio
 from jetstress.cli import main
-from jetstress.hyperstress import VariationalStressField
-from jetstress.multiindex import CardinalityIndex, MultiIndex
+from jetstress.hyperstress import TractionStressField, VariationalStressField
+from jetstress.jet import JetElement
+from jetstress.multiindex import CardinalityIndex, MultiIndex, enumerate_nondecreasing, sym_dim
 from jetstress.altforms import CoDimOneForm
-from jetstress.polyfield import PolyField, Polynomial
+from jetstress.polyfield import Point, PolyField, Polynomial
+from jetstress.symtensor import DenseTensor, SymTensor
 
 from conftest import (
     built_records,
@@ -393,3 +396,101 @@ def test_save_and_load(tmp_path):
     bad.write_text("[1, 2]")
     with pytest.raises(ValueError):
         fileio.load(str(bad))
+
+
+# Round-trip laws: every reader inverts its writer through the JSON text, on drawn objects.
+
+
+def _values(st, count: int):
+    """``count`` rationals: zeros, small fractions and big coprime denominators."""
+    value = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+        st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from((999_983, 2**61 - 1))),
+    )
+    return st.lists(value, min_size=count, max_size=count).map(tuple)
+
+
+def _dense(data, st) -> DenseTensor:
+    n, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    variance = data.draw(st.sampled_from(("co", "contra")))
+    return DenseTensor(n, degree, variance, data.draw(_values(st, n**degree)))
+
+
+def _symmetric(data, st) -> SymTensor:
+    n, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+    variance = data.draw(st.sampled_from(("co", "contra")))
+    convention = data.draw(st.sampled_from(("plain", "arrow")))
+    return SymTensor(n, degree, variance, convention, data.draw(_values(st, sym_dim(n, degree))))
+
+
+def _form(data, st) -> CoDimOneForm:
+    n = data.draw(st.integers(1, 4))
+    return CoDimOneForm(n, data.draw(_values(st, n)))
+
+
+def _poly(data, st, n: int) -> Polynomial:
+    cards = [card for l in range(3) for card in enumerate_nondecreasing(n, l)]
+    keys = data.draw(st.lists(st.sampled_from(cards), max_size=3, unique=True))
+    return Polynomial.from_map(n, dict(zip(keys, data.draw(_values(st, len(keys))))))
+
+
+def _field(data, st) -> PolyField:
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    return PolyField(n, m, tuple(_poly(data, st, n) for _ in range(m)))
+
+
+def _shape(data, st, least: int, most: int) -> tuple[int, int, int]:
+    """A drawn ``(n, m, k)`` with the order k in ``least..most``."""
+    return tuple(data.draw(st.integers(*bounds)) for bounds in ((1, 3), (1, 2), (least, most)))
+
+
+def _jet(data, st) -> JetElement:
+    n, m, k = _shape(data, st, 0, 3)
+    blocks = [
+        [SymTensor(n, l, "co", "plain", data.draw(_values(st, sym_dim(n, l)))) for _ in range(m)]
+        for l in range(k + 1)
+    ]
+    return JetElement(n, m, k, Point(data.draw(_values(st, n))), blocks)
+
+
+def _slot_polys(data, st, n: int, l: int) -> tuple[Polynomial, ...]:
+    return tuple(_poly(data, st, n) for _ in range(sym_dim(n, l)))
+
+
+def _variational(data, st) -> VariationalStressField:
+    n, m, k = _shape(data, st, 0, 2)
+    blocks = [[_slot_polys(data, st, n, l) for _ in range(m)] for l in range(k + 1)]
+    return VariationalStressField(n, m, k, blocks)
+
+
+def _traction(data, st) -> TractionStressField:
+    n, m, k = _shape(data, st, 1, 3)
+    blocks = [[[_slot_polys(data, st, n, l) for _ in range(n)] for _ in range(m)] for l in range(k)]
+    return TractionStressField(n, m, k, blocks)
+
+
+ROUND_TRIPS = {
+    "dense tensor": (_dense, fileio.tensor_to_obj, fileio.tensor_from_obj),
+    "symmetric tensor": (_symmetric, fileio.tensor_to_obj, fileio.tensor_from_obj),
+    "form": (_form, fileio.form_to_obj, fileio.form_from_obj),
+    "field": (_field, fileio.field_to_obj, fileio.field_from_obj),
+    "jet": (_jet, fileio.jet_to_obj, fileio.jet_from_obj),
+    "variational stress": (_variational, fileio.stress_to_obj, fileio.stress_from_obj),
+    "traction stress": (_traction, fileio.stress_to_obj, fileio.stress_from_obj),
+}
+
+
+@pytest.mark.parametrize("kind", list(ROUND_TRIPS))
+def test_every_format_round_trips_through_its_json_text(kind):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    draw, to_obj, from_obj = ROUND_TRIPS[kind]
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def law(data):
+        value = draw(data, st)
+        assert from_obj(json.loads(fileio.dumps(to_obj(value)))) == value
+
+    law()

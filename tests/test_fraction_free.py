@@ -15,6 +15,8 @@ equal term for term, in the same order, with every coefficient a
 ``ref_class_sums`` and ``ref_pair`` are the ``Fraction`` loops of the
 symmetric tensor layer, the class sums of a dense tensor and the invariant
 pairing, before both added int numerators over one common denominator.
+``ref_pair_jet`` is the slot-by-slot ``Fraction`` loop of ``pair_jet``
+before it became a sum of tensor pairings.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import pytest
 from jetstress import fileio
 from jetstress.cli import main
 from jetstress.hyperstress import TractionStressField, VariationalStressField
+from jetstress.jet import JetCovector, JetElement, pair_jet
 from jetstress.multiindex import CardinalityIndex, MultiIndex, enumerate_nondecreasing, mi_factorial
 from jetstress.multiindex import dense_classes, sym_dim
 from jetstress.polyfield import Point, PolyField, Polynomial, _as_counts, box_integral
@@ -509,3 +512,66 @@ def test_symmetrize_writes_the_symmetrized_tensor(tmp_path):
         assert main(["symmetrize", str(source), "--out", str(out)]) == 0
         expected = fileio.dumps(fileio.tensor_to_obj(compress(symmetrize_dense(dense))))
         assert out.read_bytes() == expected.encode()
+
+
+def ref_pair_jet(covector: JetCovector, jet: JetElement) -> Fraction:
+    total = Fraction(0)
+    for l in range(jet.k + 1):
+        for alpha in range(jet.m):
+            phi = covector.blocks[l][alpha].components
+            a = jet.blocks[l][alpha].components
+            total += sum((p * v for p, v in zip(phi, a)), Fraction(0))
+    return total
+
+
+def check_pair_jet(n: int, m: int, k: int, draw) -> None:
+    """``pair_jet`` against the slot loop on a jet and a covector of values from ``draw``."""
+    def blocks(variance: str, convention: str) -> tuple:
+        return tuple(
+            tuple(SymTensor(n, l, variance, convention, draw(sym_dim(n, l))) for _ in range(m))
+            for l in range(k + 1)
+        )
+
+    jet = JetElement(n, m, k, Point((Fraction(1, 3),) * n), blocks("co", "plain"))
+    covector = JetCovector(n, m, k, blocks("contra", "arrow"))
+    value = pair_jet(covector, jet)
+    assert value == ref_pair_jet(covector, jet) and type(value) is Fraction
+
+
+def test_pair_jet_matches_the_slot_loop():
+    rng = random.Random(313)
+    for trial in range(60):
+        n, m = 1 + trial % 4, 1 + trial % 2
+        k = trial % 7 if n < 4 else trial % 5
+        # No zeros, half zeros, or every block zero; big coprime denominators from ``coeff``.
+        zero_share = (0.0, 0.5, 1.0)[trial % 3]
+        check_pair_jet(n, m, k, lambda count: tensor_values(rng, count, zero_share))
+
+
+def test_pair_jet_matches_on_hypothesis_jets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    values = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+        st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(BIG_DENOMINATORS)),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(1, 3),
+        st.integers(1, 2),
+        st.integers(0, 6),
+        st.lists(values, min_size=1, max_size=6),
+        st.floats(0, 1),
+        st.randoms(),
+    )
+    def check(n, m, k, pool, zero_share, rng):
+        def draw(count: int) -> tuple[Fraction, ...]:
+            return tuple(
+                Fraction(0) if rng.random() < zero_share else rng.choice(pool) for _ in range(count)
+            )
+
+        check_pair_jet(n, m, k, draw)
+
+    check()

@@ -145,7 +145,9 @@ def test_cauchy_traction_restricts_slotwise():
         k = rng.randint(1, 3)
         stress = rand_traction(rng, n, m, k)
         frame = rand_frame(rng, n)
-        covector = cauchy_traction(stress, frame).covector
+        traction = cauchy_traction(stress, frame)
+        assert (traction.n, traction.m, traction.k) == (n, m, k)
+        covector = traction.covector
         for l in range(k):
             for card in enumerate_nondecreasing(n, l):
                 for a in range(1, m + 1):

@@ -3,10 +3,11 @@
 ``compose_affine`` is pullback along an affine map, so the identity map
 leaves a polynomial alone, two pullbacks are one pullback along the composed
 map, and shifting a full Taylor expansion back to the original variables
-gives the polynomial again.  Polynomials form a commutative ring, evaluation
-at a point is a ring homomorphism, freezing a variable and then evaluating is
-evaluating at the point with that coordinate replaced, and ``derive`` obeys
-the Leibniz rule.
+gives the polynomial again.  A pullback truncated at an order as it is built
+is the full pullback with the terms above that order dropped.  Polynomials
+form a commutative ring, evaluation at a point is a ring homomorphism,
+freezing a variable and then evaluating is evaluating at the point with that
+coordinate replaced, and ``derive`` obeys the Leibniz rule.
 """
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def polynomials(draw, n: int) -> Polynomial:
-    cards = [card for l in range(4) for card in enumerate_nondecreasing(n, l)]
+def polynomials(draw, n: int, degree: int = 3) -> Polynomial:
+    cards = [card for l in range(degree + 1) for card in enumerate_nondecreasing(n, l)]
     coeffs = draw(st.dictionaries(st.sampled_from(cards), fractions, max_size=8))
     return Polynomial.from_map(n, coeffs)
 
@@ -69,6 +70,18 @@ def test_full_taylor_expansion_shifts_back_to_the_polynomial(data, n):
     p, center = data.draw(polynomials(n)), data.draw(vectors(n))
     expansion = p.taylor(Point(tuple(center)), p.degree)
     assert expansion.compose_affine(identity(n), [-v for v in center]) == p
+
+
+@SETTINGS
+@hypothesis.given(st.data(), st.integers(1, 4), st.integers(0, 7), st.integers(0, 5))
+def test_truncated_pullback_is_the_full_pullback_cut_at_the_order(data, n, degree, order):
+    p = data.draw(polynomials(n, degree))
+    a, b = data.draw(matrices(n)), data.draw(vectors(n))
+    full = p.compose_affine(a, b)
+    cut = Polynomial(n, tuple(term for term in full.terms if term[0].degree <= order))
+    assert p._pullback(a, b, order) == cut
+    if order >= degree:
+        assert p._pullback(a, b, order) == full
 
 
 @SETTINGS

@@ -66,6 +66,11 @@ def test_apply_permutation_example():
     p = Permutation((3, 1, 2))
     index = MultiIndex((1, 2, 2), 3)
     assert apply_permutation(p, index) == MultiIndex((2, 1, 2), 3)
+    assert str(apply_permutation(p, index)) == "2,1,2" and str(MultiIndex((), 3)) == ""
+    assert [p(r) for r in (1, 2, 3)] == [3, 1, 2]
+    for position in (0, 4):
+        with pytest.raises(ValueError, match=rf"position {position} out of range 1\.\.3"):
+            p(position)
     with pytest.raises(ValueError):
         apply_permutation(p, MultiIndex((1, 2), 3))
 

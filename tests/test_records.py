@@ -28,8 +28,9 @@ from jetstress.hyperstress import (
     TractionStressField,
     VariationalHyperStress,
     VariationalStressField,
+    cauchy_traction,
 )
-from jetstress.jet import ChartMap, JetCovector, JetElement
+from jetstress.jet import ChartMap, JetCovector, JetElement, jet_of, transform_1jet
 from jetstress.multiindex import CardinalityIndex, MultiIndex, Permutation, apply_permutation
 from jetstress.multiindex import permutations_of
 from jetstress.polyfield import Point, PolyField, Polynomial
@@ -42,6 +43,7 @@ from conftest import (
     rand_dense,
     rand_field,
     rand_fraction,
+    rand_frame,
     rand_jet,
     rand_point,
     rand_poly,
@@ -179,6 +181,11 @@ def _polynomials(rng: random.Random) -> list:
     return [p * q, p + q, -p, p * "3/2", p.derive((1, 0)), p.substitute(2, Fraction(1, 3))]
 
 
+def with_blocks(*records) -> list:
+    """The jets or jet covectors and every block tensor they hold."""
+    return [*records, *(tensor for r in records for block in r.blocks for tensor in block)]
+
+
 # Each library path that builds records without checks, and records it built from seeded data.
 TRUSTED = {
     "apply_permutation": lambda rng: [
@@ -212,6 +219,19 @@ TRUSTED = {
         rand_traction_field(rng, 2, 2, 2, 1).at(rand_point(rng, 2)),
         TractionStressField.constant(rand_traction(rng, 2, 1, 2)),
     ],
+    "jet builder": lambda rng: with_blocks(
+        JetElement.zero(2, 2, 1),
+        jet_of(rand_field(rng, 3, 2, 3), rand_point(rng, 3), 2),
+        fileio.jet_from_obj(fileio.jet_to_obj(rand_jet(rng, 2, 2, 2))),
+        transform_1jet(rand_jet(rng, 2, 2, 1), rand_chart(rng, 2, 2)),
+    ),
+    "covector builder": lambda rng: with_blocks(
+        JetCovector.from_map(2, 2, 2, {(1, (1, 2)): "1/3", (2, ()): 4, (2, (2,)): 0.5}),
+        VariationalHyperStress.from_map(1, 1, 3, {(1, (1, 1)): Fraction(2, 7)}).covector,
+        TractionHyperStress.from_map(2, 1, 2, {(1, (1,), 2): 3, (1, (), 1): "1/2"}).axes[1],
+        cauchy_traction(rand_traction(rng, 3, 2, 2), rand_frame(rng, 3)).covector,
+        rand_variational_field(rng, 2, 2, 2, 1).at(rand_point(rng, 2)).covector,
+    ),
 }
 
 
@@ -236,8 +256,33 @@ def test_trusted_paths_build_the_checked_records(path):
             assert all(type(e) is int for e in obj.entries)
 
 
+def test_computed_jet_blocks_skip_the_checked_tensor_constructor(monkeypatch):
+    rng = random.Random(13)
+    stress, frame = rand_traction(rng, 3, 2, 3), rand_frame(rng, 3)
+    field, x = rand_field(rng, 3, 2, 3), rand_point(rng, 3)
+    stress_field = rand_variational_field(rng, 2, 2, 2, 1)
+    jet_obj = fileio.jet_to_obj(rand_jet(rng, 3, 2, 2))
+    calls = []
+    checked = SymTensor.__init__
+
+    def counting(self, *args) -> None:
+        calls.append(args)
+        checked(self, *args)
+
+    monkeypatch.setattr(SymTensor, "__init__", counting)
+    built = [
+        cauchy_traction(stress, frame).covector,
+        jet_of(field, x, 3),
+        stress_field.at(rand_point(rng, 2)).covector,
+        fileio.jet_from_obj(jet_obj),
+    ]
+    assert calls == []
+    assert all(type(t) is SymTensor for record in built for block in record.blocks for t in block)
+
+
 def test_checked_builders_still_refuse_bad_input():
     dense_file = {"n": 2, "degree": 2, "variance": "co", "storage": "dense"}
+    co_block = SymTensor(1, 0, "co", "arrow", (1,))
     refused = [
         (lambda: DenseTensor(2, 1, "up", (0, 0)), "variance must be 'co' or 'contra', got 'up'"),
         (lambda: DenseTensor.from_map(2, 1, "up", {}), "variance must be"),
@@ -266,6 +311,18 @@ def test_checked_builders_still_refuse_bad_input():
         (lambda: TractionHyperStress.from_map(0, 1, 1, {}), "n must be at least 1, got 0"),
         (lambda: TractionHyperStress.from_map(2, 0, 1, {}), "m must be at least 1, got 0"),
         (lambda: TractionHyperStress.from_map(2, 1, 0, {}), "order must be at least 1, got 0"),
+        (lambda: JetElement.zero(2, 0, 1), "m must be at least 1, got 0"),
+        (lambda: JetCovector.zero(0, 1, 1), "n must be at least 1, got 0"),
+        (lambda: JetElement.zero(2, 1, 1, Point((0,))), "base point dimension mismatch"),
+        (
+            lambda: fileio.jet_from_obj({"n": 2, "m": 1, "k": 0, "x": ["1"]}),
+            "base point dimension mismatch",
+        ),
+        (lambda: JetElement(1, 1, 0, Point((0,)), ((co_block,),)), "must be co/plain"),
+        (lambda: JetCovector(1, 1, 0, ((co_block.with_convention("plain"),),)), "contra/arrow"),
+        (lambda: JetCovector(1, 1, 1, ((co_block,),)), "expected 2 blocks, got 1"),
+        (lambda: JetCovector.from_map(2, 1, 1, {(2, ()): 1}), r"component 2 out of range 1\.\.1"),
+        (lambda: JetCovector.from_map(2, 1, 1, {(1, (1, 1)): 1}), "order 2 exceeds jet order 1"),
     ]
     for build, message in refused:
         with pytest.raises(ValueError, match=message):
