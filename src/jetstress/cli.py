@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NoReturn, Sequence
 
 from . import fileio
-from .fileio import _JET_SLOTS, _TENSOR_COMPONENTS, format_rational
+from .fileio import _TENSOR_COMPONENTS, _check_slots, format_rational
 from .hyperstress import (
     BoxRegion,
     TractionStressField,
@@ -111,7 +111,7 @@ def cmd_jet(args: argparse.Namespace) -> int:
     field = fileio.field_from_obj(fileio.load(args.field))
     point = _parse_point(args.point)
     request = f"jet at --k {args.k} of a field with n={field.n}, m={field.m}"
-    _check_budget(_slot_sizes(field.n, field.m, args.k), _JET_SLOTS, request, "jet slots")
+    _check_slots(field.n, field.m, args.k, request)
     jet = jet_of(field, point, args.k)
     obj = fileio.jet_to_obj(jet)
     if args.out:
@@ -186,7 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     jets = args.suite == "jets"
     order, width = (args.k, args.m) if jets else (max(args.k, 1) - 1, args.n * args.m)
     request = f"verify {args.suite} at --n {args.n} --m {args.m} --k {args.k} --cases {args.cases}"
-    _check_budget(_slot_sizes(args.n, args.cases * width, order), _JET_SLOTS, request, "jet slots")
+    _check_slots(args.n, args.cases * width, order, request)
     if jets:
         return _checks.verify_jets(rng, args.n, args.m, order, args.cases)
     return _checks.verify_cauchy(rng, args.n, args.m, order + 1, args.cases)

@@ -3,6 +3,13 @@
 Scalars are exact rationals written as strings, ``"3/2"`` or ``"4"``.
 Zero entries are omitted when writing and assumed when reading.
 
+Keys and values are ASCII; any other character, raw or JSON-escaped, is a
+load error.  A value or ``--point``/``--box`` coordinate reads as ``Fraction``
+reads it and a key's integers as ``int`` does: surrounding whitespace, ``_``
+between digits, leading zeros and signs load, though no writer emits them.
+A slot or monomial named twice in different spellings takes the last value,
+as a duplicate JSON key does.  Integer flags are argparse's ``int``.
+
 Index keys come in two grammars:
 
 * an axis list names tensor slots by their 1-based axes in order, like
@@ -37,13 +44,15 @@ import math
 import re
 import sys
 from fractions import Fraction
+from operator import gt
 from typing import Any, Sequence
 
 from .altforms import CoDimOneForm
 from .jet import JetElement, _check_jet_shape, _jet_of_slots, _slot_items
 from .hyperstress import TractionStressField, VariationalStressField, _check_order
-from .multiindex import CardinalityIndex, MultiIndex, _canonical_axes, _check_axes, _dense_offset
-from .multiindex import _check_budget, _check_shape, _class_counts, _slot_sizes
+from .multiindex import CardinalityIndex, MultiIndex, _axes_rank, _canonical_axes, _check_axes
+from .multiindex import _check_budget, _check_shape, _class_counts, _dense_offset, _slot_sizes
+from .multiindex import sym_dim
 from .polyfield import Point, PolyField, Polynomial
 from .symtensor import _CONVENTIONS, _VARIANCES, _ZERO, DenseTensor, SymTensor, _check_choice
 
@@ -72,8 +81,11 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    text = str(text).strip()
+    text = str(text)
     try:
+        if not text.isascii():
+            raise ValueError("not ASCII")
+        text = text.strip()
         exponent = _EXPONENT_DIGITS.search(text)
         if exponent and int(exponent[1]) > _EXPONENT:
             raise ValueError(f"exponent exceeds its budget of {_EXPONENT}")
@@ -87,30 +99,45 @@ def axis_list_key(index: MultiIndex | Sequence[int]) -> str:
     return ",".join(map(str, entries))
 
 
-def _int_list(text: str, what: str) -> tuple[int, ...]:
-    """The comma-separated ints of an axis list or a counts list; empty text is ``()``."""
-    text = text.strip()
+def _int_list(text: str, what: str, size: int | None = None) -> tuple[int, ...]:
+    """The comma-separated ints of a key, ``size`` of them if given; empty text is ``()``.
+
+    The one reader of key integers: a slot's component and axis and a block order are lists of 1.
+    """
     try:
-        return tuple(map(int, text.split(","))) if text else ()
+        ints = tuple(map(int, text.split(","))) if text.strip() else ()
+        if text.isascii() and (size is None or len(ints) == size):
+            return ints
     except ValueError:
-        raise ValueError(f"bad {what} {text!r}") from None
+        pass
+    raise ValueError(f"bad {what} {text!r}")
 
 
 def parse_axis_list(text: str, n: int) -> MultiIndex:
     return MultiIndex(_int_list(text, "axis list"), n)
 
 
+def _nondecreasing(axes: tuple[int, ...]) -> tuple[int, ...]:
+    """The axis list of a symmetric slot, checked to be non-decreasing."""
+    if any(map(gt, axes, axes[1:])):
+        raise ValueError(f"axis list {axis_list_key(axes)!r} must be non-decreasing")
+    return axes
+
+
+def _class_offset(axes: tuple[int, ...], n: int) -> int:
+    """The colex rank of a symmetric component's axis list; ``_dense_offset``'s signature."""
+    return _axes_rank(_nondecreasing(axes))
+
+
 def _class_key(text: str, n: int) -> CardinalityIndex:
     """The index class named by a non-decreasing axis list, the key of a symmetric slot."""
     axes = _int_list(text, "axis list")
     _check_axes(axes, n)
-    if list(axes) != sorted(axes):
-        raise ValueError(f"axis list {text!r} must be non-decreasing")
-    return CardinalityIndex(tuple(map(axes.count, range(1, n + 1))))
+    return CardinalityIndex(tuple(map(_nondecreasing(axes).count, range(1, n + 1))))
 
 
 def counts_key(card: CardinalityIndex) -> str:
-    return str(card)
+    return axis_list_key(card.counts)
 
 
 def _counts(text: str, n: int) -> tuple[int, ...]:
@@ -166,13 +193,8 @@ def _check_tensor_size(n: int, degree: int, storage: str) -> None:
     _check_budget((size,), _TENSOR_COMPONENTS, request, "components")
 
 
-def _check_slots(n: int, m: int, k: int, what: str, traction: bool = False) -> None:
-    """Check a jet-shaped header and refuse more than ``_JET_SLOTS`` slots."""
-    if traction:
-        _check_order(k)
-    _check_jet_shape(n, m, k)
-    width, order = (n * m, k - 1) if traction else (m, k)
-    request = f"{what} of n={n}, m={m}, k={k}"
+def _check_slots(n: int, width: int, order: int, request: str) -> None:
+    """Refuse a request for ``width`` rows of jet slots through ``order`` past ``_JET_SLOTS``."""
     _check_budget(_slot_sizes(n, width, order), _JET_SLOTS, request, "jet slots")
 
 
@@ -182,36 +204,23 @@ def dumps(obj: Any) -> str:
 
 
 def tensor_to_obj(tensor: DenseTensor | SymTensor) -> dict:
+    n, degree = tensor.n, tensor.degree
+    obj = {"n": n, "degree": degree, "variance": tensor.variance}
     if isinstance(tensor, DenseTensor):
-        components = {}
-        axes = itertools.product(range(1, tensor.n + 1), repeat=tensor.degree)
-        for entries, value in zip(axes, tensor.components):
-            if value != 0:
-                components[axis_list_key(entries)] = format_rational(value)
-        return {
-            "n": tensor.n,
-            "degree": tensor.degree,
-            "variance": tensor.variance,
-            "storage": "dense",
-            "components": components,
-        }
-    components = {}
-    for counts, value in zip(_class_counts(tensor.n, tensor.degree), tensor.components):
-        if value != 0:
-            components[axis_list_key(_canonical_axes(counts))] = format_rational(value)
-    return {
-        "n": tensor.n,
-        "degree": tensor.degree,
-        "variance": tensor.variance,
-        "storage": "symmetric",
-        "convention": tensor.convention,
-        "components": components,
+        obj["storage"], keys = "dense", itertools.product(range(1, n + 1), repeat=degree)
+    else:
+        obj["storage"], obj["convention"] = "symmetric", tensor.convention
+        keys = map(_canonical_axes, _class_counts(n, degree))
+    obj["components"] = {
+        axis_list_key(axes): format_rational(value)
+        for axes, value in zip(keys, tensor.components)
+        if value != 0
     }
+    return obj
 
 
 def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
-    n = _header(obj, "tensor", "n")
-    degree = _header(obj, "tensor", "degree")
+    n, degree = (_header(obj, "tensor", name) for name in ("n", "degree"))
     variance = _header(obj, "tensor", "variance", str)
     storage = _header(obj, "tensor", "storage", str)
     components = _json_object(obj.get("components", {}), "tensor components")
@@ -219,31 +228,31 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
     _check_choice("storage", storage, ("dense", "symmetric"))
     _check_tensor_size(n, degree, storage)
     if storage == "dense":
-        # Each value goes straight to its row-major offset, and each distinct literal is parsed
-        # once.  The memo is keyed on the literal's text, all that parse_rational reads, so
-        # JSON true is not taken for 1.
-        comps = [_ZERO] * n**degree
-        parsed: dict[str, Fraction] = {}
-        for key, text in components.items():
-            axes = _int_list(key, "axis list")
-            if len(axes) != degree:
-                raise ValueError(f"component key {key!r} has degree {len(axes)}, expected {degree}")
-            if axes and (min(axes) < 1 or max(axes) > n):
-                _check_axes(axes, n)
-            literal = str(text)
-            if literal not in parsed:
-                parsed[literal] = parse_rational(literal)
-            comps[_dense_offset(axes, n)] = parsed[literal]
-        return DenseTensor._trusted(n, degree, variance, tuple(comps))
-    convention = obj.get("convention", "plain")
-    _check_choice("convention", convention, _CONVENTIONS)
-    entries = {}
+        cls, fields, size, offset = DenseTensor, (n, degree, variance), n**degree, _dense_offset
+    else:
+        convention = obj.get("convention", "plain")
+        _check_choice("convention", convention, _CONVENTIONS)
+        cls, fields = SymTensor, (n, degree, variance, convention)
+        size, offset = sym_dim(n, degree), _class_offset
+    # Each value goes straight to its row-major offset or colex rank, and each distinct literal
+    # is parsed once.  The memo is keyed on the literal's text, all that parse_rational reads,
+    # so JSON true is not taken for 1.
+    comps = [_ZERO] * size
+    parsed: dict[str, Fraction] = {}
+    # The size check above holds n to _TENSOR_COMPONENTS unless the degree, and so every key, is 0.
+    in_range = frozenset(range(1, n + 1) if degree else ()).issuperset
     for key, text in components.items():
-        card = _class_key(key, n)
-        if card.degree != degree:
-            raise ValueError(f"component key {key!r} has degree {card.degree}, expected {degree}")
-        entries[card] = parse_rational(text)
-    return SymTensor.from_map(n, degree, variance, convention, entries)
+        axes = _int_list(key, "axis list")
+        if len(axes) != degree:
+            raise ValueError(f"component key {key!r} has degree {len(axes)}, expected {degree}")
+        if not in_range(axes):
+            _check_axes(axes, n)
+        at = offset(axes, n)
+        literal = str(text)
+        if literal not in parsed:
+            parsed[literal] = parse_rational(literal)
+        comps[at] = parsed[literal]
+    return cls._trusted(*fields, tuple(comps))
 
 
 def form_to_obj(form: CoDimOneForm) -> dict:
@@ -270,16 +279,12 @@ def polynomial_from_obj(obj: dict, n: int) -> Polynomial:
 
 
 def field_to_obj(field: PolyField) -> dict:
-    return {
-        "n": field.n,
-        "m": field.m,
-        "components": [polynomial_to_obj(poly) for poly in field.components],
-    }
+    components = [polynomial_to_obj(poly) for poly in field.components]
+    return {"n": field.n, "m": field.m, "components": components}
 
 
 def field_from_obj(obj: dict) -> PolyField:
-    n = _header(obj, "field", "n")
-    m = _header(obj, "field", "m")
+    n, m = (_header(obj, "field", name) for name in "nm")
     components = _header(obj, "field", "components", list)
     if len(components) != m:
         raise ValueError(f"expected {m} components, got {len(components)}")
@@ -290,49 +295,49 @@ def field_from_obj(obj: dict) -> PolyField:
     return PolyField(n, m, tuple(polys))
 
 
-def _parse_jet_slot_key(key: str, n: int) -> tuple[int, CardinalityIndex]:
+def _slot_key(*parts: Sequence[int]) -> str:
+    """A jet or stress slot key: its parts, each written as an axis list, joined by ``|``."""
+    return "|".join(map(axis_list_key, parts))
+
+
+def _parse_slot_key(key: str, n: int, kind: str) -> tuple:
+    """``(alpha, index class)`` from a jet or stress slot key, plus ``j`` from a traction key."""
     parts = key.split("|")
-    if len(parts) != 2:
-        raise ValueError(f"bad jet slot key {key!r}")
+    if len(parts) != (3 if kind == "traction" else 2):
+        raise ValueError(f"bad {kind} slot key {key!r}")
     try:
-        alpha = int(parts[0])
-    except ValueError:
-        raise ValueError(f"bad jet slot key {key!r}") from None
-    return alpha, parse_counts(parts[1], n)
+        (alpha,) = _int_list(parts[0], "component", 1)
+        index = parse_counts(parts[1], n) if kind == "jet" else _class_key(parts[1], n)
+        j = _int_list(parts[2], "axis", 1) if kind == "traction" else ()
+    except ValueError as exc:
+        raise ValueError(f"bad {kind} slot key {key!r}: {exc}") from None
+    return (alpha, index, *j)
 
 
 def jet_to_obj(jet: JetElement) -> dict:
-    blocks: dict[str, dict[str, str]] = {str(l): {} for l in range(jet.k + 1)}
+    blocks: list[dict[str, str]] = [{} for _ in range(jet.k + 1)]
     rows = ((t.components for t in block) for block in jet.blocks)
     for l, alpha, counts, value in _slot_items(jet.n, rows, 0):
-        blocks[str(l)][f"{alpha}|{','.join(map(str, counts))}"] = format_rational(value)
-    return {
-        "n": jet.n,
-        "m": jet.m,
-        "k": jet.k,
-        "x": [format_rational(c) for c in jet.x.coords],
-        "blocks": blocks,
-    }
+        blocks[l][_slot_key((alpha,), counts)] = format_rational(value)
+    x = [format_rational(c) for c in jet.x.coords]
+    orders = {axis_list_key((l,)): block for l, block in enumerate(blocks)}
+    return {"n": jet.n, "m": jet.m, "k": jet.k, "x": x, "blocks": orders}
 
 
 def jet_from_obj(obj: dict) -> JetElement:
-    n = _header(obj, "jet", "n")
-    m = _header(obj, "jet", "m")
-    k = _header(obj, "jet", "k")
+    n, m, k = (_header(obj, "jet", name) for name in "nmk")
     x = _header(obj, "jet", "x", list)
     blocks_obj = _json_object(obj.get("blocks", {}), "jet blocks")
-    _check_slots(n, m, k, "jet")
+    _check_jet_shape(n, m, k)
+    _check_slots(n, m, k, f"jet of n={n}, m={m}, k={k}")
     point = Point(tuple(parse_rational(c) for c in x))
     slots = {}
     for order_key, entries in blocks_obj.items():
-        try:
-            l = int(order_key)
-        except ValueError:
-            raise ValueError(f"bad block order {order_key!r}") from None
+        (l,) = _int_list(order_key, "block order", 1)
         if not 0 <= l <= k:
             raise ValueError(f"block order {l} out of range 0..{k}")
         for key, text in _json_object(entries, f"jet block {order_key!r}").items():
-            alpha, card = _parse_jet_slot_key(key, n)
+            alpha, card = _parse_slot_key(key, n, "jet")
             if card.degree != l:
                 raise ValueError(f"slot {key!r} has degree {card.degree}, expected {l}")
             slots[alpha, card] = parse_rational(text)
@@ -341,53 +346,37 @@ def jet_from_obj(obj: dict) -> JetElement:
 
 def stress_to_obj(stress: VariationalStressField | TractionStressField) -> dict:
     if isinstance(stress, VariationalStressField):
-        kind, parts = "variational", [(stress, "")]
+        kind, parts = "variational", [(stress, ())]
     elif isinstance(stress, TractionStressField):
-        kind, parts = "traction", [(ax, f"|{j}") for j, ax in enumerate(stress.axes, start=1)]
+        kind, parts = "traction", [(ax, ((j,),)) for j, ax in enumerate(stress.axes, start=1)]
     else:
         raise ValueError(f"unsupported stress type {type(stress).__name__}")
     blocks, zero = {}, Polynomial.zero(stress.n)
     for part, suffix in parts:
         for _, alpha, counts, poly in _slot_items(stress.n, part.blocks, zero):
-            key = f"{alpha}|{axis_list_key(_canonical_axes(counts))}{suffix}"
-            blocks[key] = _poly_value_obj(poly)
+            blocks[_slot_key((alpha,), _canonical_axes(counts), *suffix)] = _poly_value_obj(poly)
     return {"n": stress.n, "m": stress.m, "k": stress.k, "kind": kind, "blocks": blocks}
 
 
 def _poly_value_obj(poly: Polynomial) -> dict[str, str]:
-    out = {}
-    for card, coeff in poly.terms:
-        key = "" if card.degree == 0 else counts_key(card)
-        out[key] = format_rational(coeff)
-    return out
-
-
-def _parse_stress_slot_key(key: str, n: int, kind: str) -> tuple:
-    """``(alpha, index class)`` from ``"alpha|axis list"``, plus ``j`` from ``"...|j"``."""
-    parts = key.split("|")
-    if len(parts) != (2 if kind == "variational" else 3):
-        raise ValueError(f"bad {kind} slot key {key!r}")
-    try:
-        return (int(parts[0]), _class_key(parts[1], n), *map(int, parts[2:]))
-    except ValueError as exc:
-        raise ValueError(f"bad {kind} slot key {key!r}: {exc}") from None
+    return {counts_key(c) if c.degree else "": format_rational(v) for c, v in poly.terms}
 
 
 def stress_from_obj(obj: dict) -> VariationalStressField | TractionStressField:
-    n = _header(obj, "stress", "n")
-    m = _header(obj, "stress", "m")
-    k = _header(obj, "stress", "k")
+    n, m, k = (_header(obj, "stress", name) for name in "nmk")
     kind = _header(obj, "stress", "kind", str)
     blocks = obj.get("blocks", {})
     fields = {"variational": VariationalStressField, "traction": TractionStressField}
     _check_choice("kind", kind, tuple(fields))
-    _check_slots(n, m, k, f"{kind} stress", kind == "traction")
-    entries = {
-        _parse_stress_slot_key(key, n, kind): polynomial_from_obj(
-            _json_object(value, f"stress slot {key!r}"), n
-        )
-        for key, value in _json_object(blocks, "stress blocks").items()
-    }
+    if kind == "traction":
+        _check_order(k)
+    _check_jet_shape(n, m, k)
+    width, order = (n * m, k - 1) if kind == "traction" else (m, k)
+    _check_slots(n, width, order, f"{kind} stress of n={n}, m={m}, k={k}")
+    entries = {}
+    for key, value in _json_object(blocks, "stress blocks").items():
+        slot = _parse_slot_key(key, n, kind)
+        entries[slot] = polynomial_from_obj(_json_object(value, f"stress slot {key!r}"), n)
     return fields[kind].from_map(n, m, k, entries)
 
 
@@ -398,7 +387,11 @@ def save(obj: dict, path: str) -> None:
 
 def load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            # RFC 8259 lets a parser limit nesting; Python's json limit is the recursion limit.
+            raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("top-level JSON value must be an object")
     return data

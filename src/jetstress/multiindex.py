@@ -350,7 +350,12 @@ def rank(card: CardinalityIndex) -> int:
     With entries ``i_1 <= ... <= i_l`` the rank is the combinatorial number
     system value ``sum_j C(i_j + j - 2, j)``.
     """
-    return sum(math.comb(i + j - 2, j) for j, i in enumerate(_canonical_axes(card.counts), 1))
+    return _axes_rank(_canonical_axes(card.counts))
+
+
+def _axes_rank(axes: Sequence[int]) -> int:
+    """:func:`rank` of the class whose canonical axis list is ``axes``, non-decreasing."""
+    return sum(math.comb(i + j - 2, j) for j, i in enumerate(axes, 1))
 
 
 def unrank(n: int, l: int, r: int) -> CardinalityIndex:

@@ -863,3 +863,61 @@ def test_jet_and_form_headers_name_the_bad_field():
     for bad, field in (({"coeffs": "1,0"}, "'coeffs'"), ({"n": 2.0}, "'n'")):
         with pytest.raises(ValueError, match=field):
             fileio.form_from_obj({**form, **bad})
+
+
+# One file per command: the first file it reads, nested deeper than Python's recursion limit.
+NESTED = {
+    "symmetrize": ["symmetrize", "deep.json", "--out", "out.json"],
+    "pair": ["pair", "deep.json", "contra.json"],
+    "jet": ["jet", "deep.json", "--point", "0,0", "--k", "1", "--out", "out.json"],
+    "power": ["power", "deep.json", "field.json", "--box", "0,0:1,1"],
+    "flux": ["flux", "deep.json", "field.json", "--box", "0,0:1,1"],
+}
+
+
+def _nested(tmp_path, depth: int) -> None:
+    (tmp_path / "deep.json").write_text('{"n": 2, "m": ' + "[" * depth + "]" * depth + "}")
+    (tmp_path / "field.json").write_text('{"n": 2, "m": 1, "components": [{"1,0": "1"}]}')
+    contra = {"n": 2, "degree": 1, "variance": "contra", "storage": "dense"}
+    write_json(tmp_path / "contra.json", contra)
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize("command", sorted(NESTED))
+def test_json_nested_too_deeply_ends_in_one_error_line(tmp_path, capsys, command, depth):
+    _nested(tmp_path, depth)
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in NESTED[command]]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: JSON nested too deeply\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_json_nested_too_deeply_ends_in_one_error_line_in_a_child(tmp_path):
+    _nested(tmp_path, 100_000)
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in NESTED["flux"]]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "jetstress.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: JSON nested too deeply\n"
+
+
+def test_file_and_flag_text_is_ascii(tmp_path, capsys):
+    field = tmp_path / "field.json"
+    for components, err in (
+        ('{"\\u0661,0": "1"}', "error: bad counts list '١,0'\n"),
+        ('{"1,0": "١/٢"}', "error: bad rational '١/٢': not ASCII\n"),
+    ):
+        field.write_text('{"n": 2, "m": 1, "components": [' + components + "]}", encoding="utf-8")
+        assert main(["jet", str(field), "--point", "0,0", "--k", "1"]) == 1
+        assert capsys.readouterr() == ("", err)
+    # Padded, signed and zero-led ASCII spellings load, and write back in the plain form.
+    field.write_text('{"n": 2, "m": 1, "components": [{" +1, 00 ": " 1_0/4 "}]}')
+    assert main(["jet", str(field), "--point", "0,0", "--k", "1"]) == 0
+    assert '"1|1,0": "5/2"' in capsys.readouterr().out
+    assert main(["jet", str(field), "--point", "０,0", "--k", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: bad point '０,0'; expected comma-separated rationals\n"
+    )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,12 @@ def test_symmetric_keys_must_be_nondecreasing():
     }
     with pytest.raises(ValueError, match="non-decreasing"):
         fileio.tensor_from_obj(obj)
+    # The message spells the axis list as the writers do.
+    with pytest.raises(ValueError, match=r"^axis list '2,1' must be non-decreasing$"):
+        fileio.tensor_from_obj({**obj, "components": {" 2, 1": "1"}})
+    stress = {"n": 2, "m": 1, "k": 2, "kind": "variational", "blocks": {"1| 2, 1": {"": "1"}}}
+    with pytest.raises(ValueError, match=r"^bad variational slot key '1\| 2, 1': axis list '2,1' must"):
+        fileio.stress_from_obj(stress)
     obj["storage"] = "dense"
     del obj["convention"]
     assert fileio.tensor_from_obj(obj).component((2, 1)) == 1
@@ -120,16 +127,15 @@ def test_symmetric_keys_must_be_nondecreasing():
 def test_dense_reader_parses_each_key_once(monkeypatch):
     t = rand_dense(random.Random(84), 3, 4, "contra")
     obj = fileio.tensor_to_obj(t)
-    built = []
-    original = MultiIndex.__post_init__
-
-    def counting(self):
-        built.append(self)
-        original(self)
-
-    monkeypatch.setattr(MultiIndex, "__post_init__", counting)
+    built = built_records(monkeypatch, MultiIndex)
+    cards = built_records(monkeypatch, CardinalityIndex)
     assert fileio.tensor_from_obj(obj) == t
-    assert built == []
+    assert built == [] and cards == []
+    # A symmetric key goes straight to the colex rank of its axis list.
+    for convention in ("plain", "arrow"):
+        s = rand_sym(random.Random(85), 3, 5, "co", convention)
+        assert fileio.tensor_from_obj(fileio.tensor_to_obj(s)) == s
+    assert built == [] and cards == []
     obj["components"] = {"1,2,3,4": "1"}
     with pytest.raises(ValueError, match=r"^axis 4 out of range 1\.\.3$"):
         fileio.tensor_from_obj(obj)
@@ -139,6 +145,20 @@ def test_dense_reader_parses_each_key_once(monkeypatch):
     obj["components"] = {"1,x,1,1": "1"}
     with pytest.raises(ValueError, match="bad axis list"):
         fileio.tensor_from_obj(obj)
+
+
+def test_a_degree_zero_tensor_builds_no_table_of_its_axes():
+    # Only degree 0 admits an n past the component budget; its one key names no axis.
+    import tracemalloc
+
+    for storage in ("dense", "symmetric"):
+        obj = {"n": 10**5, "degree": 0, "variance": "co", "storage": storage, "components": {"": "3"}}
+        tracemalloc.start()
+        try:
+            assert fileio.tensor_from_obj(obj).components == (3,)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
 
 
 def test_dense_reader_parses_each_distinct_literal_once(monkeypatch):
@@ -156,6 +176,13 @@ def test_dense_reader_parses_each_distinct_literal_once(monkeypatch):
     assert t.components == (Fraction(1, 2), -3, Fraction(1, 2), Fraction(1, 2))
     assert all(type(c) is Fraction for c in t.components)
     # " 1/2" is another literal, though it parses to the same value.
+    assert sorted(parsed) == [" 1/2", "-3", "1/2"]
+    parsed.clear()
+    components = {"1,1,1": "1/2", "1,1,2": "-3", "1,2,2": "1/2", "2,2,2": " 1/2"}
+    obj = {**obj, "degree": 3, "storage": "symmetric", "components": components}
+    t = fileio.tensor_from_obj(obj)
+    assert t.components == (Fraction(1, 2), -3, Fraction(1, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in t.components) and t.convention == "plain"
     assert sorted(parsed) == [" 1/2", "-3", "1/2"]
 
 
@@ -255,6 +282,147 @@ def test_jet_header_past_its_budget_is_refused_before_reading():
         fileio.jet_from_obj(obj)
 
 
+TENSOR = {"n": 2, "degree": 1, "variance": "co", "storage": "symmetric", "convention": "plain"}
+
+
+JET = {"n": 2, "m": 1, "k": 1, "x": ["0", "0"]}
+VARIATIONAL = {"n": 2, "m": 1, "k": 1, "kind": "variational"}
+TRACTION = {"n": 2, "m": 1, "k": 1, "kind": "traction"}
+
+
+@pytest.mark.parametrize(
+    "read, obj, message",
+    [
+        # Every integer of every key is read by one reader, and a bad one names its key.
+        (fileio.jet_from_obj, {**JET, "blocks": {"x": {}}}, "bad block order 'x'"),
+        (fileio.jet_from_obj, {**JET, "blocks": {"0,1": {}}}, "bad block order '0,1'"),
+        (fileio.jet_from_obj, {**JET, "blocks": {"": {}}}, "bad block order ''"),
+        (fileio.jet_from_obj, {**JET, "blocks": {"1": {"x|1,0": "1"}}},
+         r"bad jet slot key 'x\|1,0': bad component 'x'"),
+        (fileio.jet_from_obj, {**JET, "blocks": {"1": {"1,1|1,0": "1"}}},
+         r"bad jet slot key '1,1\|1,0': bad component '1,1'"),
+        (fileio.jet_from_obj, {**JET, "blocks": {"1": {"1|1,b": "1"}}},
+         r"bad jet slot key '1\|1,b': bad counts list '1,b'"),
+        (fileio.jet_from_obj, {**JET, "blocks": {"1": {"1|1": "1"}}},
+         r"bad jet slot key '1\|1': counts list '1' must have 2 entries"),
+        (fileio.jet_from_obj, {**JET, "blocks": {"1": {"1|1,0|1": "1"}}},
+         r"bad jet slot key '1\|1,0\|1'"),
+        (fileio.jet_from_obj, {**JET, "blocks": {"1": {"1,0": "1"}}}, "bad jet slot key '1,0'"),
+        (fileio.stress_from_obj, {**VARIATIONAL, "blocks": {"x|1": {"": "1"}}},
+         r"bad variational slot key 'x\|1': bad component 'x'"),
+        (fileio.stress_from_obj, {**VARIATIONAL, "blocks": {"1|y": {"": "1"}}},
+         r"bad variational slot key '1\|y': bad axis list 'y'"),
+        (fileio.stress_from_obj, {**TRACTION, "blocks": {"x||1": {"": "1"}}},
+         r"bad traction slot key 'x\|\|1': bad component 'x'"),
+        (fileio.stress_from_obj, {**TRACTION, "blocks": {"1||z": {"": "1"}}},
+         r"bad traction slot key '1\|\|z': bad axis 'z'"),
+        (fileio.stress_from_obj, {**TRACTION, "blocks": {"1||1,2": {"": "1"}}},
+         r"bad traction slot key '1\|\|1,2': bad axis '1,2'"),
+        (fileio.stress_from_obj, {**TRACTION, "blocks": {"1|": {"": "1"}}},
+         r"bad traction slot key '1\|'"),
+        (fileio.stress_from_obj, {**VARIATIONAL, "blocks": {"1|": {"1,q": "1"}}},
+         "bad counts list '1,q'"),
+        (fileio.field_from_obj, {"n": 2, "m": 1, "components": [{" 1,q ": "1"}]},
+         "bad counts list ' 1,q '"),
+        (fileio.tensor_from_obj, {**TENSOR, "storage": "dense", "components": {"x": "1"}},
+         "bad axis list 'x'"),
+        (fileio.tensor_from_obj, {**TENSOR, "components": {"1,": "1"}}, "bad axis list '1,'"),
+    ],
+)
+def test_a_bad_key_integer_names_its_key(read, obj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read(obj)
+
+
+@pytest.mark.parametrize("storage", ["dense", "symmetric"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        # Integers, then degree, then axis range, then (symmetric) order, then the value.
+        ("2,x", "y", "bad axis list '2,x'"),
+        ("3,1", "1", "component key '3,1' has degree 2, expected 3"),
+        ("3,1,1", "y", r"axis 3 out of range 1\.\.2"),
+        ("2,1,1", "y", None),
+        ("1,1,2", "y", "bad rational 'y': Invalid literal for Fraction: 'y'"),
+    ],
+)
+def test_tensor_key_faults_are_reported_in_one_order_for_both_storages(storage, key, value, message):
+    obj = {**TENSOR, "degree": 3, "storage": storage, "components": {key: value}}
+    if message is None:
+        message = "axis list '2,1,1' must be non-decreasing" if storage == "symmetric" else "bad rat"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        fileio.tensor_from_obj(obj)
+
+
+def test_one_slot_check_holds_every_jet_shaped_request(monkeypatch, tmp_path, capsys):
+    # n = 2, m = 1 through order 2 is 1 + 2 + 3 = 6 jet slots; a traction stress of order 2
+    # is n = 2 rows through order 1, also 6.  Lowering the one budget refuses each request.
+    import jetstress.cli as cli
+
+    assert not hasattr(cli, "_JET_SLOTS")
+    monkeypatch.setattr(fileio, "_JET_SLOTS", 5)
+    budget = "exceeds its budget of 5 jet slots"
+    shape = {"n": 2, "m": 1, "k": 2}
+    for read, obj, request in (
+        (fileio.jet_from_obj, {**shape, "x": ["0", "0"]}, "jet"),
+        (fileio.stress_from_obj, {**shape, "kind": "variational"}, "variational stress"),
+        (fileio.stress_from_obj, {**shape, "kind": "traction"}, "traction stress"),
+    ):
+        with pytest.raises(ValueError, match=f"^{request} of n=2, m=1, k=2 {budget}$"):
+            read(obj)
+    field = tmp_path / "field.json"
+    field.write_text('{"n": 2, "m": 1, "components": [{"1,0": "1"}]}')
+    flags = ["--n", "2", "--m", "1", "--k", "2", "--cases", "1"]
+    for argv, request in (
+        (["jet", str(field), "--point", "0,0", "--k", "2"], "jet at --k 2 of a field with n=2, m=1"),
+        (["verify", "jets", *flags], "verify jets at --n 2 --m 1 --k 2 --cases 1"),
+        (["verify", "cauchy", *flags], "verify cauchy at --n 2 --m 1 --k 2 --cases 1"),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {request} {budget}\n")
+    monkeypatch.setattr(fileio, "_JET_SLOTS", 6)
+    assert fileio.jet_from_obj({**shape, "x": ["0", "0"]}).k == 2
+    assert main(["jet", str(field), "--point", "0,0", "--k", "2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "text", ["\u0661", "\u0661/\u0662", " \uff13/\uff14 ", "1\u00a0", "\u20071", "\U0001d7cf"]
+)
+def test_rationals_and_key_integers_are_ascii(text):
+    with pytest.raises(ValueError, match=r"^bad rational .*: not ASCII$"):
+        fileio.parse_rational(text)
+    for parse, what in ((fileio.parse_counts, "counts list"), (fileio.parse_axis_list, "axis list")):
+        with pytest.raises(ValueError, match="^" + re.escape(f"bad {what} {text!r}") + "$"):
+            parse(text, 1)
+
+
+def test_within_ascii_keys_and_values_read_as_python_reads_them():
+    for text, value in ((" 3/4 ", Fraction(3, 4)), ("+007/4", Fraction(7, 4)), ("1_0", 10),
+                        ("-0.75", Fraction(-3, 4)), ("\t2e-1\n", Fraction(1, 5))):
+        assert fileio.parse_rational(text) == value
+    assert fileio.parse_counts(" 1 , +0 ", 2) == CardinalityIndex((1, 0))
+    assert fileio.parse_counts("0_1,00", 2) == CardinalityIndex((1, 0))
+    # Two spellings of one monomial or slot: the last value read wins, as for a duplicate key.
+    field = fileio.field_from_obj({"n": 2, "m": 1, "components": [{"1,0": "1", " 1, 0": "2"}]})
+    assert field.components[0] == Polynomial.from_map(2, {(1, 0): 2})
+    dense = {**TENSOR, "degree": 2, "storage": "dense", "components": {"1,2": "1", "01,2": "5"}}
+    assert fileio.tensor_from_obj(dense).component((1, 2)) == 5
+    stress = {**VARIATIONAL, "blocks": {"1|1": {"": "1"}, "+1| 1": {"": "3"}}}
+    assert fileio.stress_from_obj(stress).blocks[1][0][0] == Polynomial.constant(2, 3)
+
+
+def test_json_nested_too_deeply_is_a_load_error(tmp_path):
+    for depth in (1_000, 100_000):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": ' + "[" * depth + "]" * depth + "}")
+        with pytest.raises(ValueError, match="^JSON nested too deeply$"):
+            fileio.load(str(path))
+    # A key spelled in JSON escapes is the text it decodes to, and non-ASCII text is refused.
+    path.write_text('{"n": 1, "m": 1, "components": [{"\\u0661": "1"}]}')
+    with pytest.raises(ValueError, match="^bad counts list '\u0661'$"):
+        fileio.field_from_obj(fileio.load(str(path)))
+
+
 def test_tensor_object_validation():
     with pytest.raises(ValueError):
         fileio.tensor_from_obj({"n": 2, "degree": 1, "variance": "up", "storage": "dense"})
@@ -272,9 +440,6 @@ def test_tensor_object_validation():
                 "components": {"1": "1"},
             }
         )
-
-
-TENSOR = {"n": 2, "degree": 1, "variance": "co", "storage": "symmetric", "convention": "plain"}
 
 
 @pytest.mark.parametrize(
