@@ -6,8 +6,8 @@ exact code paths.  Matrices are plain sequences of row sequences.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 Row = Sequence[Fraction]
 

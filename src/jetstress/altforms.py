@@ -8,8 +8,8 @@ codimension-one forms; the basis form number ``i`` is the contraction of the
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import _linalg
 from .multiindex import _Record

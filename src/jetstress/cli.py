@@ -7,11 +7,10 @@ nonzero with a single ``error:`` line on failure.
 """
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from fractions import Fraction
-from typing import NoReturn, Sequence
+from types import SimpleNamespace
 
 from . import fileio
 from .fileio import _TENSOR_COMPONENTS, _check_slots, format_rational
@@ -66,7 +65,7 @@ def _parse_box(text: str) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     return lower, upper
 
 
-def _region(args: argparse.Namespace) -> tuple[BoxRegion, str]:
+def _region(args: SimpleNamespace) -> tuple[BoxRegion, str]:
     """The ``--box`` region and the integration method ``--subdiv`` selects."""
     lower, upper = _parse_box(args.box)
     if args.subdiv is None:
@@ -75,7 +74,7 @@ def _region(args: argparse.Namespace) -> tuple[BoxRegion, str]:
     return BoxRegion(lower, upper, args.subdiv), "midpoint"
 
 
-def cmd_dims(args: argparse.Namespace) -> int:
+def cmd_dims(args: SimpleNamespace) -> int:
     n = args.n
     kmax = args.l
     if n < 1:
@@ -96,7 +95,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_symmetrize(args: argparse.Namespace) -> int:
+def cmd_symmetrize(args: SimpleNamespace) -> int:
     tensor = fileio.tensor_from_obj(fileio.load(args.input))
     if not isinstance(tensor, DenseTensor):
         raise ValueError("symmetrize expects a dense tensor file")
@@ -107,7 +106,7 @@ def cmd_symmetrize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_jet(args: argparse.Namespace) -> int:
+def cmd_jet(args: SimpleNamespace) -> int:
     field = fileio.field_from_obj(fileio.load(args.field))
     point = _parse_point(args.point)
     request = f"jet at --k {args.k} of a field with n={field.n}, m={field.m}"
@@ -122,7 +121,7 @@ def cmd_jet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_power(args: argparse.Namespace) -> int:
+def cmd_power(args: SimpleNamespace) -> int:
     stress = fileio.stress_from_obj(fileio.load(args.stress))
     if not isinstance(stress, VariationalStressField):
         raise ValueError("power expects a variational stress file")
@@ -133,7 +132,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_flux(args: argparse.Namespace) -> int:
+def cmd_flux(args: SimpleNamespace) -> int:
     stress = fileio.stress_from_obj(fileio.load(args.stress))
     if not isinstance(stress, TractionStressField):
         raise ValueError("flux expects a traction stress file")
@@ -144,7 +143,7 @@ def cmd_flux(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pair(args: argparse.Namespace) -> int:
+def cmd_pair(args: SimpleNamespace) -> int:
     left = fileio.tensor_from_obj(fileio.load(args.cotensor))
     right = fileio.tensor_from_obj(fileio.load(args.tensor))
     if isinstance(left, DenseTensor):
@@ -155,7 +154,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     for flag, least in (("n", 1), ("m", 1), ("l", 0), ("k", 0), ("cases", 1)):
         value = getattr(args, flag)
         if value < least:
@@ -192,80 +191,119 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _checks.verify_cauchy(rng, args.n, args.m, order + 1, args.cases)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors end as one ``error:`` line and exit 1; subcommand parsers share the class."""
-
-    def error(self, message: str) -> NoReturn:
-        self.exit(1, f"error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="jetstress",
-        description="Exact symmetric tensor, jet, and hyper-stress computations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dims = sub.add_parser("dims", help="compressed and dense dimension table")
-    p_dims.add_argument("--n", type=int, required=True, help="space dimension")
-    p_dims.add_argument("--l", type=int, default=6, help="largest degree to list")
-    p_dims.set_defaults(fn=cmd_dims)
-
-    p_sym = sub.add_parser("symmetrize", help="symmetrize a dense tensor file")
-    p_sym.add_argument("input", help="dense tensor JSON file")
-    p_sym.add_argument("--out", required=True, help="output path for the compressed tensor")
-    p_sym.set_defaults(fn=cmd_symmetrize)
-
-    p_jet = sub.add_parser("jet", help="jet of a polynomial field at a point")
-    p_jet.add_argument("field", help="polynomial field JSON file")
-    p_jet.add_argument("--point", required=True, help="base point, e.g. '0,1/2'")
-    p_jet.add_argument("--k", type=int, required=True, help="jet order")
-    p_jet.add_argument("--out", help="output path; print to stdout when omitted")
-    p_jet.set_defaults(fn=cmd_jet)
-
-    p_power = sub.add_parser("power", help="total power of a variational stress over a box")
-    p_power.add_argument("stress", help="variational stress JSON file")
-    p_power.add_argument("field", help="polynomial field JSON file")
-    p_power.add_argument("--box", required=True, help="box as lower:upper, e.g. '0,0:1,1'")
-    p_power.add_argument("--subdiv", type=int, help="midpoint quadrature instead of exact")
-    p_power.add_argument("--float", action="store_true", help="print as floating point")
-    p_power.set_defaults(fn=cmd_power)
-
-    p_flux = sub.add_parser("flux", help="boundary power flux of a traction stress")
-    p_flux.add_argument("stress", help="traction stress JSON file")
-    p_flux.add_argument("field", help="polynomial field JSON file")
-    p_flux.add_argument("--box", required=True, help="box as lower:upper")
-    p_flux.add_argument("--k", type=int, help="expected stress order (checked)")
-    p_flux.add_argument("--subdiv", type=int, help="midpoint quadrature instead of exact")
-    p_flux.add_argument("--float", action="store_true", help="print as floating point")
-    p_flux.set_defaults(fn=cmd_flux)
-
-    p_pair = sub.add_parser("pair", help="invariant pairing of two tensor files")
-    p_pair.add_argument("cotensor", help="covariant tensor JSON file")
-    p_pair.add_argument("tensor", help="contravariant tensor JSON file")
-    p_pair.add_argument("--float", action="store_true", help="print as floating point")
-    p_pair.set_defaults(fn=cmd_pair)
-
-    p_verify = sub.add_parser("verify", help="randomized self-checks")
-    p_verify.add_argument(
-        "suite", choices=["epsilon", "duality", "cauchy", "jets"], help="check suite"
-    )
-    p_verify.add_argument("--n", type=int, default=3)
-    p_verify.add_argument("--l", type=int, default=3)
-    p_verify.add_argument("--k", type=int, default=2)
-    p_verify.add_argument("--m", type=int, default=2)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=int, default=25)
-    p_verify.set_defaults(fn=cmd_verify)
-
-    return parser
+# Each command's positional names and its flags.  A flag maps to its type and its default;
+# _REQUIRED marks a flag that must be given, and type bool a switch, which takes no value.
+_REQUIRED = object()
+_SWITCH = (bool, False)
+_COMMANDS = {
+    "dims": ((), {"--n": (int, _REQUIRED), "--l": (int, 6)}),
+    "symmetrize": (("input",), {"--out": (str, _REQUIRED)}),
+    "jet": (
+        ("field",),
+        {"--point": (str, _REQUIRED), "--k": (int, _REQUIRED), "--out": (str, None)},
+    ),
+    "power": (
+        ("stress", "field"),
+        {"--box": (str, _REQUIRED), "--subdiv": (int, None), "--float": _SWITCH},
+    ),
+    "flux": (
+        ("stress", "field"),
+        {"--box": (str, _REQUIRED), "--k": (int, None), "--subdiv": (int, None),
+         "--float": _SWITCH},
+    ),
+    "pair": (("cotensor", "tensor"), {"--float": _SWITCH}),
+    "verify": (
+        ("suite",),
+        {"--n": (int, 3), "--l": (int, 3), "--k": (int, 2), "--m": (int, 2),
+         "--seed": (int, 0), "--cases": (int, 25)},
+    ),
+}
+_CHOICES = {"command": tuple(_COMMANDS), "suite": ("epsilon", "duality", "cauchy", "jets")}
+_USAGE = """\
+usage:
+jetstress dims --n 3 --l 4
+jetstress symmetrize dense.json --out packed.json
+jetstress jet field.json --point 0,1/2 --k 2 [--out jet.json]
+jetstress power stress.json field.json --box 0,0:1,1 [--subdiv N] [--float]
+jetstress flux stress.json field.json --box 0,0:1,1 [--k K] [--subdiv N] [--float]
+jetstress pair cotensor.json tensor.json [--float]
+jetstress verify {epsilon,duality,cauchy,jets} [--n N] [--l L] [--k K] [--m M] [--seed S] [--cases C]
+"""
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _usage_error(message: str) -> SystemExit:
+    """Print a usage error as one ``error:`` line; the caller raises the exit it returns."""
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(1)
+
+
+def _choice(name: str, value: str) -> str:
+    """``value``, checked against the choices of ``name`` if it has any."""
+    choices = _CHOICES.get(name)
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The command ``argv`` names and its arguments, read against ``_COMMANDS``.
+
+    A token that starts with ``-`` names a flag unless it is a flag's value;
+    ``--name=value`` and ``--name value`` both give one, and the last given counts.
+    """
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        raise SystemExit(0)
+    if not argv:
+        raise _usage_error("the following arguments are required: command")
+    command, *rest = argv
+    positionals, flags = _COMMANDS[_choice("command", command)]
+    given: list[str] = []
+    extras: list[str] = []
+    values: dict[str, object] = {}
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not token.startswith("-"):
+            if len(given) == len(positionals):
+                extras.append(token)
+            else:
+                given.append(_choice(positionals[len(given)], token))
+        elif name not in flags:
+            extras.append(token)
+        elif flags[name][0] is bool:
+            if eq:
+                raise _usage_error(f"argument {name}: ignored explicit argument {value!r}")
+            values[name] = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise _usage_error(f"argument {name}: expected one argument")
+            if flags[name][0] is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _usage_error(f"argument {name}: invalid int value: {value!r}") from None
+            values[name] = value
+    required = [name for name, (_, default) in flags.items() if default is _REQUIRED]
+    missing = list(positionals[len(given) :]) + [name for name in required if name not in values]
+    if missing:
+        raise _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    args = dict(zip(positionals, given))
+    for name, (_, default) in flags.items():
+        args[name[2:]] = values.get(name, default)
+    return command, SimpleNamespace(**args)
+
+
+def main(argv: list[str] | None = None) -> int:
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.fn(args)
+        # Looked up when the command runs, so a wrapped cmd_* in the module is the one called.
+        return globals()[f"cmd_{command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

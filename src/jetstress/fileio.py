@@ -8,7 +8,7 @@ load error.  A value or ``--point``/``--box`` coordinate reads as ``Fraction``
 reads it and a key's integers as ``int`` does: surrounding whitespace, ``_``
 between digits, leading zeros and signs load, though no writer emits them.
 A slot or monomial named twice in different spellings takes the last value,
-as a duplicate JSON key does.  Integer flags are argparse's ``int``.
+as a duplicate JSON key does.  Integer flags are Python's ``int``.
 
 Index keys come in two grammars:
 
@@ -43,16 +43,16 @@ import json
 import math
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import gt
-from typing import Any, Sequence
 
 from .altforms import CoDimOneForm
 from .jet import JetElement, _check_jet_shape, _jet_of_slots, _slot_items
 from .hyperstress import TractionStressField, VariationalStressField, _check_order
 from .multiindex import CardinalityIndex, MultiIndex, _axes_rank, _canonical_axes, _check_axes
-from .multiindex import _check_budget, _check_shape, _class_counts, _dense_offset, _slot_sizes
-from .multiindex import sym_dim
+from .multiindex import _check_budget, _check_shape, _checked_counts, _class_counts, _colex_key
+from .multiindex import _dense_offset, _slot_sizes, sym_dim
 from .polyfield import Point, PolyField, Polynomial
 from .symtensor import _CONVENTIONS, _VARIANCES, _ZERO, DenseTensor, SymTensor, _check_choice
 
@@ -152,7 +152,7 @@ def parse_counts(text: str, n: int) -> CardinalityIndex:
     return CardinalityIndex(_counts(text, n))
 
 
-def _json_object(value: Any, what: str) -> dict:
+def _json_object(value: object, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
@@ -161,7 +161,7 @@ def _json_object(value: Any, what: str) -> dict:
 _JSON_TYPES = {int: "integer", str: "string", list: "list"}
 
 
-def _header(obj: dict, what: str, name: str, kind: type = int) -> Any:
+def _header(obj: dict, what: str, name: str, kind: type = int) -> object:
     """Field ``name`` of a ``what`` object, checked to hold a JSON value of type ``kind``."""
     try:
         value = obj[name]
@@ -198,7 +198,7 @@ def _check_slots(n: int, width: int, order: int, request: str) -> None:
     _check_budget(_slot_sizes(n, width, order), _JET_SLOTS, request, "jet slots")
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: object) -> str:
     """Canonical JSON text: sorted keys, stable separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -275,7 +275,15 @@ def polynomial_from_obj(obj: dict, n: int) -> Polynomial:
         counts = _counts(key, n)
         _check_budget((sum(counts),), _DEGREE, f"monomial {key!r}", "in total degree")
         coeffs[counts] = parse_rational(text)
-    return Polynomial.from_map(n, coeffs)
+    # Polynomial.from_map's checks, in its order; then each term is built once from its parsed
+    # value, and a monomial spelled twice keeps its last value.
+    for counts in coeffs:
+        _checked_counts(counts)
+    if n < 1:
+        raise ValueError(f"dimension must be positive, got {n}")
+    keys = sorted((counts for counts, value in coeffs.items() if value), key=_colex_key)
+    trusted = CardinalityIndex._trusted
+    return Polynomial._trusted(n, tuple([(trusted(c), coeffs[c]) for c in keys]))
 
 
 def field_to_obj(field: PolyField) -> dict:

@@ -29,9 +29,9 @@ component products.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import partial
-from typing import Mapping, Sequence
 
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
 from .multiindex import IndexLike, _Record, sym_dim

@@ -34,8 +34,8 @@ and ``_tensor_blocks`` builds each block of ``_jet_of_slots`` and
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _linalg
 from .multiindex import CardinalityIndex, IndexLike, as_cardinality, mi_factorial, rank

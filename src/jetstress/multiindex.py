@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from operator import sub
-from typing import Iterable, Iterator, Sequence, Union
 
 #: Largest slot count for which permutation-group enumeration is allowed.
 #: Operations that sum over all l! permutations refuse larger degrees.
@@ -220,7 +220,7 @@ class Permutation(_Record):
         return Permutation(tuple(inv))
 
 
-IndexLike = Union[MultiIndex, CardinalityIndex, Sequence[int]]
+IndexLike = MultiIndex | CardinalityIndex | Sequence[int]
 
 
 def _checked_counts(counts: Sequence[int]) -> tuple[int, ...]:

@@ -26,10 +26,10 @@ midpoint rules and fluxes.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 from operator import add, ge, sub
-from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import _linalg
 from .multiindex import CardinalityIndex, IndexLike, MultiIndex, _Record, cardinality
@@ -320,16 +320,18 @@ def _separable_sum(
     lower: Sequence[Scalar],
     upper: Sequence[Scalar],
     skip_axes: Iterable[int],
-    axis_table: Callable[[int, int, int, int], tuple[list[int], int]],
+    axis_table: Callable[[int, int, int, int, Collection[int]], tuple[dict[int, int], int]],
     face_axis: int = 0,
 ) -> Fraction:
     """Sum over terms of the coefficient times one factor per integrated axis.
 
-    ``axis_table(lo, hi, q, top)`` gets an axis's bounds as ``lo/q`` and
-    ``hi/q`` and returns the factors for the exponents 0..top as integer
-    numerators over one denominator.  Skipped axes contribute no factor; the
-    polynomial must not depend on them.  Axis ``face_axis`` takes the factors
-    of ``_face_pair`` instead of ``axis_table``'s.
+    ``axis_table(lo, hi, q, top, exps)`` gets an axis's bounds as ``lo/q``
+    and ``hi/q`` and returns the factors for the exponents ``exps`` that the
+    terms use on that axis, keyed by exponent, as integer numerators over one
+    denominator; ``top`` is the highest exponent, 0 if there is none.
+    Skipped axes contribute no factor; the polynomial must not depend on
+    them.  Axis ``face_axis`` takes the factors of ``_face_pair`` instead of
+    ``axis_table``'s.
     """
     lo = [Fraction(v) for v in lower]
     hi = [Fraction(v) for v in upper]
@@ -348,12 +350,11 @@ def _separable_sum(
     for r in range(poly.n):
         if r + 1 not in skip:
             a, b = lo[r], hi[r]
-            top = max((counts[r] for counts, _ in terms), default=0)
+            exps = {counts[r] for counts, _ in terms}
             q = math.lcm(a.denominator, b.denominator)
             table = _face_pair if r + 1 == face_axis else axis_table
-            nums, axis_den = table(
-                a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q, top
-            )
+            ends = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+            nums, axis_den = table(*ends, q, max(exps, default=0), exps)
             tables.append((r, nums))
             den *= axis_den
     total = 0
@@ -364,34 +365,43 @@ def _separable_sum(
     return Fraction(total, den)
 
 
-def _powers(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+# Each axis table computes only the exponents the terms use: with long bounds, one power of a
+# high exponent is already a big number, and a sparse density uses few of 0..top.
+def _powers(
+    lo: int, hi: int, q: int, top: int, exps: Collection[int]
+) -> tuple[dict[int, int], int]:
     """The powers of the upper bound ``hi/q``, over ``q**top``: evaluation at a point."""
-    return [hi**e * q ** (top - e) for e in range(top + 1)], q**top
+    return {e: hi**e * q ** (top - e) for e in exps}, q**top
 
 
-def _face_pair(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+def _face_pair(
+    lo: int, hi: int, q: int, top: int, exps: Collection[int]
+) -> tuple[dict[int, int], int]:
     """``(hi/q)**e - (lo/q)**e`` over ``q**top``: the upper face minus the lower face."""
-    return [(hi**e - lo**e) * q ** (top - e) for e in range(top + 1)], q**top
+    return {e: (hi**e - lo**e) * q ** (top - e) for e in exps}, q**top
 
 
-def _antiderivatives(lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+def _antiderivatives(
+    lo: int, hi: int, q: int, top: int, exps: Collection[int]
+) -> tuple[dict[int, int], int]:
     """``(hi**(e+1) - lo**(e+1)) / ((e+1) q**(e+1))``, over ``lcm(1..top+1) q**(top+1)``."""
     scale = math.lcm(*range(1, top + 2))
-    nums = [
-        (hi ** (e + 1) - lo ** (e + 1)) * q ** (top - e) * (scale // (e + 1))
-        for e in range(top + 1)
-    ]
+    nums = {
+        e: (hi ** (e + 1) - lo ** (e + 1)) * q ** (top - e) * (scale // (e + 1)) for e in exps
+    }
     return nums, scale * q ** (top + 1)
 
 
-def _midpoint_sums(cells: int, lo: int, hi: int, q: int, top: int) -> tuple[list[int], int]:
+def _midpoint_sums(
+    cells: int, lo: int, hi: int, q: int, top: int, exps: Collection[int]
+) -> tuple[dict[int, int], int]:
     # The cell width times the sums of the powers of the midpoints, over one denominator.
     # Midpoint c is (2 cells lo + (hi - lo)(2c + 1)) / step; width is (hi - lo) / (q cells).
     request = f"midpoint rule of {cells} cells at degree {top}"
     _check_budget((cells * (top + 1),), _MIDPOINT_POWERS, request, "midpoint powers")
     step = 2 * cells * q
     mids = [2 * cells * lo + (hi - lo) * (2 * c + 1) for c in range(cells)]
-    nums = [(hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in range(top + 1)]
+    nums = {e: (hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in exps}
     return nums, q * cells * step**top
 
 

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 from .multiindex import (
     CardinalityIndex,
@@ -60,8 +60,8 @@ from .multiindex import (
     sym_dim,
 )
 
-Variance = Literal["co", "contra"]
-Convention = Literal["plain", "arrow"]
+Variance = str  # "co" or "contra"
+Convention = str  # "plain" or "arrow"
 
 _VARIANCES = ("co", "contra")
 _CONVENTIONS = ("plain", "arrow")

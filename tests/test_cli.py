@@ -374,12 +374,12 @@ def test_import_loads_no_module_beyond_the_package():
 
     ``-S`` skips ``site``, whose ``.pth`` files may preload modules on one
     interpreter and not on another.  The ``verify`` suites, and ``random``
-    with them, load only when ``verify`` runs.
+    with them, load only when ``verify`` runs.  Neither ``argparse`` (with
+    ``gettext`` and ``locale``) nor ``typing`` loads at all.
     """
     script = (
         "import sys\n"
-        "import __future__, argparse, fractions, functools, itertools, json, math, operator\n"
-        "import typing\n"
+        "import __future__, fractions, functools, itertools, json, math, operator\n"
         "before = set(sys.modules)\n"
         "import jetstress.cli\n"
         "print(*sorted(set(sys.modules) - before))\n"
@@ -693,6 +693,36 @@ def test_huge_degree_is_refused_in_a_child_at_once(tmp_path, command):
     )
 
 
+# x1**100 against itself: a degree-200 density with one term.  With long box bounds one power
+# of the bound is a big number, so each axis table may compute only the exponents terms use.
+X1_100_STRESS = {"n": 1, "m": 1, "k": 0, "kind": "variational", "blocks": {"1|": {"100": "1"}}}
+X1_100 = {"n": 1, "m": 1, "components": [{"100": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "flags, cells", [([], None), (["--subdiv", "1000"], 1000)], ids=["exact", "midpoint"]
+)
+def test_long_bounds_on_a_sparse_density_are_quick_in_a_child(tmp_path, flags, cells):
+    # In a child with a timeout: with a table of every exponent to 200, the exact case took
+    # 6 to 9 s and the midpoint case ran past 60 s.  Against the bound 0 the values are 1/201 and
+    # the midpoint sum of x**200; a lower bound of 1e-1000 or 1e-300 does not move the float.
+    stress = write_json(tmp_path / "stress.json", X1_100_STRESS)
+    field = write_json(tmp_path / "field.json", X1_100)
+    box = "1e-300:1" if cells else "1e-1000:1"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "jetstress.cli", "power", stress, field, "--box", box, *flags,
+         "--float"],
+        env=env, capture_output=True, text=True, timeout=15,
+    )
+    if cells:
+        value = sum(Fraction(2 * c + 1, 2 * cells) ** 200 for c in range(cells)) / cells
+    else:
+        value = Fraction(1, 201)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"{float(value):.17g}\n"
+
+
 # Three degree-100 monomials in four variables, inside every budget: a jet's cost follows its
 # order and slot count, not the field's degree.
 F4 = {
@@ -764,28 +794,102 @@ def test_flag_budgets_admit_sizes_up_to_them(tmp_path, monkeypatch, capsys, argv
     assert ("exceeds its budget" in capsys.readouterr().err) == refused
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["power", "a", "b", "--box=0:1", "--k", "2"], ["dims", "--n", "x"], []],
-    ids=["unknown-flag", "bad-int", "no-command"],
-)
-def test_usage_error_is_one_error_line(capsys, argv):
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+COMMAND_CHOICES = "(choose from 'dims', 'symmetrize', 'jet', 'power', 'flux', 'pair', 'verify')"
+
+# argv, then the one error line it ends in; argparse's wording where the rule is argparse's.
+USAGE_ERRORS = {
+    "no-command": ([], "the following arguments are required: command"),
+    "bad-command": (["nope"], f"argument command: invalid choice: 'nope' {COMMAND_CHOICES}"),
+    "abbreviation": (["power", "s", "f", "--box", "0:1", "--fl"], "unrecognized arguments: --fl"),
+    "switch-value": (
+        ["pair", "a", "b", "--float=x"], "argument --float: ignored explicit argument 'x'"
+    ),
+    "missing-value": (["jet", "f", "--point", "0", "--k"], "argument --k: expected one argument"),
+    "extra-positional": (["pair", "a", "b", "c"], "unrecognized arguments: c"),
+    "unknown-flag": (["power", "a", "b", "--box=0:1", "--k", "2"], "unrecognized arguments: --k 2"),
+    "single-dash": (["dims", "--n", "2", "-n"], "unrecognized arguments: -n"),
+    "required": (["jet"], "the following arguments are required: field, --point, --k"),
+    "required-first": (["dims", "--fl"], "the following arguments are required: --n"),
+    "bad-int": (["dims", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    "every-value-read": (["dims", "--n", "x", "--n", "2"], "argument --n: invalid int value: 'x'"),
+    "flag-as-value": (["dims", "--n", "--l"], "argument --n: invalid int value: '--l'"),
+    "suite-first": (
+        ["verify", "x", "--n", "y"],
+        "argument suite: invalid choice: 'x' (choose from 'epsilon', 'duality', 'cauchy', 'jets')",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(USAGE_ERRORS))
+def test_usage_error_is_one_error_line(capsys, kind):
+    argv, message = USAGE_ERRORS[kind]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["dims", "--help"]])
+def readme_synopsis() -> str:
+    """The lines of README's "Command line" block."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["dims", "--help"],
+        ["-h"],
+        ["dims", "--n", "2", "--help"],
+        ["jet", "f", "--point", "-h"],
+        ["nope", "--help"],
+    ],
+)
 def test_help_exits_zero(capsys, argv):
+    # -h or --help anywhere prints README's synopsis.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("usage:") and captured.err == ""
+    assert capsys.readouterr() == ("usage:\n" + readme_synopsis(), "")
+
+
+def test_flag_forms_and_repeats_read_alike(tmp_path, capsys):
+    # --name value and --name=value give one value, the last given counts, and an int flag
+    # reads as Python's int does; a value may start with '-'.
+    field = product_field_file(tmp_path)
+    head = {"n": 2, "degree": 1, "storage": "symmetric", "components": {"1": "1/3"}}
+    co = write_json(tmp_path / "co.json", {**head, "variance": "co"})
+    contra = write_json(tmp_path / "contra.json", {**head, "variance": "contra"})
+    for forms in (
+        [["dims", "--n", "2", "--l", "3"], ["dims", "--l=3", "--n=1", "--n", " +2 "]],
+        [["jet", field, "--point=-1,2", "--k", "2"], ["jet", field, "--point", "-1,2", "--k=2"]],
+        [["pair", co, contra, "--float"], ["pair", "--float", co, "--float", contra]],
+    ):
+        outputs = []
+        for argv in forms:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    # The console script calls main() with no arguments.
+    main(["dims", "--n", "2", "--l", "1"])
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["jetstress", "dims", "--n", "2", "--l", "1"])
+    assert main() == 0
+    assert capsys.readouterr() == expected
+
+
+def test_main_calls_the_command_bound_in_the_module(monkeypatch):
+    # A profiler that rebinds cmd_* in the module sees every call main makes.
+    calls = []
+    monkeypatch.setattr(cli, "cmd_dims", lambda args: calls.append(vars(args)) or 0)
+    assert main(["dims", "--n", "2"]) == 0
+    assert calls == [{"n": 2, "l": 6}]
 
 
 VARIATIONAL = {"n": 2, "m": 1, "k": 1, "kind": "variational", "blocks": {}}

@@ -136,7 +136,7 @@ def _holds_the_contract(argv: list[str], out_path) -> None:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # usage errors and --help, from argparse
+        except SystemExit as exc:  # usage errors and --help
             code = exc.code
     if code == 0:
         return
@@ -165,6 +165,56 @@ def test_every_command_ends_in_success_or_one_error_line(tmp_path, command):
             value = str(out_path) if flag == "--out" else _flag(data, value)
             rest += [flag, value]
         _holds_the_contract([command, *paths, *rest], out_path)
+
+    contract()
+
+
+# Each command's flags with a valid value, None for a switch; ``--out`` takes the out path.
+SHAPE_FLAGS = {
+    "jet": [("--point", "0,1/2"), ("--k", "2"), ("--out", "")],
+    "power": [("--box", "0,0:1,1"), ("--subdiv", "2"), ("--float", None)],
+    "flux": [("--box", "0,0:1,1"), ("--k", "2"), ("--subdiv", "2"), ("--float", None)],
+}
+STRAYS = ["--fl", "--po", "--x", "-k", "--", "-1", "extra", "--float=1", "--k="]
+
+
+def _flag_tokens(data, flag: str, value: str | None) -> list[str]:
+    """One use of a flag: ``--name value``, ``--name=value``, or with its value dropped."""
+    if value is None:
+        return [flag]
+    value = _flag(data, value)
+    how = data.draw(st.sampled_from(["space", "equals", "space", "equals", "dropped"]))
+    return {"space": [flag, value], "equals": [f"{flag}={value}"], "dropped": [flag]}[how]
+
+
+@pytest.mark.parametrize("command", sorted(SHAPE_FLAGS))
+def test_argv_shapes_end_in_success_or_one_error_line(tmp_path, command):
+    # Valid files, drawn argv: flags in any order, given once, twice or not at all, in either
+    # form or with no value, and unknown flags or stray tokens anywhere.
+    kinds, _ = COMMANDS[command]
+    out_path = tmp_path / "out.json"
+    paths = []
+    for i, kind in enumerate(kinds):
+        path = tmp_path / f"in{i}.json"
+        path.write_text(json.dumps(VALID[kind]), encoding="utf-8")
+        paths.append([str(path)])
+
+    @SETTINGS
+    @hypothesis.given(st.data())
+    def contract(data):
+        out_path.unlink(missing_ok=True)
+        uses = list(paths)
+        for flag, value in SHAPE_FLAGS[command]:
+            for _ in range(data.draw(st.sampled_from([1, 1, 1, 2, 0]))):
+                # The out path is never dropped or redrawn, so that no run writes elsewhere.
+                if flag == "--out":
+                    uses.append([flag, str(out_path)])
+                else:
+                    uses.append(_flag_tokens(data, flag, value))
+        if data.draw(st.integers(0, 3)) == 0:
+            uses.append([data.draw(st.sampled_from(STRAYS))])
+        order = data.draw(st.permutations(range(len(uses))))
+        _holds_the_contract([command, *(token for i in order for token in uses[i])], out_path)
 
     contract()
 

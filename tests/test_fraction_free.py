@@ -17,22 +17,29 @@ symmetric tensor layer, the class sums of a dense tensor and the invariant
 pairing, before both added int numerators over one common denominator.
 ``ref_pair_jet`` is the slot-by-slot ``Fraction`` loop of ``pair_jet``
 before it became a sum of tensor pairings.
+
+``old_powers``, ``old_face_pair``, ``old_antiderivatives`` and
+``old_midpoint_sums`` are the integer axis tables of ``_separable_sum``
+before each computed only the exponents the terms use: they compute every
+exponent from 0 to the top one.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from jetstress import fileio
+from jetstress import fileio, polyfield
 from jetstress.cli import main
 from jetstress.hyperstress import TractionStressField, VariationalStressField
 from jetstress.jet import JetCovector, JetElement, pair_jet
 from jetstress.multiindex import CardinalityIndex, MultiIndex, enumerate_nondecreasing, mi_factorial
 from jetstress.multiindex import dense_classes, sym_dim
 from jetstress.polyfield import Point, PolyField, Polynomial, _as_counts, box_integral
-from jetstress.polyfield import midpoint_integral
+from jetstress.polyfield import _antiderivatives, _midpoint_sums, _separable_sum, midpoint_integral
 from jetstress.symtensor import DenseTensor, SymTensor, _class_sums, compress, convert_convention
 from jetstress.symtensor import cosymmetrize_project, include, pair, symmetrize_dense
 
@@ -316,6 +323,36 @@ def test_from_map_sums_that_cancel_are_zero():
     assert outcome(lambda: Polynomial.from_map(0, {})) == "error: dimension must be positive, got 0"
 
 
+def test_polynomial_reader_matches_from_map():
+    # Keys in several spellings of one monomial, some values zero, now and then a negative
+    # count; the last spelling read wins, as for a duplicate JSON key.
+    rng = random.Random(309)
+    for trial in range(80):
+        n = 1 + trial % 3
+        obj, last = {}, {}
+        for _ in range(rng.randint(0, 8)):
+            counts = tuple(rng.randint(-1 if rng.random() < 0.05 else 0, 2) for _ in range(n))
+            key = ",".join(map(str, counts))
+            padded = ",".join(f"{c:03}" for c in counts)
+            spellings = [key, f" {key} ", key.replace(",", " ,"), padded]
+            if not any(counts):
+                spellings.append("")
+            for spelling in rng.sample(spellings, rng.randint(1, 3)):
+                value = rng.choice([Fraction(0), coeff(rng)])
+                obj.pop(spelling, None)
+                obj[spelling] = rng.choice([str(value), f"{value.numerator}/{value.denominator}"])
+                last[counts] = value
+        expected = outcome(lambda: Polynomial.from_map(n, last))
+        result = outcome(lambda: fileio.polynomial_from_obj(obj, n))
+        if isinstance(expected, str):
+            assert result == expected
+        else:
+            assert_exact(result, expected)
+    read = fileio.polynomial_from_obj
+    assert outcome(lambda: read({}, 0)) == "error: dimension must be positive, got 0"
+    assert outcome(lambda: read({"": "1"}, 0)) == "error: cardinality index needs at least one axis"
+
+
 def test_box_and_midpoint_sums_match_the_fraction_loops():
     rng = random.Random(303)
     for trial in range(60):
@@ -334,6 +371,74 @@ def test_box_and_midpoint_sums_match_the_fraction_loops():
         assert box_integral(face, lower, upper, skip) == ref_box(face, lower, upper, skip)
         got = midpoint_integral(face, lower, upper, cells, skip)
         assert got == ref_midpoint(face, lower, upper, cells, skip) and type(got) is Fraction
+
+
+def old_powers(lo, hi, q, top):
+    return [hi**e * q ** (top - e) for e in range(top + 1)], q**top
+
+
+def old_face_pair(lo, hi, q, top):
+    return [(hi**e - lo**e) * q ** (top - e) for e in range(top + 1)], q**top
+
+
+def old_antiderivatives(lo, hi, q, top):
+    scale = math.lcm(*range(1, top + 2))
+    nums = [
+        (hi ** (e + 1) - lo ** (e + 1)) * q ** (top - e) * (scale // (e + 1))
+        for e in range(top + 1)
+    ]
+    return nums, scale * q ** (top + 1)
+
+
+def old_midpoint_sums(cells, lo, hi, q, top):
+    step = 2 * cells * q
+    mids = [2 * cells * lo + (hi - lo) * (2 * c + 1) for c in range(cells)]
+    nums = [(hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in range(top + 1)]
+    return nums, q * cells * step**top
+
+
+def every_exponent(table):
+    """An old table in the new signature; its list is indexed by exponent as the dict is."""
+    return lambda lo, hi, q, top, exps: table(lo, hi, q, top)
+
+
+def sparse_poly(rng: random.Random, n: int) -> Polynomial:
+    """A few terms of total degree up to 100, the budget, so that most exponents go unused."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        degree = rng.randint(0, 100)
+        cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+        terms[tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))] = coeff(rng)
+    return Polynomial.from_map(n, terms)
+
+
+def test_axis_tables_of_used_exponents_match_the_tables_of_every_exponent(monkeypatch):
+    rng = random.Random(320)
+    for trial in range(40):
+        n = 1 + trial % 3
+        p = sparse_poly(rng, n)
+        lower, upper = bounds(rng, n)
+        cells = rng.randint(1, 4)
+        midpoints = partial(_midpoint_sums, cells)
+        new = [
+            box_integral(p, lower, upper),
+            midpoint_integral(p, lower, upper, cells),
+            p(upper),
+        ]
+        new += [_separable_sum(p, lower, upper, (), _antiderivatives, a) for a in range(1, n + 1)]
+        new += [_separable_sum(p, lower, upper, (), midpoints, a) for a in range(1, n + 1)]
+        monkeypatch.setattr(polyfield, "_face_pair", every_exponent(old_face_pair))
+        antiderivatives = every_exponent(old_antiderivatives)
+        midpoints = every_exponent(partial(old_midpoint_sums, cells))
+        old = [
+            _separable_sum(p, lower, upper, (), antiderivatives),
+            _separable_sum(p, lower, upper, (), midpoints),
+            _separable_sum(p, upper, upper, (), every_exponent(old_powers)),
+        ]
+        old += [_separable_sum(p, lower, upper, (), antiderivatives, a) for a in range(1, n + 1)]
+        old += [_separable_sum(p, lower, upper, (), midpoints, a) for a in range(1, n + 1)]
+        monkeypatch.undo()
+        assert new == old and all(type(value) is Fraction for value in new)
 
 
 def test_density_matches_the_slot_product_loop():
