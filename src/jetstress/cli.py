@@ -179,8 +179,6 @@ def cmd_verify(args: SimpleNamespace) -> int:
         request = f"verify duality at --n {args.n} --l {args.l}"
         _check_budget(pairs, _DUALITY_PAIRS, request, "basis pairs")
         return _checks.verify_duality(args.n, args.l)
-    if args.suite not in ("cauchy", "jets"):
-        raise ValueError(f"unknown suite {args.suite!r}")
     # Each case of `jets` draws an m-component k-jet; each case of `cauchy`, n of order k-1.
     jets = args.suite == "jets"
     order, width = (args.k, args.m) if jets else (max(args.k, 1) - 1, args.n * args.m)
@@ -255,14 +253,18 @@ def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
     if "-h" in argv or "--help" in argv:
         sys.stdout.write(_USAGE)
         raise SystemExit(0)
-    if not argv:
+    tokens = iter(argv)
+    # A token starting with `-` before the command is a flag of no command, so unrecognized.
+    extras: list[str] = []
+    command = next(tokens, None)
+    while command is not None and command.startswith("-"):
+        extras.append(command)
+        command = next(tokens, None)
+    if command is None:
         raise _usage_error("the following arguments are required: command")
-    command, *rest = argv
     positionals, flags = _COMMANDS[_choice("command", command)]
     given: list[str] = []
-    extras: list[str] = []
     values: dict[str, object] = {}
-    tokens = iter(rest)
     for token in tokens:
         name, eq, value = token.partition("=")
         if not token.startswith("-"):

@@ -51,8 +51,8 @@ from .altforms import CoDimOneForm
 from .jet import JetElement, _check_jet_shape, _jet_of_slots, _slot_items
 from .hyperstress import TractionStressField, VariationalStressField, _check_order
 from .multiindex import CardinalityIndex, MultiIndex, _axes_rank, _canonical_axes, _check_axes
-from .multiindex import _check_budget, _check_shape, _checked_counts, _class_counts, _colex_key
-from .multiindex import _dense_offset, _slot_sizes, sym_dim
+from .multiindex import _check_budget, _check_shape, _class_counts, _dense_offset, _slot_sizes
+from .multiindex import sym_dim
 from .polyfield import Point, PolyField, Polynomial
 from .symtensor import _CONVENTIONS, _VARIANCES, _ZERO, DenseTensor, SymTensor, _check_choice
 
@@ -275,15 +275,7 @@ def polynomial_from_obj(obj: dict, n: int) -> Polynomial:
         counts = _counts(key, n)
         _check_budget((sum(counts),), _DEGREE, f"monomial {key!r}", "in total degree")
         coeffs[counts] = parse_rational(text)
-    # Polynomial.from_map's checks, in its order; then each term is built once from its parsed
-    # value, and a monomial spelled twice keeps its last value.
-    for counts in coeffs:
-        _checked_counts(counts)
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    keys = sorted((counts for counts, value in coeffs.items() if value), key=_colex_key)
-    trusted = CardinalityIndex._trusted
-    return Polynomial._trusted(n, tuple([(trusted(c), coeffs[c]) for c in keys]))
+    return Polynomial.from_map(n, coeffs)
 
 
 def field_to_obj(field: PolyField) -> dict:

@@ -111,15 +111,25 @@ def _scaled_sum(n: int, *scaled: tuple["Polynomial", Scalar]) -> "Polynomial":
     return _sum_of_products(n, [(poly, Polynomial.constant(n, f)) for poly, f in scaled])
 
 
-def _from_numerators(n: int, acc: Mapping[Counts, int], den: int) -> "Polynomial":
-    """The polynomial with coefficients ``acc[counts] / den``.
+def _from_terms(
+    n: int, acc: Mapping[Counts, object], coeff: Callable[[Counts], Fraction]
+) -> "Polynomial":
+    """The polynomial with a term ``coeff(counts)`` for each nonzero ``acc[counts]``.
 
-    The keys are sums and differences of valid count vectors of length n,
-    so neither they nor the terms are validated again.
+    The keys are valid count vectors of length n, so neither they nor the
+    terms are validated again; each term is built once, in canonical order.
     """
     keys = sorted((counts for counts, value in acc.items() if value), key=_colex_key)
     trusted = CardinalityIndex._trusted
-    return Polynomial._trusted(n, tuple([(trusted(c), Fraction(acc[c], den)) for c in keys]))
+    return Polynomial._trusted(n, tuple([(trusted(c), coeff(c)) for c in keys]))
+
+
+def _from_numerators(n: int, acc: Mapping[Counts, int], den: int) -> "Polynomial":
+    """The polynomial with coefficients ``acc[counts] / den``.
+
+    The keys are sums and differences of valid count vectors of length n.
+    """
+    return _from_terms(n, acc, lambda counts: Fraction(acc[counts], den))
 
 
 class Polynomial(_Record):
@@ -148,14 +158,15 @@ class Polynomial(_Record):
     @classmethod
     def from_map(cls, n: int, coeffs: Mapping[IndexLike, Scalar]) -> "Polynomial":
         """Build from a coefficient map keyed by exponent count vectors; colliding keys add up."""
-        pairs = [(_as_counts(key, n), Fraction(value)) for key, value in coeffs.items()]
+        acc: dict[Counts, Fraction] = {}
+        for key, value in coeffs.items():
+            counts = _as_counts(key, n)
+            # A parsed value is kept as it is, not built again.
+            value = value if type(value) is Fraction else Fraction(value)
+            acc[counts] = acc[counts] + value if counts in acc else value
         if n < 1:
             raise ValueError(f"dimension must be positive, got {n}")
-        den = math.lcm(*(value.denominator for _, value in pairs))
-        acc: dict[Counts, int] = {}
-        for counts, value in pairs:
-            acc[counts] = acc.get(counts, 0) + value.numerator * (den // value.denominator)
-        return _from_numerators(n, acc, den)
+        return _from_terms(n, acc, acc.__getitem__)
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":

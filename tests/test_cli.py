@@ -801,6 +801,10 @@ COMMAND_CHOICES = "(choose from 'dims', 'symmetrize', 'jet', 'power', 'flux', 'p
 # argv, then the one error line it ends in; argparse's wording where the rule is argparse's.
 USAGE_ERRORS = {
     "no-command": ([], "the following arguments are required: command"),
+    "flag-alone": (["--float"], "the following arguments are required: command"),
+    "flag-before-command": (
+        ["--float", "dims", "--n", "2", "--x"], "unrecognized arguments: --float --x"
+    ),
     "bad-command": (["nope"], f"argument command: invalid choice: 'nope' {COMMAND_CHOICES}"),
     "abbreviation": (["power", "s", "f", "--box", "0:1", "--fl"], "unrecognized arguments: --fl"),
     "switch-value": (
