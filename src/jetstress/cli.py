@@ -13,7 +13,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import fileio
-from .fileio import _TENSOR_COMPONENTS, _check_slots, format_rational
+from .fileio import _check_slots, format_rational
 from .hyperstress import (
     BoxRegion,
     TractionStressField,
@@ -26,16 +26,6 @@ from .multiindex import _check_budget, _slot_sizes, enumerate_nondecreasing, mul
 from .multiindex import permutations_of, sym_dim
 from .polyfield import Point
 from .symtensor import DenseTensor, _class_sums, compress, pair
-
-# The most basis pairs `verify duality` checks; each builds two tensors and pairs them.
-_DUALITY_PAIRS = 20_000
-# The most permutation applications `verify epsilon` makes: l! per case.
-_EPSILON_PERMUTATIONS = 1_000_000
-# The most index classes `dims` lists over all its degrees.
-_DIMS_CLASSES = 10_000
-# The most cells per axis `--subdiv` cuts a box into.
-_CELLS = 100_000
-
 
 def _format_scalar(value: Fraction, as_float: bool) -> str:
     if as_float:
@@ -70,7 +60,7 @@ def _region(args: SimpleNamespace) -> tuple[BoxRegion, str]:
     lower, upper = _parse_box(args.box)
     if args.subdiv is None:
         return BoxRegion(lower, upper), "exact"
-    _check_budget((args.subdiv,), _CELLS, f"--subdiv {args.subdiv}", "cells per axis")
+    _check_budget((args.subdiv,), "cells per axis", f"--subdiv {args.subdiv}")
     return BoxRegion(lower, upper, args.subdiv), "midpoint"
 
 
@@ -82,7 +72,7 @@ def cmd_dims(args: SimpleNamespace) -> int:
     if kmax < 0:
         raise ValueError(f"--l must be non-negative, got {kmax}")
     request = f"dims at --n {n} --l {kmax}"
-    _check_budget(_slot_sizes(n, 1, kmax), _DIMS_CLASSES, request, "index classes")
+    _check_budget(_slot_sizes(n, 1, kmax), "index classes", request)
     print(f"{'l':>3} {'sym_dim':>10} {'dense_dim':>12} {'multiplicity_sum':>18} check")
     for l in range(kmax + 1):
         sym = sym_dim(n, l)
@@ -170,14 +160,14 @@ def cmd_verify(args: SimpleNamespace) -> int:
         permutations_of(args.l)
         request = f"verify epsilon at --n {args.n} --l {args.l} --cases {args.cases}"
         applied = args.cases * math.factorial(args.l)
-        _check_budget((applied,), _EPSILON_PERMUTATIONS, request, "permutation applications")
+        _check_budget((applied,), "permutation applications", request)
         dense = max(args.cases // 5, 1) * args.n**args.l
-        _check_budget((dense,), _TENSOR_COMPONENTS, request, "dense components")
+        _check_budget((dense,), "components", request)
         return _checks.verify_epsilon(rng, args.n, args.l, args.cases)
     if args.suite == "duality":
         pairs = (sym_dim(args.n, degree) ** 2 for degree in range(args.l + 1))
         request = f"verify duality at --n {args.n} --l {args.l}"
-        _check_budget(pairs, _DUALITY_PAIRS, request, "basis pairs")
+        _check_budget(pairs, "basis pairs", request)
         return _checks.verify_duality(args.n, args.l)
     # Each case of `jets` draws an m-component k-jet; each case of `cauchy`, n of order k-1.
     jets = args.suite == "jets"

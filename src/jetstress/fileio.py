@@ -52,22 +52,11 @@ from .jet import JetElement, _check_jet_shape, _jet_of_slots, _slot_items
 from .hyperstress import TractionStressField, VariationalStressField, _check_order
 from .multiindex import CardinalityIndex, MultiIndex, _axes_rank, _canonical_axes, _check_axes
 from .multiindex import _check_budget, _check_shape, _class_counts, _dense_offset, _slot_sizes
-from .multiindex import sym_dim
+from .multiindex import _BUDGETS, sym_dim
 from .polyfield import Point, PolyField, Polynomial
 from .symtensor import _CONVENTIONS, _VARIANCES, _ZERO, DenseTensor, SymTensor, _check_choice
 
-# The most jet slots a request may cover: a jet or stress file's header (a traction stress
-# of order k counts as n jets of order k-1), `jet`, and `verify jets` or `cauchy` over all cases.
-_JET_SLOTS = 10_000
-# The most stored components a tensor file's header may declare.
-_TENSOR_COMPONENTS = 100_000
-# The largest exponent magnitude of a rational literal like "2.5e-3", as Fraction builds
-# 10**exponent; Python's int limit of 4,300 digits on a digit string sets the scale.
-_EXPONENT = 4_300
 _EXPONENT_DIGITS = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
-# The highest total degree of a monomial in a field or stress file: the jet's Taylor shift and
-# the density products grow with it, and the bench fields reach degree 12.
-_DEGREE = 100
 
 
 def format_rational(value: Fraction) -> str:
@@ -75,7 +64,7 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        # Python's int-to-string limit, 4,300 digits by default.
+        # Python's int-to-string limit, sys.set_int_max_str_digits.
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"exact value too long to print: more than {limit} digits") from None
 
@@ -87,8 +76,8 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError("not ASCII")
         text = text.strip()
         exponent = _EXPONENT_DIGITS.search(text)
-        if exponent and int(exponent[1]) > _EXPONENT:
-            raise ValueError(f"exponent exceeds its budget of {_EXPONENT}")
+        if exponent and int(exponent[1]) > _BUDGETS["in exponent"]:
+            raise ValueError(f"exponent exceeds its budget of {_BUDGETS['in exponent']}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
@@ -175,7 +164,7 @@ def _header(obj: dict, what: str, name: str, kind: type = int) -> object:
 
 
 def _check_tensor_size(n: int, degree: int, storage: str) -> None:
-    """Refuse a tensor header declaring more than ``_TENSOR_COMPONENTS`` stored components.
+    """Refuse a tensor header declaring more stored components than their row of ``_BUDGETS``.
 
     With n > 1, ``n**degree`` and ``C(n + degree - 1, steps)`` are at least
     ``2**steps``, so a header far past the budget is refused uncomputed.  At
@@ -185,17 +174,17 @@ def _check_tensor_size(n: int, degree: int, storage: str) -> None:
     _check_shape(n, degree)
     dense = storage == "dense"
     steps = degree if dense else min(degree, n - 1)
-    if n > 1 and steps > _TENSOR_COMPONENTS.bit_length():
-        size = _TENSOR_COMPONENTS + 1
+    if n > 1 and steps > _BUDGETS["components"].bit_length():
+        size = math.inf
     else:
         size = max(n**degree if dense else math.comb(n + degree - 1, steps), degree)
     request = f"{storage} tensor of n={n}, degree={degree}"
-    _check_budget((size,), _TENSOR_COMPONENTS, request, "components")
+    _check_budget((size,), "components", request)
 
 
 def _check_slots(n: int, width: int, order: int, request: str) -> None:
-    """Refuse a request for ``width`` rows of jet slots through ``order`` past ``_JET_SLOTS``."""
-    _check_budget(_slot_sizes(n, width, order), _JET_SLOTS, request, "jet slots")
+    """Refuse a request for ``width`` rows of jet slots through ``order`` past their budget."""
+    _check_budget(_slot_sizes(n, width, order), "jet slots", request)
 
 
 def dumps(obj: object) -> str:
@@ -239,7 +228,7 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
     # so JSON true is not taken for 1.
     comps = [_ZERO] * size
     parsed: dict[str, Fraction] = {}
-    # The size check above holds n to _TENSOR_COMPONENTS unless the degree, and so every key, is 0.
+    # The size check above holds n to its budget unless the degree, and so every key, is 0.
     in_range = frozenset(range(1, n + 1) if degree else ()).issuperset
     for key, text in components.items():
         axes = _int_list(key, "axis list")
@@ -273,7 +262,7 @@ def polynomial_from_obj(obj: dict, n: int) -> Polynomial:
     coeffs = {}
     for key, text in obj.items():
         counts = _counts(key, n)
-        _check_budget((sum(counts),), _DEGREE, f"monomial {key!r}", "in total degree")
+        _check_budget((sum(counts),), "in total degree", f"monomial {key!r}")
         coeffs[counts] = parse_rational(text)
     return Polynomial.from_map(n, coeffs)
 

@@ -15,7 +15,7 @@ compressed symmetric storage: the slot count for degree ``l`` in dimension
 ``n`` is ``C(n + l - 1, l)``; ``dense_classes`` and ``class_multiplicities``
 cache each dense offset's class rank and each class multiplicity as plain ints.
 Index classes are generated as count tuples sorted by ``_colex_key``, the one
-statement of that order.  ``_check_budget`` refuses oversized requests.
+statement of that order.  ``_check_budget`` refuses a request past its row of ``_BUDGETS``.
 """
 from __future__ import annotations
 
@@ -309,11 +309,38 @@ def sym_dim(n: int, l: int) -> int:
     return math.comb(n + l - 1, l)
 
 
-def _check_budget(sizes: Iterable[int], budget: int, request: str, unit: str) -> None:
-    """Refuse ``request`` once the running sum of ``sizes`` passes ``budget``.
+# Every request budget, keyed by the unit its error line names; nothing overrides a budget.
+_BUDGETS = {
+    # Basis pairs `verify duality` checks; each builds two tensors and pairs them.
+    "basis pairs": 20_000,
+    # Permutation applications `verify epsilon` makes: l! per case.
+    "permutation applications": 1_000_000,
+    # Index classes `dims` lists over all its degrees.
+    "index classes": 10_000,
+    # Cells per axis `--subdiv` cuts a box into.
+    "cells per axis": 100_000,
+    # Midpoint powers per axis, cells * (degree + 1); the bench's rules raise at most 1,200.
+    # It ignores the midpoints' digits: a 200th power takes 1 us at 2 digits, 3-5 ms at 1,000 bits.
+    "midpoint powers": 1_000_000,
+    # Jet slots of a jet or stress file's header, `jet`, and `verify jets` or `cauchy`.
+    "jet slots": 10_000,
+    # Stored components a tensor file's header declares, and `verify epsilon`'s dense draws.
+    "components": 100_000,
+    # Total degree of a monomial in a field or stress file: the jet's Taylor shift and the
+    # density products grow with it, and the bench fields reach degree 12.
+    "in total degree": 100,
+    # Exponent magnitude of a rational literal like "2.5e-3", as Fraction builds 10**exponent;
+    # Python's int limit on the length of a digit string sets the scale.
+    "in exponent": 4_300,
+}
+
+
+def _check_budget(sizes: Iterable[int], unit: str, request: str) -> None:
+    """Refuse ``request`` once the running sum of ``sizes`` passes the budget of ``unit``.
 
     The sum stops at the first total past the budget, so ``sizes`` may be lazy and long.
     """
+    budget = _BUDGETS[unit]
     if any(total > budget for total in itertools.accumulate(sizes)):
         raise ValueError(f"{request} exceeds its budget of {budget} {unit}")
 

@@ -39,12 +39,6 @@ Scalar = Fraction | int | str
 Counts = tuple[int, ...]
 Terms = Collection[tuple[Counts, int]]
 
-# The most midpoint powers one axis of a midpoint rule raises: cells times (degree + 1).  Each
-# power costs about 0.3 us at degree 14 and 1.1 us at degree 200, the highest density two
-# degree-budgeted files make, so an axis stays near 1 s; the bench's rules raise at most 1,200.
-_MIDPOINT_POWERS = 1_000_000
-
-
 def _as_counts(index: IndexLike, n: int) -> Counts:
     """The checked exponent counts of a monomial label; a raw sequence is counts, not axes."""
     if isinstance(index, MultiIndex):
@@ -409,7 +403,7 @@ def _midpoint_sums(
     # The cell width times the sums of the powers of the midpoints, over one denominator.
     # Midpoint c is (2 cells lo + (hi - lo)(2c + 1)) / step; width is (hi - lo) / (q cells).
     request = f"midpoint rule of {cells} cells at degree {top}"
-    _check_budget((cells * (top + 1),), _MIDPOINT_POWERS, request, "midpoint powers")
+    _check_budget((cells * (top + 1),), "midpoint powers", request)
     step = 2 * cells * q
     mids = [2 * cells * lo + (hi - lo) * (2 * c + 1) for c in range(cells)]
     nums = {e: (hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in exps}

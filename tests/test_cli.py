@@ -295,8 +295,8 @@ def test_verify_duality_budget_admits_sizes_below_it(monkeypatch):
         # 25 cases of 8! permutations each are 1,008,000 applications.
         (["--n", "3", "--l", "8", "--cases", "25"], "1000000 permutation applications"),
         # One dense draw of 9**6 = 531,441 components.
-        (["--n", "9", "--l", "6", "--cases", "5"], "100000 dense components"),
-        (["--n", "100", "--l", "8", "--cases", "1"], "100000 dense components"),
+        (["--n", "9", "--l", "6", "--cases", "5"], "100000 components"),
+        (["--n", "100", "--l", "8", "--cases", "1"], "100000 components"),
     ],
 )
 def test_verify_epsilon_refuses_sizes_past_its_budgets(capsys, monkeypatch, flags, budget):

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from jetstress import fileio
+import jetstress
+from jetstress import fileio, multiindex
 from jetstress.cli import main
 from jetstress.hyperstress import TractionStressField, VariationalStressField
 from jetstress.jet import JetElement
@@ -354,13 +357,19 @@ def test_tensor_key_faults_are_reported_in_one_order_for_both_storages(storage, 
         fileio.tensor_from_obj(obj)
 
 
+def test_no_module_but_multiindex_binds_a_budget_value():
+    # The budget table is the one place a limit is stated, so lowering a row reaches every check.
+    limits = set(multiindex._BUDGETS.values())
+    names = [f"jetstress.{info.name}" for info in pkgutil.iter_modules(jetstress.__path__)]
+    for module in map(importlib.import_module, ["jetstress", *names]):
+        bound = [name for name, value in vars(module).items() if type(value) is int and value in limits]
+        assert module is multiindex or not bound, (module.__name__, bound)
+
+
 def test_one_slot_check_holds_every_jet_shaped_request(monkeypatch, tmp_path, capsys):
     # n = 2, m = 1 through order 2 is 1 + 2 + 3 = 6 jet slots; a traction stress of order 2
     # is n = 2 rows through order 1, also 6.  Lowering the one budget refuses each request.
-    import jetstress.cli as cli
-
-    assert not hasattr(cli, "_JET_SLOTS")
-    monkeypatch.setattr(fileio, "_JET_SLOTS", 5)
+    monkeypatch.setitem(multiindex._BUDGETS, "jet slots", 5)
     budget = "exceeds its budget of 5 jet slots"
     shape = {"n": 2, "m": 1, "k": 2}
     for read, obj, request in (
@@ -380,7 +389,7 @@ def test_one_slot_check_holds_every_jet_shaped_request(monkeypatch, tmp_path, ca
     ):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {request} {budget}\n")
-    monkeypatch.setattr(fileio, "_JET_SLOTS", 6)
+    monkeypatch.setitem(multiindex._BUDGETS, "jet slots", 6)
     assert fileio.jet_from_obj({**shape, "x": ["0", "0"]}).k == 2
     assert main(["jet", str(field), "--point", "0,0", "--k", "2"]) == 0
 
