@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 from . import fileio
@@ -101,6 +102,11 @@ def cmd_jet(args: SimpleNamespace) -> int:
     point = _parse_point(args.point)
     request = f"jet at --k {args.k} of a field with n={field.n}, m={field.m}"
     _check_slots(field.n, field.m, args.k, request)
+    # A monomial's bits at the point, from its counts and the coordinates' bits, not its value.
+    bits = [max(c.numerator.bit_length(), c.denominator.bit_length()) for c in point.coords]
+    terms = (card for poly in field.components for card, _ in poly.terms)
+    most = max((sum(map(mul, card.counts, bits)) for card in terms), default=0)
+    _check_budget((most,), "monomial bits", request)
     jet = jet_of(field, point, args.k)
     obj = fileio.jet_to_obj(jet)
     if args.out:
@@ -207,7 +213,7 @@ _COMMANDS = {
     ),
 }
 _CHOICES = {"command": tuple(_COMMANDS), "suite": ("epsilon", "duality", "cauchy", "jets")}
-_USAGE = """\
+_USAGE = f"""\
 usage:
 jetstress dims --n 3 --l 4
 jetstress symmetrize dense.json --out packed.json
@@ -215,7 +221,7 @@ jetstress jet field.json --point 0,1/2 --k 2 [--out jet.json]
 jetstress power stress.json field.json --box 0,0:1,1 [--subdiv N] [--float]
 jetstress flux stress.json field.json --box 0,0:1,1 [--k K] [--subdiv N] [--float]
 jetstress pair cotensor.json tensor.json [--float]
-jetstress verify {epsilon,duality,cauchy,jets} [--n N] [--l L] [--k K] [--m M] [--seed S] [--cases C]
+jetstress verify {{{','.join(_CHOICES['suite'])}}} [--n N] [--l L] [--k K] [--m M] [--seed S] [--cases C]
 """
 
 

@@ -614,7 +614,15 @@ OVERSIZED = {
         ["power", "stress.json", "field.json", "--box", "0:1", "--subdiv", "100000"],
         "1000000 midpoint powers",
     ),
+    # x1**100 at 10**-4300 is 1,428,500 bits; admitted, it ran 4.8 s to the print limit.
+    "jet-point-bits": (
+        {"field.json": {"n": 1, "m": 1, "components": [{"100": "1"}]}},
+        ["jet", "field.json", "--point", "1e-4300", "--k", "10"],
+        "20000 monomial bits",
+    ),
 }
+# The requests that ran for seconds when admitted run in a child with a timeout.
+IN_A_CHILD = {"jet-point-bits"}
 
 
 @pytest.mark.parametrize("kind", sorted(OVERSIZED))
@@ -624,11 +632,20 @@ def test_oversized_request_is_refused_at_once(tmp_path, capsys, kind):
         write_json(tmp_path / name, obj)
     argv = [str(tmp_path / arg) if arg in files or arg == "out.json" else arg for arg in args]
     start = time.perf_counter()
-    assert main(argv) == 1
+    if kind in IN_A_CHILD:
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        child = subprocess.run(
+            [sys.executable, "-m", "jetstress.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        code, out, err = child.returncode, child.stdout, child.stderr
+    else:
+        code = main(argv)
+        out, err = capsys.readouterr()
+    assert code == 1
     assert time.perf_counter() - start < 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith(f" exceeds its budget of {budget}")
     assert not (tmp_path / "out.json").exists()
@@ -779,17 +796,21 @@ def test_value_too_long_to_print_is_one_error_line(tmp_path, capsys, out):
         (["dims", "--n", "1", "--l", "10000"], True),
         (["jet", "field.json", "--point", "0,0", "--k", "139"], False),
         (["jet", "field.json", "--point", "0,0", "--k", "140"], True),
+        (["jet", "x1-99-x2.json", "--point", f"{2**199},{2**199}", "--k", "1"], False),
+        (["jet", "x1-99-x2.json", "--point", f"{2**199},{2**200}", "--k", "1"], True),
     ],
 )
 def test_flag_budgets_admit_sizes_up_to_them(tmp_path, monkeypatch, capsys, argv, refused):
     # dims --n 8 --l 7 lists 6,435 classes; a jet of order 139 of a one-component field on the
-    # plane has 9,870 slots and one of order 140 has 10,011.  The work itself is stubbed out.
+    # plane has 9,870 slots and one of order 140 has 10,011.  x1**99 * x2 at two 200-bit
+    # coordinates is 20,000 monomial bits, and 20,001 with a 201-bit x2.  The work is stubbed out.
     monkeypatch.setattr(cli, "sym_dim", lambda n, l: 0)
     monkeypatch.setattr(cli, "enumerate_nondecreasing", lambda n, l: [])
     monkeypatch.setattr(cli, "jet_of", lambda field, point, k: None)
     monkeypatch.setattr(fileio, "jet_to_obj", lambda jet: {})
     write_json(tmp_path / "field.json", X1X2)
-    argv = [str(tmp_path / arg) if arg == "field.json" else arg for arg in argv]
+    write_json(tmp_path / "x1-99-x2.json", {"n": 2, "m": 1, "components": [{"99,1": "1"}]})
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
     main(argv)
     assert ("exceeds its budget" in capsys.readouterr().err) == refused
 

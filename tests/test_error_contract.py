@@ -126,9 +126,15 @@ def _file_text(data, kind: str) -> str:
 
 
 def _flag(data, value: str) -> str:
-    """A flag's value, sometimes replaced by drawn text."""
+    """A flag's value, sometimes replaced by drawn text or edited in one character.
+
+    An edit keeps most of a valid ``--point`` or ``--box``, so the flag's own parser sees it.
+    """
     texts = st.text(max_size=8) | st.sampled_from(["", "-1", "0", "1e4301", "١", "0,0:1"])
-    return data.draw(texts) if data.draw(st.integers(0, 9)) == 0 else value
+    how = data.draw(st.sampled_from(["valid", "edited", "valid", "text", "valid"]))
+    if how == "text":
+        return data.draw(texts)
+    return _edited(data, value) if how == "edited" else value
 
 
 def _holds_the_contract(argv: list[str], out_path) -> None:
