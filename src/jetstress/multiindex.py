@@ -329,8 +329,8 @@ _BUDGETS = {
     # Total degree of a monomial in a field or stress file: the jet's Taylor shift and the
     # density products grow with it, and the bench fields reach degree 12.
     "in total degree": 100,
-    # The most bits of a `jet` field's monomial at --point, each count times its coordinate's
-    # bits.  x1^3 at 1e1500 is 14,949; x1^100 at 1e-4300 ran 4.8 s to the print limit.
+    # Bits of a `jet` field's monomial at --point, counts times coordinate bits; the Taylor shift's
+    # cost grows about as their square, and x1^3 at 1e1500 (14,949) must still hit the print limit.
     "monomial bits": 20_000,
     # Exponent magnitude of a rational literal like "2.5e-3", as Fraction builds 10**exponent;
     # Python's int limit on the length of a digit string sets the scale.

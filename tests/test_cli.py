@@ -614,7 +614,7 @@ OVERSIZED = {
         ["power", "stress.json", "field.json", "--box", "0:1", "--subdiv", "100000"],
         "1000000 midpoint powers",
     ),
-    # x1**100 at 10**-4300 is 1,428,500 bits; admitted, it ran 4.8 s to the print limit.
+    # x1**100 at 10**-4300 is 1,428,500 bits; admitted, it ran 4 to 5 s to the print limit.
     "jet-point-bits": (
         {"field.json": {"n": 1, "m": 1, "components": [{"100": "1"}]}},
         ["jet", "field.json", "--point", "1e-4300", "--k", "10"],

@@ -362,7 +362,8 @@ def test_no_module_but_multiindex_binds_a_budget_value():
     limits = set(multiindex._BUDGETS.values())
     names = [f"jetstress.{info.name}" for info in pkgutil.iter_modules(jetstress.__path__)]
     for module in map(importlib.import_module, ["jetstress", *names]):
-        bound = [name for name, value in vars(module).items() if type(value) is int and value in limits]
+        bound = [name for name, value in vars(module).items()
+                 if type(value) is int and value in limits]
         assert module is multiindex or not bound, (module.__name__, bound)
 
 
