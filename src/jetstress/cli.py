@@ -298,8 +298,8 @@ def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
         # Looked up when the command runs, so a wrapped cmd_* in the module is the one called.
         return globals()[f"cmd_{command}"](args)
     except (ValueError, OSError) as exc:
@@ -307,5 +307,33 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The program's entry: ``main`` on ``sys.argv``, then exit once stdout and stderr are flushed.
+
+    The output is complete by then, so the process ends without the
+    interpreter's teardown; ``atexit`` handlers do not run.  A flush that
+    fails ends as a failed write in ``main`` does, in one ``error:`` line and
+    exit 1.  An exception other than ``_parse``'s exit keeps Python's path.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stderr.flush()
+    except OSError:
+        # stderr failed too, so the exit code is all that can report it.
+        code = 1
+    # Imported here: under -S, importing this module loads no module beyond the package.
+    import os
+
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

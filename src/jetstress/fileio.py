@@ -7,8 +7,9 @@ Keys and values are ASCII; any other character, raw or JSON-escaped, is a
 load error.  A value or ``--point``/``--box`` coordinate reads as ``Fraction``
 reads it and a key's integers as ``int`` does: surrounding whitespace, ``_``
 between digits, leading zeros and signs load, though no writer emits them.
-A slot or monomial named twice in different spellings takes the last value,
-as a duplicate JSON key does.  Integer flags are Python's ``int``.
+A tensor component, monomial, jet block order or slot named twice in
+different spellings is a load error that names both keys.  Integer flags are
+Python's ``int``.
 
 Index keys come in two grammars:
 
@@ -141,6 +142,16 @@ def parse_counts(text: str, n: int) -> CardinalityIndex:
     return CardinalityIndex(_counts(text, n))
 
 
+def _once(seen: dict, slot: object, key: str, what: str) -> None:
+    """Note ``key`` as the spelling of ``slot``; a second spelling of one slot is an error.
+
+    JSON keeps one value per key, so a second key for a slot is another spelling of it.
+    """
+    first = seen.setdefault(slot, key)
+    if first != key:
+        raise ValueError(f"{first!r} and {key!r} name one {what}")
+
+
 def _json_object(value: object, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
@@ -228,6 +239,7 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
     # so JSON true is not taken for 1.
     comps = [_ZERO] * size
     parsed: dict[str, Fraction] = {}
+    held = bytearray(size)
     # The size check above holds n to its budget unless the degree, and so every key, is 0.
     in_range = frozenset(range(1, n + 1) if degree else ()).issuperset
     for key, text in components.items():
@@ -237,6 +249,12 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
         if not in_range(axes):
             _check_axes(axes, n)
         at = offset(axes, n)
+        if held[at]:
+            # The first spelling is looked up only on this error path: a key kept per component
+            # would cost about 0.5 MB on a 6,561-component tensor.
+            first = next(k for k in components if offset(_int_list(k, "axis list"), n) == at)
+            raise ValueError(f"{first!r} and {key!r} name one tensor component")
+        held[at] = 1
         literal = str(text)
         if literal not in parsed:
             parsed[literal] = parse_rational(literal)
@@ -259,10 +277,11 @@ def polynomial_to_obj(poly: Polynomial) -> dict:
 
 
 def polynomial_from_obj(obj: dict, n: int) -> Polynomial:
-    coeffs = {}
+    coeffs, seen = {}, {}
     for key, text in obj.items():
         counts = _counts(key, n)
         _check_budget((sum(counts),), "in total degree", f"monomial {key!r}")
+        _once(seen, counts, key, "monomial")
         coeffs[counts] = parse_rational(text)
     return Polynomial.from_map(n, coeffs)
 
@@ -320,15 +339,18 @@ def jet_from_obj(obj: dict) -> JetElement:
     _check_jet_shape(n, m, k)
     _check_slots(n, m, k, f"jet of n={n}, m={m}, k={k}")
     point = Point(tuple(parse_rational(c) for c in x))
-    slots = {}
+    slots, orders, seen = {}, {}, {}
     for order_key, entries in blocks_obj.items():
         (l,) = _int_list(order_key, "block order", 1)
         if not 0 <= l <= k:
             raise ValueError(f"block order {l} out of range 0..{k}")
+        _once(orders, l, order_key, "jet block order")
+        # A slot's degree is its block's order, so two blocks never hold one slot.
         for key, text in _json_object(entries, f"jet block {order_key!r}").items():
             alpha, card = _parse_slot_key(key, n, "jet")
             if card.degree != l:
                 raise ValueError(f"slot {key!r} has degree {card.degree}, expected {l}")
+            _once(seen, (alpha, card), key, "jet slot")
             slots[alpha, card] = parse_rational(text)
     return _jet_of_slots(n, m, k, point, slots)
 
@@ -362,9 +384,10 @@ def stress_from_obj(obj: dict) -> VariationalStressField | TractionStressField:
     _check_jet_shape(n, m, k)
     width, order = (n * m, k - 1) if kind == "traction" else (m, k)
     _check_slots(n, width, order, f"{kind} stress of n={n}, m={m}, k={k}")
-    entries = {}
+    entries, seen = {}, {}
     for key, value in _json_object(blocks, "stress blocks").items():
         slot = _parse_slot_key(key, n, kind)
+        _once(seen, slot, key, "stress slot")
         entries[slot] = polynomial_from_obj(_json_object(value, f"stress slot {key!r}"), n)
     return fields[kind].from_map(n, m, k, entries)
 

@@ -29,14 +29,15 @@ component products.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
 from .multiindex import IndexLike, _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar
-from .polyfield import _antiderivatives, _midpoint_sums, _separable_sum, _sum_of_products
+from .polyfield import Counts, _add_product, _antiderivatives, _denominator, _derived
+from .polyfield import _from_numerators, _midpoint_sums, _numerators, _separable_terms
 from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _covector_of_rows
 from .jet import _slot_items, _slot_rows, pair_jet
 
@@ -261,6 +262,19 @@ def cauchy_traction(stress: TractionHyperStress, frame: Sequence[Vector]) -> Hyp
     return HyperTraction(stress.k, _covector_of_rows(n, stress.m, stress.k - 1, rows))
 
 
+# A density's int numerators by counts, and their denominator.
+_Density = tuple[dict[Counts, int], int]
+# A field's derivative by (component, counts) as int terms, memoized, and their denominator.
+_Derivatives = tuple[Callable[[int, Counts], list[tuple[Counts, int]]], int]
+
+
+def _derivatives(field: PolyField) -> _Derivatives:
+    """The field's derivatives, all over the one common denominator of its coefficients."""
+    den = _denominator(*field.components)
+    terms = [_numerators(poly, den) for poly in field.components]
+    return cache(lambda alpha, counts: _derived(terms[alpha - 1], counts)), den
+
+
 class VariationalStressField(_Record):
     """Variational hyper-stress with polynomial dependence on position.
 
@@ -307,22 +321,23 @@ class VariationalStressField(_Record):
 
     def density(self, field: PolyField) -> Polynomial:
         """Power density against the jet of a polynomial field, as a polynomial."""
-        return self._density(field, {})
+        return _from_numerators(self.n, *self._density(field, _derivatives(field)))
 
-    def _density(self, field: PolyField, derivatives: dict) -> Polynomial:
-        """``density``, memoizing the field's derivatives by (component, counts).
+    def _density(self, field: PolyField, derivatives: _Derivatives) -> _Density:
+        """``density`` as int numerators by counts over one denominator.
 
-        Every slot product is summed in one pass, without a product
-        polynomial per slot.
+        ``derivatives`` is ``_derivatives(field)``.  Every slot product is
+        added into one accumulator, without a polynomial per slot.
         """
         if (field.n, field.m) != (self.n, self.m):
             raise ValueError("shape mismatch")
-        pairs = []
-        for _, alpha, counts, poly in _slot_items(self.n, self.blocks, Polynomial.zero(self.n)):
-            if (alpha, counts) not in derivatives:
-                derivatives[alpha, counts] = field.components[alpha - 1].derive(counts)
-            pairs.append((poly, derivatives[alpha, counts]))
-        return _sum_of_products(self.n, pairs)
+        derivative, field_den = derivatives
+        slots = list(_slot_items(self.n, self.blocks, Polynomial.zero(self.n)))
+        den = _denominator(*(poly for *_, poly in slots))
+        acc: dict[Counts, int] = {}
+        for _, alpha, counts, poly in slots:
+            _add_product(acc, _numerators(poly, den), derivative(alpha, counts))
+        return acc, den * field_den
 
 
 class TractionStressField(_PerAxis):
@@ -351,18 +366,26 @@ class TractionStressField(_PerAxis):
 
         The n axes share one table of the field's derivatives.
         """
-        derivatives: dict = {}
+        return [_from_numerators(self.n, *coeff) for coeff in self._density_coeffs(field)]
+
+    def _density_coeffs(self, field: PolyField) -> list[_Density]:
+        derivatives = _derivatives(field)
         return [axis._density(field, derivatives) for axis in self.axes]
 
 
-def _integrate(poly: Polynomial, region: BoxRegion, method: str, face_axis: int = 0) -> Fraction:
-    """Integral over the region's box, in closed form or by its midpoint rule.
+def _integrate(density: _Density, region: BoxRegion, method: str, face_axis: int = 0) -> Fraction:
+    """Integral of a density over the region's box, in closed form or by its midpoint rule.
 
-    A face axis gives the upper face normal to it minus the lower face."""
+    A face axis gives the upper face normal to it minus the lower face.  Terms
+    that cancelled are dropped, so the axis tables see only the exponents in use."""
     tables = {"exact": _antiderivatives, "midpoint": partial(_midpoint_sums, region.subdivisions)}
     if method not in tables:
         raise ValueError(f"unknown method {method!r}")
-    return _separable_sum(poly, region.lower, region.upper, (), tables[method], face_axis)
+    acc, den = density
+    terms = [(counts, num) for counts, num in acc.items() if num]
+    return _separable_terms(
+        region.n, terms, den, region.lower, region.upper, (), tables[method], face_axis
+    )
 
 
 def total_power(
@@ -381,7 +404,7 @@ def total_power(
     """
     if region.n != stress.n:
         raise ValueError("region dimension mismatch")
-    return _integrate(stress.density(field), region, method)
+    return _integrate(stress._density(field, _derivatives(field)), region, method)
 
 
 def boundary_power_flux(
@@ -404,7 +427,7 @@ def boundary_power_flux(
         raise ValueError("region dimension mismatch")
     if k is not None and k != stress.k:
         raise ValueError(f"stress has order {stress.k}, got k={k}")
-    coeffs = stress.density_coeffs(field)
+    coeffs = stress._density_coeffs(field)
     return sum(_integrate(c, region, method, axis) for axis, c in enumerate(coeffs, start=1))
 
 

@@ -18,10 +18,11 @@ is a sum of products with constants.  ``compose_affine`` is the pullback
 along an affine map, with the replacement powers memoized per variable and
 exponent; ``substitute`` sends one variable to a constant and ``taylor`` is
 the shift ``p(center + y)`` truncated at the order as it is built.
-``_separable_sum`` is a functional that factors over the axes, one table of
-factors per axis: the powers of a coordinate give the value at a point, and
-the antiderivatives, midpoint sums and face pairs the box integrals,
-midpoint rules and fluxes.
+``_separable_terms`` is a functional on such int terms that factors over the
+axes, one table of factors per axis: the powers of a coordinate give the
+value at a point, and the antiderivatives, midpoint sums and face pairs the
+box integrals, midpoint rules and fluxes.  ``_separable_sum`` applies it to a
+polynomial; a stress density reaches it straight from its accumulator.
 """
 from __future__ import annotations
 
@@ -96,6 +97,16 @@ def _add_product(acc: dict[Counts, int], left: Terms, right: Terms) -> dict[Coun
             key = tuple(map(add, counts_a, counts_b))
             acc[key] = acc.get(key, 0) + a * b
     return acc
+
+
+def _derived(terms: Terms, order: Counts) -> list[tuple[Counts, int]]:
+    """The ``order`` derivative of (counts, int numerator) terms, over the same denominator."""
+    # math.perm(c, j) is the falling factorial c (c-1) ... (c-j+1).
+    return [
+        (tuple(map(sub, counts, order)), value * math.prod(map(math.perm, counts, order)))
+        for counts, value in terms
+        if all(map(ge, counts, order))
+    ]
 
 
 def _scaled_sum(n: int, *scaled: tuple["Polynomial", Scalar]) -> "Polynomial":
@@ -232,13 +243,7 @@ class Polynomial(_Record):
         """
         order = _as_counts(order, self.n)
         den = _denominator(self)
-        # math.perm(c, j) is the falling factorial c (c-1) ... (c-j+1).
-        derived = {
-            tuple(map(sub, counts, order)): value * math.prod(map(math.perm, counts, order))
-            for counts, value in _numerators(self, den)
-            if all(map(ge, counts, order))
-        }
-        return _from_numerators(self.n, derived, den)
+        return _from_numerators(self.n, dict(_derived(_numerators(self, den), order)), den)
 
     def taylor(self, center: Point, order: int) -> "Polynomial":
         """Taylor coefficients around a point, as a polynomial in the offset.
@@ -328,7 +333,26 @@ def _separable_sum(
     axis_table: Callable[[int, int, int, int, Collection[int]], tuple[dict[int, int], int]],
     face_axis: int = 0,
 ) -> Fraction:
+    """``_separable_terms`` on the terms of a polynomial."""
+    den = _denominator(poly)
+    terms = _numerators(poly, den)
+    return _separable_terms(poly.n, terms, den, lower, upper, skip_axes, axis_table, face_axis)
+
+
+def _separable_terms(
+    n: int,
+    terms: Terms,
+    den: int,
+    lower: Sequence[Scalar],
+    upper: Sequence[Scalar],
+    skip_axes: Iterable[int],
+    axis_table: Callable[[int, int, int, int, Collection[int]], tuple[dict[int, int], int]],
+    face_axis: int = 0,
+) -> Fraction:
     """Sum over terms of the coefficient times one factor per integrated axis.
+
+    The terms are nonzero (counts, int numerator) pairs over ``den``, in n
+    variables.
 
     ``axis_table(lo, hi, q, top, exps)`` gets an axis's bounds as ``lo/q``
     and ``hi/q`` and returns the factors for the exponents ``exps`` that the
@@ -340,19 +364,17 @@ def _separable_sum(
     """
     lo = [Fraction(v) for v in lower]
     hi = [Fraction(v) for v in upper]
-    if len(lo) != poly.n or len(hi) != poly.n:
+    if len(lo) != n or len(hi) != n:
         raise ValueError("box dimension mismatch")
     skip = sorted(set(skip_axes))
     for axis in skip:
-        if not 1 <= axis <= poly.n:
-            raise ValueError(f"axis {axis} out of range 1..{poly.n}")
-    den = _denominator(poly)
-    terms = _numerators(poly, den)
+        if not 1 <= axis <= n:
+            raise ValueError(f"axis {axis} out of range 1..{n}")
     depends = [axis for counts, _ in terms for axis in skip if counts[axis - 1]]
     if depends:
         raise ValueError(f"polynomial still depends on skipped axis {depends[0]}")
     tables = []
-    for r in range(poly.n):
+    for r in range(n):
         if r + 1 not in skip:
             a, b = lo[r], hi[r]
             exps = {counts[r] for counts, _ in terms}

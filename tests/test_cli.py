@@ -457,6 +457,26 @@ MALFORMED = {
         },
         ["flux", "stress.json", "field.json", "--box", "0,0:1,1"],
     ),
+    "slot-spelled-twice": (
+        {
+            "stress.json": {
+                "n": 2, "m": 1, "k": 1, "kind": "variational",
+                "blocks": {"1|": {"": "1"}, " 1|": {"": "5"}},
+            },
+            "field.json": ONE_FIELD,
+        },
+        ["power", "stress.json", "field.json", "--box", "0,0:1,1"],
+    ),
+    "monomial-spelled-twice": (
+        {"field.json": {"n": 2, "m": 1, "components": [{"0,0": "1", " 0,0": "2"}]}},
+        ["jet", "field.json", "--point", "0,0", "--k", "1"],
+    ),
+}
+# The one error line of some kinds, in full; write_json sorts the keys, so " 1|" comes first.
+MALFORMED_LINES = {
+    "traction-order-zero": "error: order must be at least 1, got 0",
+    "slot-spelled-twice": "error: ' 1|' and '1|' name one stress slot",
+    "monomial-spelled-twice": "error: ' 0,0' and '0,0' name one monomial",
 }
 
 
@@ -474,8 +494,8 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, kind):
     assert not (tmp_path / "out.json").exists()
     if kind == "bad-slot-key":
         assert "'x||1'" in lines[0]
-    if kind == "traction-order-zero":
-        assert lines[0] == "error: order must be at least 1, got 0"
+    if kind in MALFORMED_LINES:
+        assert lines[0] == MALFORMED_LINES[kind]
 
 
 HUGE = 10**20
@@ -915,6 +935,103 @@ def test_main_calls_the_command_bound_in_the_module(monkeypatch):
     monkeypatch.setattr(cli, "cmd_dims", lambda args: calls.append(vars(args)) or 0)
     assert main(["dims", "--n", "2"]) == 0
     assert calls == [{"n": 2, "l": 6}]
+
+
+def child_env(**extra: str) -> dict:
+    """The environment of a CLI child: no ``PYTHON*`` variable, so stdout is block-buffered."""
+    env = {name: value for name, value in os.environ.items() if not name.startswith("PYTHON")}
+    return {**env, "PYTHONPATH": str(SRC), **extra}
+
+
+def console_script() -> list[str]:
+    """The installed ``jetstress`` script: pyproject's entry, called as pip's wrapper calls it."""
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = text.split('\njetstress = "', 1)[1].split('"', 1)[0].split(":")
+    call = f"import sys; from {module} import {function}; sys.exit({function}())"
+    return [sys.executable, "-c", call]
+
+
+STARTS = {"module": [sys.executable, "-m", "jetstress.cli"], "script": console_script()}
+
+
+def exit_path_argv(tmp_path, kind: str) -> list[str]:
+    field = product_field_file(tmp_path)
+    if kind == "power":
+        stress = VariationalStressField.from_map(
+            2, 1, 1, {(1, CardinalityIndex((1, 0))): Polynomial.variable(2, 2)}
+        )
+        stress_file = write_json(tmp_path / "stress.json", fileio.stress_to_obj(stress))
+        return ["power", stress_file, field, "--box", "0,0:1,2"]
+    out = str(tmp_path / "j.json")
+    return {
+        "jet-out": ["jet", field, "--point", "1/3,2", "--k", "3", "--out", out],
+        "file-error": ["jet", str(tmp_path / "missing.json"), "--point", "0", "--k", "1"],
+        "usage-error": ["dims", "--n", "x"],
+        "help": ["pair", "--help"],
+    }[kind]
+
+
+@pytest.mark.parametrize("start", sorted(STARTS))
+@pytest.mark.parametrize("kind", ["power", "jet-out", "file-error", "usage-error", "help"])
+def test_a_child_ends_as_main_returns(tmp_path, capsys, kind, start):
+    # The entry exits once the output is flushed: the same stdout, stderr, exit code and --out
+    # bytes as main() in process, with stdout block-buffered.
+    argv = exit_path_argv(tmp_path, kind)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    expected = (code, *capsys.readouterr())
+    out = tmp_path / "j.json"
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    child = subprocess.run(
+        STARTS[start] + argv, env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (child.returncode, child.stdout, child.stderr) == expected
+    assert (out.read_bytes() if out.exists() else None) == written
+    assert expected[0] == (kind in ("file-error", "usage-error"))
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize(
+    "argv", [["dims", "--n", "2", "--l", "2"], ["--help"], ["dims", "--n", "1", "--l", "200"]]
+)
+@pytest.mark.parametrize("sink", ["/dev/full", "closed-pipe"])
+@pytest.mark.parametrize("start", sorted(STARTS))
+def test_a_failed_write_of_stdout_is_one_error_line(start, sink, argv, buffered):
+    # A full disk or a pipe with no reader: one error line and exit 1, whether stdout is
+    # buffered, so the entry's flush is what fails, or not, so main's write is; the dims table
+    # through --l 200 is larger than the buffer.
+    extra = {} if buffered else {"PYTHONUNBUFFERED": "1"}
+    command = STARTS[start] + argv
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full")
+        stdout, message = os.open(sink, os.O_WRONLY), "[Errno 28] No space left on device"
+    else:
+        read, stdout = os.pipe()
+        os.close(read)
+        message = "[Errno 32] Broken pipe"
+    try:
+        child = subprocess.run(
+            command, env=child_env(**extra), stdout=stdout, stderr=subprocess.PIPE, text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(stdout)
+    assert (child.returncode, child.stderr) == (1, f"error: {message}\n")
+
+
+def test_an_unexpected_exception_keeps_its_traceback():
+    # Only main's return and _parse's exit take the fast exit; anything else is Python's.
+    call = "from jetstress import cli; cli.cmd_dims = lambda args: 1 / 0; cli.run()"
+    child = subprocess.run(
+        [sys.executable, "-c", call, "dims", "--n", "2"],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr.startswith("Traceback") and "ZeroDivisionError" in child.stderr
 
 
 VARIATIONAL = {"n": 2, "m": 1, "k": 1, "kind": "variational", "blocks": {}}

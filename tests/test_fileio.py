@@ -412,13 +412,27 @@ def test_within_ascii_keys_and_values_read_as_python_reads_them():
         assert fileio.parse_rational(text) == value
     assert fileio.parse_counts(" 1 , +0 ", 2) == CardinalityIndex((1, 0))
     assert fileio.parse_counts("0_1,00", 2) == CardinalityIndex((1, 0))
-    # Two spellings of one monomial or slot: the last value read wins, as for a duplicate key.
-    field = fileio.field_from_obj({"n": 2, "m": 1, "components": [{"1,0": "1", " 1, 0": "2"}]})
-    assert field.components[0] == Polynomial.from_map(2, {(1, 0): 2})
+    # Two spellings of one component, monomial, block order or slot: an error naming both keys.
+    field = {"n": 2, "m": 1, "components": [{"1,0": "1", " 1, 0": "2"}]}
     dense = {**TENSOR, "degree": 2, "storage": "dense", "components": {"1,2": "1", "01,2": "5"}}
-    assert fileio.tensor_from_obj(dense).component((1, 2)) == 5
-    stress = {**VARIATIONAL, "blocks": {"1|1": {"": "1"}, "+1| 1": {"": "3"}}}
-    assert fileio.stress_from_obj(stress).blocks[1][0][0] == Polynomial.constant(2, 3)
+    packed = {**TENSOR, "degree": 2, "components": {"1,2": "1", "1,+2": "1"}}
+    variational = {**VARIATIONAL, "blocks": {"1|1": {"": "1"}, "+1| 1": {"": "3"}}}
+    traction = {**TRACTION, "blocks": {"1||2": {"": "1"}, "1|| 2": {"": "3"}}}
+    in_a_slot = {**VARIATIONAL, "blocks": {"1|": {"0,1": "1", "0,01": "2"}}}
+    jet = {**JET, "blocks": {"1": {"1|1,0": "1", "1|1 ,0": "2"}}}
+    orders = {**JET, "blocks": {"1": {"1|1,0": "1"}, " 1": {"1|0,1": "2"}}}
+    for read, obj, message in (
+        (fileio.field_from_obj, field, "'1,0' and ' 1, 0' name one monomial"),
+        (fileio.tensor_from_obj, dense, "'1,2' and '01,2' name one tensor component"),
+        (fileio.tensor_from_obj, packed, "'1,2' and '1,+2' name one tensor component"),
+        (fileio.stress_from_obj, variational, "'1|1' and '+1| 1' name one stress slot"),
+        (fileio.stress_from_obj, traction, "'1||2' and '1|| 2' name one stress slot"),
+        (fileio.stress_from_obj, in_a_slot, "'0,1' and '0,01' name one monomial"),
+        (fileio.jet_from_obj, jet, "'1|1,0' and '1|1 ,0' name one jet slot"),
+        (fileio.jet_from_obj, orders, "'1' and ' 1' name one jet block order"),
+    ):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            read(obj)
 
 
 def test_json_nested_too_deeply_is_a_load_error(tmp_path):

@@ -34,7 +34,8 @@ import pytest
 
 from jetstress import fileio, polyfield
 from jetstress.cli import main
-from jetstress.hyperstress import TractionStressField, VariationalStressField
+from jetstress.hyperstress import BoxRegion, TractionStressField, VariationalStressField
+from jetstress.hyperstress import total_power
 from jetstress.jet import JetCovector, JetElement, pair_jet
 from jetstress.multiindex import CardinalityIndex, MultiIndex, enumerate_nondecreasing, mi_factorial
 from jetstress.multiindex import dense_classes, sym_dim
@@ -325,11 +326,11 @@ def test_from_map_sums_that_cancel_are_zero():
 
 def test_polynomial_reader_matches_from_map():
     # Keys in several spellings of one monomial, some values zero, now and then a negative
-    # count; the last spelling read wins, as for a duplicate JSON key.
+    # count; the second spelling of a monomial in the file's order is an error naming both.
     rng = random.Random(309)
     for trial in range(80):
         n = 1 + trial % 3
-        obj, last = {}, {}
+        obj, last, spelled = {}, {}, {}
         for _ in range(rng.randint(0, 8)):
             counts = tuple(rng.randint(-1 if rng.random() < 0.05 else 0, 2) for _ in range(n))
             key = ",".join(map(str, counts))
@@ -342,7 +343,13 @@ def test_polynomial_reader_matches_from_map():
                 obj.pop(spelling, None)
                 obj[spelling] = rng.choice([str(value), f"{value.numerator}/{value.denominator}"])
                 last[counts] = value
-        expected = outcome(lambda: Polynomial.from_map(n, last))
+                spelled[spelling] = counts
+        first: dict = {}
+        twice = [(first[spelled[k]], k) for k in obj if first.setdefault(spelled[k], k) != k]
+        if twice:
+            expected = "error: {!r} and {!r} name one monomial".format(*twice[0])
+        else:
+            expected = outcome(lambda: Polynomial.from_map(n, last))
         result = outcome(lambda: fileio.polynomial_from_obj(obj, n))
         if isinstance(expected, str):
             assert result == expected
@@ -458,6 +465,10 @@ def test_density_that_cancels_is_zero():
     field = PolyField(1, 1, (x,))
     assert_exact(stress.density(field), Polynomial.zero(1))
     assert_exact(ref_density(stress, field), Polynomial.zero(1))
+    # Terms that cancel count toward no budget: at degree 100 the midpoint rule of 100,000 cells
+    # would pass its 1,000,000 powers, but x**99 * x - x**100 * 1 leaves no term of any degree.
+    stress = VariationalStressField(1, 1, 1, (((x.power(99),),), ((-x.power(100),),)))
+    assert total_power(stress, field, BoxRegion((0,), (1,), 100_000), method="midpoint") == 0
 
 
 def test_density_coeffs_match_per_axis_density():
