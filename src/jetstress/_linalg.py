@@ -3,13 +3,25 @@
 Everything in this package that needs a determinant, a rank, or a matrix
 inverse goes through these routines so that no floating point enters the
 exact code paths.  Matrices are plain sequences of row sequences.
+
+``_common_numerators`` is the one place where exact values become int
+numerators over their least common denominator: every fraction-free kernel
+of ``polyfield``, ``hyperstress`` and ``symtensor`` splits its inputs there.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 Row = Sequence[Fraction]
+
+
+def _common_numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values as int numerators over their least common denominator, and that denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [num * (den // d) for num, d in ratios], den
 
 
 def _to_rows(matrix: Sequence[Row]) -> list[list[Fraction]]:

@@ -36,8 +36,8 @@ from functools import cache, partial
 from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
 from .multiindex import IndexLike, _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar
-from .polyfield import Counts, _add_product, _antiderivatives, _denominator, _derived
-from .polyfield import _from_numerators, _midpoint_sums, _numerators, _separable_terms
+from .polyfield import Counts, _add_product, _antiderivatives, _derived, _from_numerators
+from .polyfield import _midpoint_sums, _separable_terms, _split
 from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _covector_of_rows
 from .jet import _slot_items, _slot_rows, pair_jet
 
@@ -270,8 +270,7 @@ _Derivatives = tuple[Callable[[int, Counts], list[tuple[Counts, int]]], int]
 
 def _derivatives(field: PolyField) -> _Derivatives:
     """The field's derivatives, all over the one common denominator of its coefficients."""
-    den = _denominator(*field.components)
-    terms = [_numerators(poly, den) for poly in field.components]
+    terms, den = _split(field.components)
     return cache(lambda alpha, counts: _derived(terms[alpha - 1], counts)), den
 
 
@@ -333,10 +332,10 @@ class VariationalStressField(_Record):
             raise ValueError("shape mismatch")
         derivative, field_den = derivatives
         slots = list(_slot_items(self.n, self.blocks, Polynomial.zero(self.n)))
-        den = _denominator(*(poly for *_, poly in slots))
+        terms, den = _split([poly for *_, poly in slots])
         acc: dict[Counts, int] = {}
-        for _, alpha, counts, poly in slots:
-            _add_product(acc, _numerators(poly, den), derivative(alpha, counts))
+        for (_, alpha, counts, _), slot_terms in zip(slots, terms):
+            _add_product(acc, slot_terms, derivative(alpha, counts))
         return acc, den * field_den
 
 
@@ -366,11 +365,8 @@ class TractionStressField(_PerAxis):
 
         The n axes share one table of the field's derivatives.
         """
-        return [_from_numerators(self.n, *coeff) for coeff in self._density_coeffs(field)]
-
-    def _density_coeffs(self, field: PolyField) -> list[_Density]:
         derivatives = _derivatives(field)
-        return [axis._density(field, derivatives) for axis in self.axes]
+        return [_from_numerators(self.n, *ax._density(field, derivatives)) for ax in self.axes]
 
 
 def _integrate(density: _Density, region: BoxRegion, method: str, face_axis: int = 0) -> Fraction:
@@ -427,8 +423,11 @@ def boundary_power_flux(
         raise ValueError("region dimension mismatch")
     if k is not None and k != stress.k:
         raise ValueError(f"stress has order {stress.k}, got k={k}")
-    coeffs = stress._density_coeffs(field)
-    return sum(_integrate(c, region, method, axis) for axis, c in enumerate(coeffs, start=1))
+    derivatives = _derivatives(field)
+    return sum(
+        _integrate(ax._density(field, derivatives), region, method, axis)
+        for axis, ax in enumerate(stress.axes, start=1)
+    )
 
 
 def box_face_frame(n: int, axis: int, is_upper: bool) -> tuple[list[Vector], int]:

@@ -33,6 +33,7 @@ from functools import partial
 from operator import add, ge, sub
 
 from . import _linalg
+from ._linalg import _common_numerators
 from .multiindex import CardinalityIndex, IndexLike, MultiIndex, _Record, cardinality
 from .multiindex import _check_budget, _checked_counts, _colex_key
 
@@ -70,23 +71,21 @@ class Point(_Record):
         return len(self.coords)
 
 
-def _denominator(*polys: "Polynomial") -> int:
-    """Least common denominator of every coefficient of the polynomials."""
-    return math.lcm(*(coeff.denominator for poly in polys for _, coeff in poly.terms))
-
-
-def _numerators(poly: "Polynomial", den: int) -> list[tuple[Counts, int]]:
-    """The terms as (counts, integer numerator) pairs over ``den``, a common denominator."""
-    return [(card.counts, c.numerator * (den // c.denominator)) for card, c in poly.terms]
+def _split(polys: Sequence["Polynomial"]) -> tuple[list[list[tuple[Counts, int]]], int]:
+    """Each polynomial's terms as (counts, int numerator) pairs, all over one common denominator."""
+    nums, den = _common_numerators([c for poly in polys for _, c in poly.terms])
+    # zip stops at the end of a polynomial's terms before it takes a numerator past them.
+    rest = iter(nums)
+    return [list(zip([card.counts for card, _ in poly.terms], rest)) for poly in polys], den
 
 
 def _sum_of_products(n: int, pairs: Sequence[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
     """``sum(left * right for left, right in pairs)``, adding ints over one common denominator."""
-    den_l = _denominator(*(left for left, _ in pairs))
-    den_r = _denominator(*(right for _, right in pairs))
+    lefts, den_l = _split([left for left, _ in pairs])
+    rights, den_r = _split([right for _, right in pairs])
     acc: dict[Counts, int] = {}
-    for left, right in pairs:
-        _add_product(acc, _numerators(left, den_l), _numerators(right, den_r))
+    for left, right in zip(lefts, rights):
+        _add_product(acc, left, right)
     return _from_numerators(n, acc, den_l * den_r)
 
 
@@ -242,8 +241,8 @@ class Polynomial(_Record):
         factorial of each exponent.  The order is an exponent count vector.
         """
         order = _as_counts(order, self.n)
-        den = _denominator(self)
-        return _from_numerators(self.n, dict(_derived(_numerators(self, den), order)), den)
+        (terms,), den = _split([self])
+        return _from_numerators(self.n, dict(_derived(terms, order)), den)
 
     def taylor(self, center: Point, order: int) -> "Polynomial":
         """Taylor coefficients around a point, as a polynomial in the offset.
@@ -296,18 +295,14 @@ class Polynomial(_Record):
             return acc if cap is None else {key: v for key, v in acc.items() if sum(key) <= cap}
 
         # Replacement j is (sum_i a_ji x^i + b_j) / q over ints, zero entries skipped.
-        q = math.lcm(*(v.denominator for row in rows + [shift] for v in row))
+        data, q = _common_numerators([v for row, b in zip(rows, shift) for v in (*row, b)])
         zero = (0,) * n
         monomials = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)] + [zero]
-        den = _denominator(self)
-        terms = _numerators(self, den)
+        (terms,), den = _split([self])
         powers = []
-        for j, row in enumerate(rows):
-            replacement = [
-                (key, v.numerator * (q // v.denominator))
-                for key, v in zip(monomials, row + [shift[j]])
-                if v
-            ]
+        for j in range(n):
+            row = data[j * (n + 1) : (j + 1) * (n + 1)]
+            replacement = [(key, v) for key, v in zip(monomials, row) if v]
             table = [{zero: 1}]
             for _ in range(max((counts[j] for counts, _ in terms), default=0)):
                 table.append(kept(_add_product({}, table[-1].items(), replacement)))
@@ -334,8 +329,7 @@ def _separable_sum(
     face_axis: int = 0,
 ) -> Fraction:
     """``_separable_terms`` on the terms of a polynomial."""
-    den = _denominator(poly)
-    terms = _numerators(poly, den)
+    (terms,), den = _split([poly])
     return _separable_terms(poly.n, terms, den, lower, upper, skip_axes, axis_table, face_axis)
 
 
@@ -376,11 +370,9 @@ def _separable_terms(
     tables = []
     for r in range(n):
         if r + 1 not in skip:
-            a, b = lo[r], hi[r]
             exps = {counts[r] for counts, _ in terms}
-            q = math.lcm(a.denominator, b.denominator)
+            ends, q = _common_numerators((lo[r], hi[r]))
             table = _face_pair if r + 1 == face_axis else axis_table
-            ends = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
             nums, axis_den = table(*ends, q, max(exps, default=0), exps)
             tables.append((r, nums))
             den *= axis_den

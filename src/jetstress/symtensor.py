@@ -41,9 +41,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
+from ._linalg import _common_numerators
 from .multiindex import (
     CardinalityIndex,
     IndexLike,
@@ -222,13 +223,6 @@ def convert_convention(tensor: SymTensor, target: Convention) -> SymTensor:
     else:
         comps = tuple(c / m for c, m in zip(tensor.components, mults))
     return SymTensor._trusted(tensor.n, tensor.degree, tensor.variance, target, comps)
-
-
-def _common_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as int numerators over their least common denominator, and that denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*[d for _, d in ratios])
-    return [num * (den // d) for num, d in ratios], den
 
 
 def _class_sums(tensor: DenseTensor, convention: Convention = "arrow") -> SymTensor:
