@@ -322,6 +322,9 @@ _BUDGETS = {
     # Midpoint powers per axis, cells * (degree + 1); the bench's rules raise at most 1,200.
     # It ignores the midpoints' digits: a 200th power takes 1 us at 2 digits, 3-5 ms at 1,000 bits.
     "midpoint powers": 1_000_000,
+    # Midpoint powers per axis times the bit length of the longest midpoint numerator or of their
+    # denominator; at 1e-300:1 and degree 200, 1,000 cells ran 2.4-2.6 s. The bench's reach 6,480.
+    "midpoint bits": 50_000_000,
     # Jet slots of a jet or stress file's header, `jet`, and `verify jets` or `cauchy`.
     "jet slots": 10_000,
     # Stored components a tensor file's header declares, and `verify epsilon`'s dense draws.

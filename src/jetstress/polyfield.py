@@ -12,7 +12,9 @@ n-dimensional space to an m-dimensional value space.
 Sums, products, values, substitution and box sums run on three fraction-free
 kernels.  Each splits the coefficients into integer numerators over one
 common denominator, works on plain ints keyed by count tuples, and divides
-once at the end, so the results are the same reduced ``Fraction``s.
+once at the end, so the results are the same reduced ``Fraction``s.  Every
+split, of coefficients (``_split``), affine data or box bounds, is made by
+``_linalg._common_numerators``.
 ``_sum_of_products`` sums products; a sum, a negation or a scalar multiple
 is a sum of products with constants.  ``compose_affine`` is the pullback
 along an affine map, with the replacement powers memoized per variable and
@@ -419,6 +421,9 @@ def _midpoint_sums(
     request = f"midpoint rule of {cells} cells at degree {top}"
     _check_budget((cells * (top + 1),), "midpoint powers", request)
     step = 2 * cells * q
+    # The midpoints run linearly in c, so the first or the last has the longest numerator.
+    bits = max(v.bit_length() for v in (2 * cells * lo + hi - lo, 2 * cells * hi - hi + lo, step))
+    _check_budget((cells * (top + 1) * bits,), "midpoint bits", request)
     mids = [2 * cells * lo + (hi - lo) * (2 * c + 1) for c in range(cells)]
     nums = {e: (hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in exps}
     return nums, q * cells * step**top

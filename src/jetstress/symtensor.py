@@ -32,7 +32,8 @@ Kernels
 -------
 The class sums of a dense tensor and the pairing split the components once
 into int numerators over a common denominator, one per class or one per
-tensor, add plain ints, and build one ``Fraction`` per result; a class
+tensor, with ``_linalg._common_numerators``, the split every fraction-free
+kernel uses, add plain ints, and build one ``Fraction`` per result; a class
 average, a plain component of the symmetrized tensor, is its sum over the
 denominator times the multiplicity.  Results computed from checked records are built by
 ``_Record._trusted``, without the constructor's checks.

@@ -634,6 +634,15 @@ OVERSIZED = {
         ["power", "stress.json", "field.json", "--box", "0:1", "--subdiv", "100000"],
         "1000000 midpoint powers",
     ),
+    # 1,000 cells of 1,008-bit midpoints at degree 200; admitted, it ran 2.4 s to print a value.
+    "power-subdiv-long-midpoints": (
+        {
+            "stress.json": stress_obj("variational", n=1, k=0) | {"blocks": {"1|": {"100": "1"}}},
+            "field.json": {"n": 1, "m": 1, "components": [{"100": "1"}]},
+        },
+        ["power", "stress.json", "field.json", "--box", "1e-300:1", "--subdiv", "1000", "--float"],
+        "50000000 midpoint bits",
+    ),
     # x1**100 at 10**-4300 is 1,428,500 bits; admitted, it ran 4 to 5 s to the print limit.
     "jet-point-bits": (
         {"field.json": {"n": 1, "m": 1, "components": [{"100": "1"}]}},
@@ -642,7 +651,7 @@ OVERSIZED = {
     ),
 }
 # The requests that ran for seconds when admitted run in a child with a timeout.
-IN_A_CHILD = {"jet-point-bits"}
+IN_A_CHILD = {"jet-point-bits", "power-subdiv-long-midpoints"}
 
 
 @pytest.mark.parametrize("kind", sorted(OVERSIZED))
@@ -737,12 +746,13 @@ X1_100 = {"n": 1, "m": 1, "components": [{"100": "1"}]}
 
 
 @pytest.mark.parametrize(
-    "flags, cells", [([], None), (["--subdiv", "1000"], 1000)], ids=["exact", "midpoint"]
+    "flags, cells", [([], None), (["--subdiv", "200"], 200)], ids=["exact", "midpoint"]
 )
 def test_long_bounds_on_a_sparse_density_are_quick_in_a_child(tmp_path, flags, cells):
     # In a child with a timeout: with a table of every exponent to 200, the exact case took
-    # 6 to 9 s and the midpoint case ran past 60 s.  Against the bound 0 the values are 1/201 and
-    # the midpoint sum of x**200; a lower bound of 1e-1000 or 1e-300 does not move the float.
+    # 6 to 9 s and the midpoint case of 1,000 cells ran past 60 s; 200 cells stay within the
+    # midpoint bits.  Against the bound 0 the values are 1/201 and the midpoint sum of x**200;
+    # a lower bound of 1e-1000 or 1e-300 does not move the float.
     stress = write_json(tmp_path / "stress.json", X1_100_STRESS)
     field = write_json(tmp_path / "field.json", X1_100)
     box = "1e-300:1" if cells else "1e-1000:1"

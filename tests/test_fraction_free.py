@@ -22,6 +22,11 @@ before it became a sum of tensor pairings.
 ``old_midpoint_sums`` are the integer axis tables of ``_separable_sum``
 before each computed only the exponents the terms use: they compute every
 exponent from 0 to the top one.
+
+The draws of ``drawer`` give every kernel inputs whose denominators are small
+and shared, distinct huge and pairwise coprime, or a mix of both: the inputs
+on which one common denominator per kernel call grows as long as all of them
+together.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from functools import partial
 import pytest
 
 from jetstress import fileio, polyfield
+from jetstress._linalg import _common_numerators
 from jetstress.cli import main
 from jetstress.hyperstress import BoxRegion, TractionStressField, VariationalStressField
 from jetstress.hyperstress import total_power
@@ -48,6 +54,11 @@ from conftest import rand_fraction
 
 # Pairwise coprime, so common denominators grow as products.
 BIG_DENOMINATORS = (1_000_003, 999_983, 2**31 - 1, 2**61 - 1)
+# Powers of the 24 odd primes below 100, so pairwise coprime with no prime search; they have 30
+# to 100 digits.
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+HUGE_DENOMINATORS = tuple(p ** math.ceil((29 + 3 * i) / math.log10(p)) for i, p in enumerate(ODD_PRIMES))
+DENOMINATOR_KINDS = ("small-shared", "huge-coprime", "mixed")
 
 
 def ref_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -691,3 +702,113 @@ def test_pair_jet_matches_on_hypothesis_jets():
         check_pair_jet(n, m, k, draw)
 
     check()
+
+
+def drawer(rng: random.Random, kind: str):
+    """A draw of nonzero values over denominators of one of ``DENOMINATOR_KINDS``.
+
+    Small denominators are at most 7, so their lcm stays small.  Each huge one
+    comes from ``HUGE_DENOMINATORS`` at most once per drawer; a trial that
+    needs more than 24 of them fails on the empty pool.
+    """
+    pool = rng.sample(HUGE_DENOMINATORS, len(HUGE_DENOMINATORS))
+
+    def draw() -> Fraction:
+        sign = rng.choice((-1, 1))
+        if kind == "huge-coprime" or (kind == "mixed" and rng.random() < 0.5):
+            den = pool.pop()
+            return Fraction(sign * rng.randrange(1, den), den)
+        return Fraction(sign * rng.randint(1, 9), rng.randint(1, 7))
+
+    return draw
+
+
+def few_terms(rng: random.Random, n: int, draw, count: int = 3) -> Polynomial:
+    """One to ``count`` terms with drawn coefficients, each exponent at most 2."""
+    terms = {tuple(rng.randint(0, 2) for _ in range(n)): draw() for _ in range(rng.randint(1, count))}
+    return Polynomial.from_map(n, terms)
+
+
+def test_common_numerators_put_values_over_their_lcm():
+    rng = random.Random(330)
+    for kind in DENOMINATOR_KINDS:
+        for size in range(8):
+            values = [draw() for draw in [drawer(rng, kind)] for _ in range(size)]
+            nums, den = _common_numerators(values)
+            assert [Fraction(num, den) for num in nums] == values
+            assert den == math.lcm(*(v.denominator for v in values))
+            assert all(type(v) is int for v in (*nums, den))
+    assert _common_numerators([]) == ([], 1)
+
+
+@pytest.mark.parametrize("kind", DENOMINATOR_KINDS)
+def test_polynomial_kernels_match_the_fraction_loops_on_each_kind_of_denominator(kind):
+    rng = random.Random(331 + DENOMINATOR_KINDS.index(kind))
+    for trial in range(10):
+        n = 1 + trial % 2
+        draw = drawer(rng, kind)
+        p, q = few_terms(rng, n, draw), few_terms(rng, n, draw)
+        assert_exact(p * q, ref_mul(p, q))
+        assert_exact(p + q, ref_add(p, q))
+        assert_exact(p - q, ref_add(p, ref_scale(q, -1)))
+        factor = draw()
+        assert_exact(p * factor, ref_scale(p, factor))
+        order = CardinalityIndex(tuple(rng.randint(0, 1) for _ in range(n)))
+        assert_exact(p.derive(order), ref_derive(p, order))
+        matrix, offset = [[draw() for _ in range(n)] for _ in range(n)], [draw() for _ in range(n)]
+        assert_exact(p.compose_affine(matrix, offset), ref_compose_affine(p, matrix, offset))
+        center = Point(tuple(draw() for _ in range(n)))
+        for order in (0, 1, p.degree):
+            assert_exact(p.taylor(center, order), ref_taylor(p, center, order))
+        coords = [draw() for _ in range(n)]
+        value = p(coords)
+        assert value == ref_evaluate(p, coords) and type(value) is Fraction
+        draw = drawer(rng, kind)
+        lower = [draw() for _ in range(n)]
+        upper = [lo + abs(draw()) for lo in lower]
+        cells = rng.randint(1, 3)
+        for result, expected in (
+            (box_integral(p, lower, upper), ref_box(p, lower, upper)),
+            (midpoint_integral(p, lower, upper, cells), ref_midpoint(p, lower, upper, cells)),
+        ):
+            assert result == expected and type(result) is Fraction
+
+
+@pytest.mark.parametrize("kind", DENOMINATOR_KINDS)
+def test_densities_match_the_slot_product_loop_on_each_kind_of_denominator(kind):
+    rng = random.Random(334 + DENOMINATOR_KINDS.index(kind))
+    for n in (1, 2, 2):
+        draw = drawer(rng, kind)
+        blocks = tuple((tuple(few_terms(rng, n, draw, 2) for _ in range(sym_dim(n, l))),) for l in range(2))
+        stress = VariationalStressField(n, 1, 1, blocks)
+        field = PolyField(n, 1, (few_terms(rng, n, draw),))
+        expected = ref_density(stress, field)
+        assert_exact(stress.density(field), expected)
+        draw = drawer(rng, kind)
+        lower = tuple(draw() for _ in range(n))
+        upper = tuple(lo + abs(draw()) for lo in lower)
+        assert total_power(stress, field, BoxRegion(lower, upper)) == ref_box(expected, lower, upper)
+        draw = drawer(rng, kind)
+        blocks = tuple(
+            (tuple(tuple(few_terms(rng, n, draw, 2) for _ in range(sym_dim(n, l))) for _ in range(n)),)
+            for l in range(2)
+        )
+        traction = TractionStressField(n, 1, 2, blocks)
+        field = PolyField(n, 1, (few_terms(rng, n, draw),))
+        coeffs = traction.density_coeffs(field)
+        assert len(coeffs) == n
+        for got, axis in zip(coeffs, traction.axes):
+            assert_exact(got, ref_density(axis, field))
+
+
+@pytest.mark.parametrize("kind", DENOMINATOR_KINDS)
+def test_class_sums_and_pair_match_the_fraction_loops_on_each_kind_of_denominator(kind):
+    rng = random.Random(337 + DENOMINATOR_KINDS.index(kind))
+    for n, degree in ((1, 3), (2, 2), (2, 4), (3, 2)):
+        draw = drawer(rng, kind)
+        check_class_sums(DenseTensor(n, degree, "co", tuple(draw() for _ in range(n**degree))))
+        draw = drawer(rng, kind)
+        size = sym_dim(n, degree)
+        co = SymTensor(n, degree, "co", "plain", tuple(draw() for _ in range(size)))
+        contra = SymTensor(n, degree, "contra", "arrow", tuple(draw() for _ in range(size)))
+        check_pairings(co, contra)
