@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 
 from . import altforms, hyperstress, multiindex, symtensor
 from . import jet as jets
@@ -24,15 +26,20 @@ from .polyfield import Point
 from .symtensor import DenseTensor, SymTensor
 
 
+# One Fraction per (numerator, denominator) drawn; the suites draw from a few hundred pairs.
+_fraction = lru_cache(maxsize=1024)(Fraction)
+
+
 def rand_fraction(rng: random.Random, span: int = 9, den: int = 7) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+    # randint(a, b) is randrange(a, b + 1), so this is the same stream with one call less per draw.
+    return _fraction(rng.randrange(-span, span + 1), rng.randrange(1, den + 1))
 
 
 def rand_sym(
     rng: random.Random, n: int, l: int, variance: str = "contra", convention: str = "plain"
 ) -> SymTensor:
-    comps = tuple(rand_fraction(rng) for _ in range(multiindex.sym_dim(n, l)))
-    return SymTensor(n, l, variance, convention, comps)
+    comps = tuple([rand_fraction(rng) for _ in range(multiindex.sym_dim(n, l))])
+    return SymTensor._trusted(n, l, variance, convention, comps)
 
 
 def rand_point(rng: random.Random, n: int) -> Point:
@@ -72,12 +79,11 @@ def rand_frame(rng: random.Random, n: int) -> list[Vector]:
 
 def verify_epsilon(rng: random.Random, n: int, l: int, cases: int) -> int:
     perms = list(multiindex.permutations_of(l))
+    apply, delta = multiindex.apply_permutation, multiindex.kron_delta
     for _ in range(cases):
         left = rand_multiindex(rng, n, l)
         right = rand_multiindex(rng, n, l)
-        delta_sum = sum(
-            multiindex.kron_delta(left, multiindex.apply_permutation(p, right)) for p in perms
-        )
+        delta_sum = sum(map(delta, repeat(left), map(apply, perms, repeat(right))))
         factorial = multiindex.mi_factorial(multiindex.cardinality(left))
         expected = factorial * multiindex.epsilon_abs(left, right)
         if delta_sum != expected:
@@ -89,9 +95,8 @@ def verify_epsilon(rng: random.Random, n: int, l: int, cases: int) -> int:
             print(f"FAIL epsilon: permutation changed indicator for {left}, {right}")
             return 1
     for _ in range(max(cases // 5, 1)):
-        dense = symtensor.symmetrize_dense(
-            DenseTensor.from_function(n, l, "contra", lambda index: rand_fraction(rng))
-        )
+        draws = tuple([rand_fraction(rng) for _ in range(n**l)])
+        dense = symtensor.symmetrize_dense(DenseTensor._trusted(n, l, "contra", draws))
         card = multiindex.cardinality(rand_multiindex(rng, n, l).sorted())
         canonical = card.canonical()
         class_sum = sum(
@@ -109,11 +114,11 @@ def verify_epsilon(rng: random.Random, n: int, l: int, cases: int) -> int:
 def verify_duality(n: int, l: int) -> int:
     for degree in range(l + 1):
         cards = multiindex.enumerate_nondecreasing(n, degree)
+        contras = [SymTensor.from_map(n, degree, "contra", "plain", {card: 1}) for card in cards]
         for left in cards:
             co = SymTensor.from_map(n, degree, "co", "arrow", {left: 1})
-            for right in cards:
-                contra = SymTensor.from_map(n, degree, "contra", "plain", {right: 1})
-                expected = Fraction(int(left == right))
+            for right, contra in zip(cards, contras):
+                expected = int(left == right)
                 got = symtensor.pair(co, contra)
                 if got != expected:
                     print(f"FAIL duality: pair at {left}, {right} gave {got}")

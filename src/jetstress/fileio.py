@@ -40,11 +40,10 @@ File shapes:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from operator import gt
 
@@ -200,6 +199,9 @@ def _check_slots(n: int, width: int, order: int, request: str) -> None:
 
 def dumps(obj: object) -> str:
     """Canonical JSON text: sorted keys, stable separators, trailing newline."""
+    # json loads here and in `load`, so commands that read and write no file never import it.
+    import json
+
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -217,6 +219,39 @@ def tensor_to_obj(tensor: DenseTensor | SymTensor) -> dict:
         if value != 0
     }
     return obj
+
+
+def _offsets(items: Iterator, n: int, degree: int, offset: Callable) -> Iterator:
+    """``(key, value, offset(axes, n))`` of each ``(key, value)`` component, its key checked."""
+    # The size check holds n to its budget unless the degree, and so every key, is 0.
+    in_range = frozenset(range(1, n + 1) if degree else ()).issuperset
+    for key, text in items:
+        axes = _int_list(key, "axis list")
+        if len(axes) != degree:
+            raise ValueError(f"component key {key!r} has degree {len(axes)}, expected {degree}")
+        if not in_range(axes):
+            _check_axes(axes, n)
+        yield key, text, offset(axes, n)
+
+
+def _placed(items: Iterator, n: int, degree: int) -> Iterator:
+    """``_offsets`` of a dense tensor's components, reading no key that ``tensor_to_obj`` writes.
+
+    While the keys come spelled as ``axis_list_key`` spells them and in row-major
+    order, zeros omitted or not, each is placed by walking on through those
+    spellings; the first other key sends itself and the rest to ``_offsets``.
+    """
+    # At degree 0, which admits an n past every budget, the one spelling is "" and names no axis.
+    axes = map(str, range(1, n + 1)) if degree else ()
+    spellings = enumerate(map(",".join, itertools.product(axes, repeat=degree)))
+    for key, text in items:
+        for at, spelling in spellings:
+            if spelling == key:
+                yield key, text, at
+                break
+        else:
+            yield from _offsets(itertools.chain([(key, text)], items), n, degree, _dense_offset)
+            return
 
 
 def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
@@ -240,15 +275,9 @@ def tensor_from_obj(obj: dict) -> DenseTensor | SymTensor:
     comps = [_ZERO] * size
     parsed: dict[str, Fraction] = {}
     held = bytearray(size)
-    # The size check above holds n to its budget unless the degree, and so every key, is 0.
-    in_range = frozenset(range(1, n + 1) if degree else ()).issuperset
-    for key, text in components.items():
-        axes = _int_list(key, "axis list")
-        if len(axes) != degree:
-            raise ValueError(f"component key {key!r} has degree {len(axes)}, expected {degree}")
-        if not in_range(axes):
-            _check_axes(axes, n)
-        at = offset(axes, n)
+    items = iter(components.items())
+    placed = _placed(items, n, degree) if storage == "dense" else _offsets(items, n, degree, offset)
+    for key, text, at in placed:
         if held[at]:
             # The first spelling is looked up only on this error path: a key kept per component
             # would cost about 0.5 MB on a 6,561-component tensor.
@@ -398,6 +427,8 @@ def save(obj: dict, path: str) -> None:
 
 
 def load(path: str) -> dict:
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)

@@ -32,8 +32,10 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, partial
+from operator import mul
 
-from .altforms import CoDimOneForm, TopForm, Vector, contract, restrict
+from ._linalg import _common_numerators
+from .altforms import CoDimOneForm, TopForm, Vector, contract, evaluate, restrict
 from .multiindex import IndexLike, _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar
 from .polyfield import Counts, _add_product, _antiderivatives, _derived, _from_numerators
@@ -249,14 +251,20 @@ def cauchy_traction(stress: TractionHyperStress, frame: Sequence[Vector]) -> Hyp
     depends on the boundary only through its tangent frame.
     """
     n = stress.n
-    weights = [
-        restrict(contract(Vector.basis(n, j), TopForm.volume(n)), frame) for j in range(1, n + 1)
-    ]
+    volume = TopForm.volume(n)
+    forms = [contract(Vector.basis(n, j), volume) for j in range(1, n + 1)]
+    # The first restriction checks the frame; the other forms are evaluated on the same frame.
+    weights = [restrict(forms[0], frame), *(evaluate(form, frame) for form in forms[1:])]
+    # The weights over one denominator, and each slot's n components over their own: one
+    # Fraction per slot.
+    scaled, den = _common_numerators(weights)
+
+    def slot(components: tuple[Fraction, ...]) -> Fraction:
+        nums, slot_den = _common_numerators(components)
+        return Fraction(sum(map(mul, scaled, nums)), den * slot_den)
+
     rows = [
-        [
-            [sum(w * c for w, c in zip(weights, s)) for s in zip(*(t.components for t in row))]
-            for row in block
-        ]
+        [[slot(s) for s in zip(*(t.components for t in row))] for row in block]
         for block in stress.blocks
     ]
     return HyperTraction(stress.k, _covector_of_rows(n, stress.m, stress.k - 1, rows))

@@ -198,10 +198,11 @@ def _taylor_of_jet(jet: JetElement) -> list[Polynomial]:
     """Per component, ``sum_J value_J / J! * y^J`` in the offset y from the base point."""
     terms: list[list] = [[] for _ in range(jet.m)]
     rows = ((t.components for t in block) for block in jet.blocks)
+    # Slots come nonzero and in block and rank order, which is the polynomial's term order.
     for _, alpha, counts, value in _slot_items(jet.n, rows, 0):
-        card = CardinalityIndex(counts)
+        card = CardinalityIndex._trusted(counts)
         terms[alpha - 1].append((card, value / mi_factorial(card)))
-    return [Polynomial(jet.n, tuple(t)) for t in terms]
+    return [Polynomial._trusted(jet.n, tuple(t)) for t in terms]
 
 
 def jet_of(field: PolyField, x: Point, k: int) -> JetElement:

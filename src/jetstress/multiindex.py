@@ -23,7 +23,7 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from operator import sub
+from operator import mul, sub
 
 #: Largest slot count for which permutation-group enumeration is allowed.
 #: Operations that sum over all l! permutations refuse larger degrees.
@@ -38,7 +38,8 @@ class _Record:
     calls ``__post_init__``, a no-op looked up on the class each time.
     ``_trusted`` is the one unchecked build, for values the library has just
     checked or computed itself; it runs neither ``__init__`` nor
-    ``__post_init__``.
+    ``__post_init__``.  ``_multiindex`` is the same build for ``MultiIndex``
+    alone, for the loops that make one per permutation or dense offset.
     """
 
     __slots__ = ()
@@ -222,6 +223,16 @@ class Permutation(_Record):
 
 IndexLike = MultiIndex | CardinalityIndex | Sequence[int]
 
+_set_entries, _set_n = MultiIndex.entries.__set__, MultiIndex.n.__set__
+
+
+def _multiindex(entries: tuple[int, ...], n: int) -> MultiIndex:
+    """``MultiIndex._trusted(entries, n)`` through the two slot descriptors, for hot loops."""
+    index = object.__new__(MultiIndex)
+    _set_entries(index, entries)
+    _set_n(index, n)
+    return index
+
 
 def _checked_counts(counts: Sequence[int]) -> tuple[int, ...]:
     """``counts`` as a tuple of ints, checked to cover at least one axis with no negative count."""
@@ -266,7 +277,7 @@ def apply_permutation(p: Permutation, index: MultiIndex) -> MultiIndex:
     entries = index.entries
     if len(p.mapping) != len(entries):
         raise ValueError("length mismatch")
-    return MultiIndex._trusted(tuple([entries[v - 1] for v in p.mapping]), index.n)
+    return _multiindex(tuple([entries[v - 1] for v in p.mapping]), index.n)
 
 
 def kron_delta(left: MultiIndex, right: MultiIndex) -> int:
@@ -427,13 +438,18 @@ def dense_classes(n: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     holds the class's non-decreasing member, because the non-decreasing
     arrangement is the lexicographically smallest.
     """
-    canonical = [_canonical_axes(counts) for counts in _class_counts(n, l)]
-    ranks = {axes: r for r, axes in enumerate(canonical)}
-    classes = tuple(
-        ranks[tuple(sorted(entries))]
-        for entries in itertools.product(range(1, n + 1), repeat=l)
-    )
-    return classes, tuple(_dense_offset(axes, n) for axes in canonical)
+    # A class is keyed by its counts read as the digits of a base-(l + 1) integer, and an
+    # offset's key is the sum of its axes' digit weights, built one slot at a time.
+    counts = _class_counts(n, l)
+    weights = [(l + 1) ** r for r in range(n)]
+    ranks = {sum(map(mul, c, weights)): r for r, c in enumerate(counts)}
+    keys = [0]
+    for _ in range(l - 1):
+        keys = [key + w for key in keys for w in weights]
+    if l:
+        keys = (key + w for key in keys for w in weights)
+    classes = tuple(map(ranks.__getitem__, keys))
+    return classes, tuple(_dense_offset(_canonical_axes(c), n) for c in counts)
 
 
 @lru_cache(maxsize=4)

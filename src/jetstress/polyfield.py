@@ -425,7 +425,11 @@ def _midpoint_sums(
     bits = max(v.bit_length() for v in (2 * cells * lo + hi - lo, 2 * cells * hi - hi + lo, step))
     _check_budget((cells * (top + 1) * bits,), "midpoint bits", request)
     mids = [2 * cells * lo + (hi - lo) * (2 * c + 1) for c in range(cells)]
-    nums = {e: (hi - lo) * sum(m**e for m in mids) * step ** (top - e) for e in exps}
+    # One running power per midpoint, raised from each used exponent to the next.
+    nums, powers, last = {}, [1] * cells, 0
+    for e in sorted(exps):
+        powers = [p * m ** (e - last) for p, m in zip(powers, mids)]
+        nums[e], last = (hi - lo) * sum(powers) * step ** (top - e), e
     return nums, q * cells * step**top
 
 

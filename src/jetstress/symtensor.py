@@ -54,6 +54,7 @@ from .multiindex import (
     _check_axes,
     _check_shape,
     _dense_offset,
+    _multiindex,
     as_cardinality,
     class_multiplicities,
     dense_classes,
@@ -78,7 +79,7 @@ def _check_choice(name: str, value: str, choices: tuple[str, str]) -> None:
 def ordered_indices(n: int, l: int) -> Iterable[MultiIndex]:
     """All ordered multi-indices of degree l, in dense storage order."""
     # Below n = 1 the one index yielded, the empty one at l = 0, is left to be refused.
-    build = MultiIndex._trusted if n >= 1 else MultiIndex
+    build = _multiindex if n >= 1 else MultiIndex
     for entries in itertools.product(range(1, n + 1), repeat=l):
         yield build(entries, n)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -248,6 +249,23 @@ def test_verify_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_seeded_draws_are_the_randint_draws():
+    # rand_fraction draws with randrange(a, b + 1), which randint(a, b) is documented to be, and
+    # hands out one shared Fraction per value.
+    shapes = ((9, 7), (3, 3), (4, 3), (2, 2), (1, 1))
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for span, den in shapes:
+            for _ in range(20):
+                got = _checks.rand_fraction(rng, span, den)
+                assert got == Fraction(ref.randint(-span, span), ref.randint(1, den))
+                assert type(got) is Fraction
+        tensor = _checks.rand_sym(rng, 3, 3, "co", "arrow")
+        expected = tuple(Fraction(ref.randint(-9, 9), ref.randint(1, 7)) for _ in range(10))
+        assert tensor == SymTensor(3, 3, "co", "arrow", expected)
+        assert rng.random() == ref.random()
+
+
 # Out-of-range verify flags, each with the flag its error line must name.
 BAD_VERIFY_FLAGS = {
     "epsilon-negative-cases": (["epsilon", "--cases", "-5"], "--cases"),
@@ -374,12 +392,13 @@ def test_import_loads_no_module_beyond_the_package():
 
     ``-S`` skips ``site``, whose ``.pth`` files may preload modules on one
     interpreter and not on another.  The ``verify`` suites, and ``random``
-    with them, load only when ``verify`` runs.  Neither ``argparse`` (with
-    ``gettext`` and ``locale``) nor ``typing`` loads at all.
+    with them, load only when ``verify`` runs, and ``json`` only when a file
+    is read or written.  Neither ``argparse`` (with ``gettext`` and
+    ``locale``) nor ``typing`` loads at all.
     """
     script = (
         "import sys\n"
-        "import __future__, fractions, functools, itertools, json, math, operator\n"
+        "import __future__, fractions, functools, itertools, math, operator\n"
         "before = set(sys.modules)\n"
         "import jetstress.cli\n"
         "print(*sorted(set(sys.modules) - before))\n"
@@ -390,8 +409,28 @@ def test_import_loads_no_module_beyond_the_package():
     )
     added = result.stdout.split()
     assert "jetstress.cli" in added
-    assert "random" not in added and "jetstress._checks" not in added
+    assert "random" not in added and "jetstress._checks" not in added and "json" not in added
     assert [name for name in added if name.split(".")[0] != "jetstress"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dims", "--n", "3", "--l", "2"], ["verify", "epsilon", "--l", "2", "--cases", "2"],
+     ["verify", "cauchy", "--cases", "1"]],
+    ids=["dims", "verify-epsilon", "verify-cauchy"],
+)
+def test_commands_that_read_no_file_never_load_json(argv):
+    script = (
+        "import sys\n"
+        "import jetstress.cli\n"
+        f"code = jetstress.cli.main({argv!r})\n"
+        "print(code, 'json' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_missing_file_is_an_error(capsys):
@@ -768,6 +807,23 @@ def test_long_bounds_on_a_sparse_density_are_quick_in_a_child(tmp_path, flags, c
         value = Fraction(1, 201)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == f"{float(value):.17g}\n"
+
+
+def test_long_midpoints_under_many_exponents_are_quick_in_a_child(tmp_path):
+    # x1**100 against every power x1**0..x1**100: 247 cells of 1,008-bit midpoints under 101
+    # used exponents pass every budget.  One power per midpoint and exponent ran about 40 s;
+    # one running power per midpoint takes about 4 s.
+    stress = write_json(tmp_path / "stress.json", X1_100_STRESS)
+    every_power = {"n": 1, "m": 1, "components": [{str(e): "1" for e in range(101)}]}
+    field = write_json(tmp_path / "field.json", every_power)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "jetstress.cli", "power", stress, field, "--box", "1e-300:1",
+         "--subdiv", "247", "--float"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "0.6854019301743558\n"
 
 
 # Three degree-100 monomials in four variables, inside every budget: a jet's cost follows its

@@ -16,7 +16,9 @@ equal term for term, in the same order, with every coefficient a
 symmetric tensor layer, the class sums of a dense tensor and the invariant
 pairing, before both added int numerators over one common denominator.
 ``ref_pair_jet`` is the slot-by-slot ``Fraction`` loop of ``pair_jet``
-before it became a sum of tensor pairings.
+before it became a sum of tensor pairings, and ``ref_cauchy_traction`` the
+``Fraction`` sum of weighted components ``cauchy_traction`` took per slot
+before it added int numerators.
 
 ``old_powers``, ``old_face_pair``, ``old_antiderivatives`` and
 ``old_midpoint_sums`` are the integer axis tables of ``_separable_sum``
@@ -40,8 +42,9 @@ import pytest
 from jetstress import fileio, polyfield
 from jetstress._linalg import _common_numerators
 from jetstress.cli import main
-from jetstress.hyperstress import BoxRegion, TractionStressField, VariationalStressField
-from jetstress.hyperstress import total_power
+from jetstress.altforms import TopForm, Vector, contract, restrict
+from jetstress.hyperstress import BoxRegion, HyperTraction, TractionHyperStress, TractionStressField
+from jetstress.hyperstress import VariationalStressField, cauchy_traction, total_power
 from jetstress.jet import JetCovector, JetElement, pair_jet
 from jetstress.multiindex import CardinalityIndex, MultiIndex, enumerate_nondecreasing, mi_factorial
 from jetstress.multiindex import dense_classes, sym_dim
@@ -814,3 +817,46 @@ def test_class_sums_and_pair_match_the_fraction_loops_on_each_kind_of_denominato
         co = SymTensor(n, degree, "co", "plain", tuple(draw() for _ in range(size)))
         contra = SymTensor(n, degree, "contra", "arrow", tuple(draw() for _ in range(size)))
         check_pairings(co, contra)
+
+
+def draws(draw, count: int) -> tuple[Fraction, ...]:
+    return tuple(draw() for _ in range(count))
+
+
+def ref_cauchy_traction(stress: TractionHyperStress, frame) -> HyperTraction:
+    n = stress.n
+    weights = [
+        restrict(contract(Vector.basis(n, j), TopForm.volume(n)), frame) for j in range(1, n + 1)
+    ]
+    blocks = tuple(
+        tuple(
+            SymTensor(n, l, "contra", "arrow", tuple(
+                sum(w * c for w, c in zip(weights, s)) for s in zip(*(t.components for t in row))
+            ))
+            for row in block
+        )
+        for l, block in enumerate(stress.blocks)
+    )
+    return HyperTraction(stress.k, JetCovector(n, stress.m, stress.k - 1, blocks))
+
+
+@pytest.mark.parametrize("kind", DENOMINATOR_KINDS)
+def test_cauchy_traction_matches_the_fraction_sum_on_each_kind_of_denominator(kind):
+    rng = random.Random(340 + DENOMINATOR_KINDS.index(kind))
+    for n in (2, 3):
+        for _ in range(3):
+            draw = drawer(rng, kind)
+            # Covectors of order 1 on n axes: (1 + n) * n components, at most 12 of the 24.
+            legs = [[draws(draw, sym_dim(n, l)) for _ in range(n)] for l in range(2)]
+            blocks = tuple(
+                (tuple(SymTensor(n, l, "contra", "arrow", leg) for leg in row),)
+                for l, row in enumerate(legs)
+            )
+            stress = TractionHyperStress(n, 1, 2, blocks)
+            draw = drawer(rng, kind)
+            frame = [Vector(n, draws(draw, n)) for _ in range(n - 1)]
+            traction = cauchy_traction(stress, frame)
+            assert traction == ref_cauchy_traction(stress, frame)
+            for block in traction.covector.blocks:
+                for tensor in block:
+                    assert all(type(c) is Fraction for c in tensor.components)

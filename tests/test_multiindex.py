@@ -201,6 +201,24 @@ def test_class_tables_match_brute_force():
                 assert classes.index(r) == firsts[r]
 
 
+def sorted_tuple_classes(n: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``dense_classes`` by its definition: each dense offset's sorted axes, looked up by rank."""
+    canonical = [card.canonical().entries for card in enumerate_nondecreasing(n, l)]
+    ranks = {axes: r for r, axes in enumerate(canonical)}
+    ordered = list(itertools.product(range(1, n + 1), repeat=l))
+    classes = tuple(ranks[tuple(sorted(entries))] for entries in ordered)
+    offsets = {axes: offset for offset, axes in enumerate(ordered)}
+    return classes, tuple(offsets[axes] for axes in canonical)
+
+
+def test_dense_classes_match_the_sorted_tuple_definition():
+    # Every shape of at most 10**4 offsets up to n = 12 and l = 13, and wide shapes at l = 0, 1, 2
+    # (listing the classes of n = 10**4 alone takes tens of seconds).
+    shapes = [(n, l) for n in range(1, 13) for l in range(14) if n**l <= 10**4]
+    for n, l in shapes + [(100, 2), (1000, 1), (1000, 0)]:
+        assert dense_classes.__wrapped__(n, l) == sorted_tuple_classes(n, l)
+
+
 def test_unrank_rejects_out_of_range():
     with pytest.raises(ValueError):
         unrank(3, 2, 6)

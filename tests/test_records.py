@@ -30,7 +30,7 @@ from jetstress.hyperstress import (
     VariationalStressField,
     cauchy_traction,
 )
-from jetstress.jet import ChartMap, JetCovector, JetElement, jet_of, transform_1jet
+from jetstress.jet import ChartMap, JetCovector, JetElement, _taylor_of_jet, jet_of, transform_1jet
 from jetstress.multiindex import CardinalityIndex, MultiIndex, Permutation, apply_permutation
 from jetstress.multiindex import permutations_of
 from jetstress.polyfield import Point, PolyField, Polynomial
@@ -210,6 +210,8 @@ TRUSTED = {
         SymTensor.from_map(3, 2, "contra", "arrow", {(1, 2): "1/3", MultiIndex((3, 3), 3): 5})
     ],
     "dense reader": lambda rng: [fileio.tensor_from_obj(fileio.tensor_to_obj(rand_dense(rng, 3, 2)))],
+    "rand_sym": lambda rng: [rand_sym(rng, 3, 3, "co", "plain"), rand_sym(rng, 2, 0, "contra")],
+    "taylor of a jet": lambda rng: _taylor_of_jet(rand_jet(rng, 3, 2, 3)),
     "polynomial kernels": _polynomials,
     "traction from_map": lambda rng: [
         fileio.stress_from_obj(fileio.stress_to_obj(rand_traction_field(rng, 2, 1, 2, 1))),
