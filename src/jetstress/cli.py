@@ -23,7 +23,7 @@ from .hyperstress import (
     total_power,
 )
 from .jet import jet_of
-from .multiindex import _check_budget, _slot_sizes, enumerate_nondecreasing, multiplicity
+from .multiindex import _check_budget, _slot_sizes, class_multiplicities
 from .multiindex import permutations_of, sym_dim
 from .polyfield import Point
 from .symtensor import DenseTensor, _class_sums, compress, pair
@@ -78,7 +78,7 @@ def cmd_dims(args: SimpleNamespace) -> int:
     for l in range(kmax + 1):
         sym = sym_dim(n, l)
         dense = n**l
-        total = sum(multiplicity(card) for card in enumerate_nondecreasing(n, l))
+        total = sum(class_multiplicities(n, l))
         ok = "ok" if total == dense else "MISMATCH"
         print(f"{l:>3} {sym:>10} {dense:>12} {total:>18} {ok}")
         if total != dense:

@@ -50,13 +50,14 @@ from operator import gt
 from .altforms import CoDimOneForm
 from .jet import JetElement, _check_jet_shape, _jet_of_slots, _slot_items
 from .hyperstress import TractionStressField, VariationalStressField, _check_order
-from .multiindex import CardinalityIndex, MultiIndex, _axes_rank, _canonical_axes, _check_axes
-from .multiindex import _check_budget, _check_shape, _class_counts, _dense_offset, _slot_sizes
+from .multiindex import CardinalityIndex, MultiIndex, _axes_counts, _axes_rank, _check_axes
+from .multiindex import _check_budget, _check_shape, _class_axes, _dense_offset, _slot_sizes
 from .multiindex import _BUDGETS, sym_dim
 from .polyfield import Point, PolyField, Polynomial
 from .symtensor import _CONVENTIONS, _VARIANCES, _ZERO, DenseTensor, SymTensor, _check_choice
 
-_EXPONENT_DIGITS = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+# A pattern, not a compiled one: only literals off the fast path of parse_rational need it.
+_EXPONENT_DIGITS = r"[eE][-+]?(\d+(?:_\d+)*)\Z"
 
 
 def format_rational(value: Fraction) -> str:
@@ -71,11 +72,20 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     text = str(text)
+    # The spellings the writers emit, "-p/q" and "p" in ASCII digits, are read from their ints,
+    # as Fraction reads them, without its pattern; the ints' digit limit still holds.
+    num, slash, den = text.partition("/")
+    if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+        if text.isascii():
+            try:
+                return Fraction(int(num), int(den) if slash else 1)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad rational {text!r}: {exc}") from None
     try:
         if not text.isascii():
             raise ValueError("not ASCII")
         text = text.strip()
-        exponent = _EXPONENT_DIGITS.search(text)
+        exponent = re.search(_EXPONENT_DIGITS, text)
         if exponent and int(exponent[1]) > _BUDGETS["in exponent"]:
             raise ValueError(f"exponent exceeds its budget of {_BUDGETS['in exponent']}")
         return Fraction(text)
@@ -212,7 +222,7 @@ def tensor_to_obj(tensor: DenseTensor | SymTensor) -> dict:
         obj["storage"], keys = "dense", itertools.product(range(1, n + 1), repeat=degree)
     else:
         obj["storage"], obj["convention"] = "symmetric", tensor.convention
-        keys = map(_canonical_axes, _class_counts(n, degree))
+        keys = _class_axes(n, degree)
     obj["components"] = {
         axis_list_key(axes): format_rational(value)
         for axes, value in zip(keys, tensor.components)
@@ -306,13 +316,35 @@ def polynomial_to_obj(poly: Polynomial) -> dict:
 
 
 def polynomial_from_obj(obj: dict, n: int) -> Polynomial:
-    coeffs, seen = {}, {}
-    for key, text in obj.items():
-        counts = _counts(key, n)
-        _check_budget((sum(counts),), "in total degree", f"monomial {key!r}")
-        _once(seen, counts, key, "monomial")
-        coeffs[counts] = parse_rational(text)
-    return Polynomial.from_map(n, coeffs)
+    return _polynomial_reader(n)(obj)
+
+
+def _polynomial_reader(n: int) -> Callable[[dict], Polynomial]:
+    """The reader of a file's polynomials in n variables: ``polynomial_from_obj`` of each.
+
+    Each distinct key text is parsed into its counts and checked against the
+    degree budget once, and each distinct literal text is parsed once.
+    """
+    monomials: dict[str, tuple[int, ...]] = {}
+    literals: dict[str, Fraction] = {}
+
+    def read(obj: dict) -> Polynomial:
+        coeffs, seen = {}, {}
+        for key, text in obj.items():
+            if key not in monomials:
+                counts = _counts(key, n)
+                _check_budget((sum(counts),), "in total degree", f"monomial {key!r}")
+                monomials[key] = counts
+            counts = monomials[key]
+            _once(seen, counts, key, "monomial")
+            # Keyed on the literal's text, all that parse_rational reads, so JSON true is not 1.
+            literal = str(text)
+            if literal not in literals:
+                literals[literal] = parse_rational(literal)
+            coeffs[counts] = literals[literal]
+        return Polynomial.from_map(n, coeffs)
+
+    return read
 
 
 def field_to_obj(field: PolyField) -> dict:
@@ -325,8 +357,9 @@ def field_from_obj(obj: dict) -> PolyField:
     components = _header(obj, "field", "components", list)
     if len(components) != m:
         raise ValueError(f"expected {m} components, got {len(components)}")
+    read = _polynomial_reader(n)
     polys = (
-        polynomial_from_obj(_json_object(entry, f"field component {alpha}"), n)
+        read(_json_object(entry, f"field component {alpha}"))
         for alpha, entry in enumerate(components, start=1)
     )
     return PolyField(n, m, tuple(polys))
@@ -354,8 +387,8 @@ def _parse_slot_key(key: str, n: int, kind: str) -> tuple:
 def jet_to_obj(jet: JetElement) -> dict:
     blocks: list[dict[str, str]] = [{} for _ in range(jet.k + 1)]
     rows = ((t.components for t in block) for block in jet.blocks)
-    for l, alpha, counts, value in _slot_items(jet.n, rows, 0):
-        blocks[l][_slot_key((alpha,), counts)] = format_rational(value)
+    for l, alpha, axes, value in _slot_items(jet.n, rows, 0):
+        blocks[l][_slot_key((alpha,), _axes_counts(axes, jet.n))] = format_rational(value)
     x = [format_rational(c) for c in jet.x.coords]
     orders = {axis_list_key((l,)): block for l, block in enumerate(blocks)}
     return {"n": jet.n, "m": jet.m, "k": jet.k, "x": x, "blocks": orders}
@@ -393,8 +426,8 @@ def stress_to_obj(stress: VariationalStressField | TractionStressField) -> dict:
         raise ValueError(f"unsupported stress type {type(stress).__name__}")
     blocks, zero = {}, Polynomial.zero(stress.n)
     for part, suffix in parts:
-        for _, alpha, counts, poly in _slot_items(stress.n, part.blocks, zero):
-            blocks[_slot_key((alpha,), _canonical_axes(counts), *suffix)] = _poly_value_obj(poly)
+        for _, alpha, axes, poly in _slot_items(stress.n, part.blocks, zero):
+            blocks[_slot_key((alpha,), axes, *suffix)] = _poly_value_obj(poly)
     return {"n": stress.n, "m": stress.m, "k": stress.k, "kind": kind, "blocks": blocks}
 
 
@@ -413,11 +446,11 @@ def stress_from_obj(obj: dict) -> VariationalStressField | TractionStressField:
     _check_jet_shape(n, m, k)
     width, order = (n * m, k - 1) if kind == "traction" else (m, k)
     _check_slots(n, width, order, f"{kind} stress of n={n}, m={m}, k={k}")
-    entries, seen = {}, {}
+    entries, seen, read = {}, {}, _polynomial_reader(n)
     for key, value in _json_object(blocks, "stress blocks").items():
         slot = _parse_slot_key(key, n, kind)
         _once(seen, slot, key, "stress slot")
-        entries[slot] = polynomial_from_obj(_json_object(value, f"stress slot {key!r}"), n)
+        entries[slot] = read(_json_object(value, f"stress slot {key!r}"))
     return fields[kind].from_map(n, m, k, entries)
 
 

@@ -31,15 +31,15 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from operator import mul
 
 from ._linalg import _common_numerators
 from .altforms import CoDimOneForm, TopForm, Vector, contract, evaluate, restrict
 from .multiindex import IndexLike, _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar
-from .polyfield import Counts, _add_product, _antiderivatives, _derived, _from_numerators
-from .polyfield import _midpoint_sums, _separable_terms, _split
+from .polyfield import _Keys, _add_product, _antiderivatives, _derived, _from_numerators
+from .polyfield import _midpoint_sums, _separable_terms, _split, _top
 from .jet import JetCovector, JetElement, _check_jet_blocks, _check_jet_shape, _covector_of_rows
 from .jet import _slot_items, _slot_rows, pair_jet
 
@@ -270,16 +270,44 @@ def cauchy_traction(stress: TractionHyperStress, frame: Sequence[Vector]) -> Hyp
     return HyperTraction(stress.k, _covector_of_rows(n, stress.m, stress.k - 1, rows))
 
 
-# A density's int numerators by counts, and their denominator.
-_Density = tuple[dict[Counts, int], int]
-# A field's derivative by (component, counts) as int terms, memoized, and their denominator.
-_Derivatives = tuple[Callable[[int, Counts], list[tuple[Counts, int]]], int]
+# A density's int numerators by packed key, their denominator, and the keys.
+_Density = tuple[dict[int, int], int, _Keys]
+# A field's derivative by (component, canonical axes) as (packed key, int numerator) terms, their
+# denominator, and the keys.
+_Derivatives = tuple[Callable[[int, tuple[int, ...]], list[tuple[int, int]]], int, _Keys]
 
 
-def _derivatives(field: PolyField) -> _Derivatives:
-    """The field's derivatives, all over the one common denominator of its coefficients."""
-    terms, den = _split(field.components)
-    return cache(lambda alpha, counts: _derived(terms[alpha - 1], counts)), den
+def _derivatives(field: PolyField, parts: Sequence[VariationalStressField]) -> _Derivatives:
+    """The field's derivatives, all over the one common denominator of its coefficients.
+
+    The keys hold the density of every stress field in ``parts``, which must
+    have the field's shape.  The derivative by the axes ``(a_1, ..., a_l)`` is
+    the one by ``(a_1, ..., a_(l-1))`` differentiated along ``a_l``, so each
+    is built from its nearest memoized parent and reads only the terms that
+    survived it.
+    """
+    if any((field.n, field.m) != (part.n, part.m) for part in parts):
+        raise ValueError("shape mismatch")
+    slot_polys = (poly for part in parts for block in part.blocks for row in block for poly in row)
+    degree = _top(field.components)
+    keys = _Keys(field.n, degree + _top(slot_polys))
+    terms, den = _split([poly.terms for poly in field.components], keys)
+    memo = {(alpha, ()): t for alpha, t in enumerate(terms, 1)}
+
+    def derivative(alpha: int, axes: tuple[int, ...]) -> list[tuple[int, int]]:
+        if len(axes) > degree:
+            return []
+        # A loop, not recursion: a stress may be thousands of orders deep.
+        known = len(axes)
+        while (alpha, axes[:known]) not in memo:
+            known -= 1
+        result = memo[alpha, axes[:known]]
+        for axis in axes[known:]:
+            result = _derived(result, axis - 1, keys)
+        memo[alpha, axes] = result
+        return result
+
+    return derivative, den, keys
 
 
 class VariationalStressField(_Record):
@@ -328,23 +356,24 @@ class VariationalStressField(_Record):
 
     def density(self, field: PolyField) -> Polynomial:
         """Power density against the jet of a polynomial field, as a polynomial."""
-        return _from_numerators(self.n, *self._density(field, _derivatives(field)))
+        return _from_numerators(*self._density(field, _derivatives(field, [self])))
 
     def _density(self, field: PolyField, derivatives: _Derivatives) -> _Density:
-        """``density`` as int numerators by counts over one denominator.
+        """``density`` as int numerators by packed key over one denominator.
 
-        ``derivatives`` is ``_derivatives(field)``.  Every slot product is
-        added into one accumulator, without a polynomial per slot.
+        ``derivatives`` is ``_derivatives`` of the field and of stress fields
+        that include this one.  Every slot product is added into one
+        accumulator, without a polynomial per slot.
         """
-        if (field.n, field.m) != (self.n, self.m):
-            raise ValueError("shape mismatch")
-        derivative, field_den = derivatives
-        slots = list(_slot_items(self.n, self.blocks, Polynomial.zero(self.n)))
-        terms, den = _split([poly for *_, poly in slots])
-        acc: dict[Counts, int] = {}
-        for (_, alpha, counts, _), slot_terms in zip(slots, terms):
-            _add_product(acc, slot_terms, derivative(alpha, counts))
-        return acc, den * field_den
+        derivative, field_den, keys = derivatives
+        # Each slot's terms, compared with the zero polynomial's () as tuples.
+        rows = ((tuple([poly.terms for poly in row]) for row in block) for block in self.blocks)
+        slots = list(_slot_items(self.n, rows, ()))
+        terms, den = _split([slot_terms for *_, slot_terms in slots], keys)
+        acc: dict[int, int] = {}
+        for (_, alpha, axes, _), slot_terms in zip(slots, terms):
+            _add_product(acc, slot_terms, derivative(alpha, axes))
+        return acc, den * field_den, keys
 
 
 class TractionStressField(_PerAxis):
@@ -373,8 +402,8 @@ class TractionStressField(_PerAxis):
 
         The n axes share one table of the field's derivatives.
         """
-        derivatives = _derivatives(field)
-        return [_from_numerators(self.n, *ax._density(field, derivatives)) for ax in self.axes]
+        derivatives = _derivatives(field, self.axes)
+        return [_from_numerators(*ax._density(field, derivatives)) for ax in self.axes]
 
 
 def _integrate(density: _Density, region: BoxRegion, method: str, face_axis: int = 0) -> Fraction:
@@ -385,11 +414,10 @@ def _integrate(density: _Density, region: BoxRegion, method: str, face_axis: int
     tables = {"exact": _antiderivatives, "midpoint": partial(_midpoint_sums, region.subdivisions)}
     if method not in tables:
         raise ValueError(f"unknown method {method!r}")
-    acc, den = density
-    terms = [(counts, num) for counts, num in acc.items() if num]
-    return _separable_terms(
-        region.n, terms, den, region.lower, region.upper, (), tables[method], face_axis
-    )
+    acc, den, keys = density
+    terms = [(key, num) for key, num in acc.items() if num]
+    bounds = (region.lower, region.upper)
+    return _separable_terms(terms, den, keys, *bounds, (), tables[method], face_axis)
 
 
 def total_power(
@@ -408,7 +436,7 @@ def total_power(
     """
     if region.n != stress.n:
         raise ValueError("region dimension mismatch")
-    return _integrate(stress._density(field, _derivatives(field)), region, method)
+    return _integrate(stress._density(field, _derivatives(field, [stress])), region, method)
 
 
 def boundary_power_flux(
@@ -431,7 +459,7 @@ def boundary_power_flux(
         raise ValueError("region dimension mismatch")
     if k is not None and k != stress.k:
         raise ValueError(f"stress has order {stress.k}, got k={k}")
-    derivatives = _derivatives(field)
+    derivatives = _derivatives(field, stress.axes)
     return sum(
         _integrate(ax._density(field, derivatives), region, method, axis)
         for axis, ax in enumerate(stress.axes, start=1)

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .multiindex import CardinalityIndex, IndexLike, as_cardinality, mi_factorial, rank
-from .multiindex import _class_counts, _Record, sym_dim
+from .multiindex import _axes_counts, _class_axes, _Record, sym_dim
 from .polyfield import Point, PolyField, Polynomial, Scalar, _sum_of_products
 from .symtensor import _ZERO, SymTensor, pair
 
@@ -99,15 +99,16 @@ def _slot_rows(
 
 
 def _slot_items(n: int, rows: Iterable[Iterable[Sequence]], zero: object) -> Iterator[tuple]:
-    """``(l, alpha, counts, value)`` for every value other than ``zero`` in rows ``[l][alpha-1]``.
+    """``(l, alpha, axes, value)`` for every value other than ``zero`` in rows ``[l][alpha-1]``.
 
-    The inverse of ``_slot_rows``, in block, row and rank order.  The index
+    ``axes`` is the canonical axis list of the slot's index class.  The
+    inverse of ``_slot_rows``, in block, row and rank order.  The index
     classes of an order are listed only when some row of it holds a value.
     """
     for l, block in enumerate(rows):
         held = [(a, r, v) for a, row in enumerate(block, 1) for r, v in enumerate(row) if v != zero]
         if held:
-            classes = _class_counts(n, l)
+            classes = _class_axes(n, l)
             for alpha, r, value in held:
                 yield l, alpha, classes[r], value
 
@@ -199,8 +200,8 @@ def _taylor_of_jet(jet: JetElement) -> list[Polynomial]:
     terms: list[list] = [[] for _ in range(jet.m)]
     rows = ((t.components for t in block) for block in jet.blocks)
     # Slots come nonzero and in block and rank order, which is the polynomial's term order.
-    for _, alpha, counts, value in _slot_items(jet.n, rows, 0):
-        card = CardinalityIndex._trusted(counts)
+    for _, alpha, axes, value in _slot_items(jet.n, rows, 0):
+        card = CardinalityIndex._trusted(_axes_counts(axes, jet.n))
         terms[alpha - 1].append((card, value / mi_factorial(card)))
     return [Polynomial._trusted(jet.n, tuple(t)) for t in terms]
 

@@ -11,10 +11,15 @@ n-dimensional space to an m-dimensional value space.
 
 Sums, products, values, substitution and box sums run on three fraction-free
 kernels.  Each splits the coefficients into integer numerators over one
-common denominator, works on plain ints keyed by count tuples, and divides
-once at the end, so the results are the same reduced ``Fraction``s.  Every
-split, of coefficients (``_split``), affine data or box bounds, is made by
-``_linalg._common_numerators``.
+common denominator, works on plain ints, and divides once at the end, so the
+results are the same reduced ``Fraction``s.  Every split, of coefficients
+(``_split``), affine data or box bounds, is made by
+``_linalg._common_numerators``.  Inside the kernels a monomial is one int,
+its packed key (``_Keys``): the counts c_1..c_n and the degree d are its
+digits in a base B above every total degree the call can produce, so the
+key is ``d*B**n + sum(c_r * B**(r-1))``.  No digit carries, so a product of
+monomials is the sum of their keys, and int order is the graded colex order
+of the terms.  Count tuples are the format of ``Polynomial.terms`` only.
 ``_sum_of_products`` sums products; a sum, a negation or a scalar multiple
 is a sum of products with constants.  ``compose_affine`` is the pullback
 along an affine map, with the replacement powers memoized per variable and
@@ -32,7 +37,7 @@ import math
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
-from operator import add, ge, sub
+from operator import mul
 
 from . import _linalg
 from ._linalg import _common_numerators
@@ -41,7 +46,8 @@ from .multiindex import _check_budget, _checked_counts, _colex_key
 
 Scalar = Fraction | int | str
 Counts = tuple[int, ...]
-Terms = Collection[tuple[Counts, int]]
+# Kernel terms: (packed key, int numerator) pairs.
+Terms = Collection[tuple[int, int]]
 
 def _as_counts(index: IndexLike, n: int) -> Counts:
     """The checked exponent counts of a monomial label; a raw sequence is counts, not axes."""
@@ -73,41 +79,86 @@ class Point(_Record):
         return len(self.coords)
 
 
-def _split(polys: Sequence["Polynomial"]) -> tuple[list[list[tuple[Counts, int]]], int]:
-    """Each polynomial's terms as (counts, int numerator) pairs, all over one common denominator."""
-    nums, den = _common_numerators([c for poly in polys for _, c in poly.terms])
-    # zip stops at the end of a polynomial's terms before it takes a numerator past them.
+class _Keys:
+    """The packed keys of the monomials in n variables of total degree at most ``top``.
+
+    Each count and the degree is one digit of ``size`` bytes, the fewest that
+    hold ``top``: counts c_1..c_n of degree d pack to the int
+    ``d << bits*n | sum(c_r << bits*(r-1))``, ``bits = 8*size``.  A key is
+    made and read through its bytes, so either costs time linear in n.
+    """
+
+    __slots__ = ("n", "size", "bits", "mask", "degree_unit")
+
+    def __init__(self, n: int, top: int) -> None:
+        self.n, self.size = n, max(1, -(-top.bit_length() // 8))
+        self.bits = 8 * self.size
+        self.mask = (1 << self.bits) - 1
+        # The key of degree 1 and no count: the digit that orders the keys by degree first.
+        self.degree_unit = 1 << self.bits * n
+
+    def unit(self, axis: int) -> int:
+        """The key of the variable along ``axis``, 0-based: that count and the degree are 1."""
+        return (1 << self.bits * axis) + self.degree_unit
+
+    def pack(self, counts: Counts) -> int:
+        digits = (*counts, sum(counts))
+        if self.size == 1:
+            return int.from_bytes(bytes(digits), "little")
+        return int.from_bytes(b"".join([d.to_bytes(self.size, "little") for d in digits]), "little")
+
+    def counts(self, key: int) -> Counts:
+        size, n = self.size, self.n
+        raw = key.to_bytes(size * (n + 1), "little")
+        if size == 1:
+            return tuple(raw[:n])
+        return tuple([int.from_bytes(raw[i : i + size], "little") for i in range(0, size * n, size)])
+
+
+def _split(
+    term_lists: Sequence[Sequence[tuple[CardinalityIndex, Fraction]]], keys: _Keys
+) -> tuple[list[list[tuple[int, int]]], int]:
+    """Each list of polynomial terms as (packed key, int numerator) pairs, over one denominator."""
+    nums, den = _common_numerators([c for terms in term_lists for _, c in terms])
+    # zip stops at the end of a list's terms before it takes a numerator past them.
     rest = iter(nums)
-    return [list(zip([card.counts for card, _ in poly.terms], rest)) for poly in polys], den
+    pack = keys.pack
+    return [list(zip([pack(card.counts) for card, _ in terms], rest)) for terms in term_lists], den
+
+
+def _top(polys: Iterable["Polynomial"]) -> int:
+    """The highest total degree of the polynomials, 0 if they have no term."""
+    return max((poly.degree for poly in polys), default=0)
 
 
 def _sum_of_products(n: int, pairs: Sequence[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
     """``sum(left * right for left, right in pairs)``, adding ints over one common denominator."""
-    lefts, den_l = _split([left for left, _ in pairs])
-    rights, den_r = _split([right for _, right in pairs])
-    acc: dict[Counts, int] = {}
+    keys = _Keys(n, _top(left for left, _ in pairs) + _top(right for _, right in pairs))
+    lefts, den_l = _split([left.terms for left, _ in pairs], keys)
+    rights, den_r = _split([right.terms for _, right in pairs], keys)
+    acc: dict[int, int] = {}
     for left, right in zip(lefts, rights):
         _add_product(acc, left, right)
-    return _from_numerators(n, acc, den_l * den_r)
+    return _from_numerators(acc, den_l * den_r, keys)
 
 
-def _add_product(acc: dict[Counts, int], left: Terms, right: Terms) -> dict[Counts, int]:
-    """Add the product of two (counts, int numerator) term lists into ``acc``; return it."""
-    for counts_a, a in left:
-        for counts_b, b in right:
-            key = tuple(map(add, counts_a, counts_b))
-            acc[key] = acc.get(key, 0) + a * b
+def _add_product(acc: dict[int, int], left: Terms, right: Terms) -> dict[int, int]:
+    """Add the product of two (packed key, int numerator) term lists into ``acc``; return it."""
+    get = acc.get
+    for key_a, a in left:
+        for key_b, b in right:
+            key = key_a + key_b
+            acc[key] = get(key, 0) + a * b
     return acc
 
 
-def _derived(terms: Terms, order: Counts) -> list[tuple[Counts, int]]:
-    """The ``order`` derivative of (counts, int numerator) terms, over the same denominator."""
-    # math.perm(c, j) is the falling factorial c (c-1) ... (c-j+1).
-    return [
-        (tuple(map(sub, counts, order)), value * math.prod(map(math.perm, counts, order)))
-        for counts, value in terms
-        if all(map(ge, counts, order))
-    ]
+def _derived(terms: Terms, axis: int, keys: _Keys) -> list[tuple[int, int]]:
+    """The derivative along ``axis``, 0-based, of (packed key, int numerator) terms.
+
+    A term's exponent of the axis is its key's digit there, which is also the factor it picks up.
+    """
+    shift, mask, step = keys.bits * axis, keys.mask, keys.unit(axis)
+    return [(key - step, value * c) for key, value in terms if (c := key >> shift & mask)]
 
 
 def _scaled_sum(n: int, *scaled: tuple["Polynomial", Scalar]) -> "Polynomial":
@@ -130,12 +181,16 @@ def _from_terms(
     return Polynomial._trusted(n, tuple([(trusted(c), coeff(c)) for c in keys]))
 
 
-def _from_numerators(n: int, acc: Mapping[Counts, int], den: int) -> "Polynomial":
-    """The polynomial with coefficients ``acc[counts] / den``.
+def _from_numerators(acc: Mapping[int, int], den: int, keys: _Keys) -> "Polynomial":
+    """The polynomial with coefficients ``acc[key] / den``.
 
-    The keys are sums and differences of valid count vectors of length n.
+    The keys are sums and differences of the packed keys of valid count
+    vectors, so neither they nor the terms are validated again; int order is
+    the canonical order, and each term is built once.
     """
-    return _from_terms(n, acc, lambda counts: Fraction(acc[counts], den))
+    trusted, counts = CardinalityIndex._trusted, keys.counts
+    terms = [(trusted(counts(key)), Fraction(acc[key], den)) for key in sorted(acc) if acc[key]]
+    return Polynomial._trusted(keys.n, tuple(terms))
 
 
 class Polynomial(_Record):
@@ -200,8 +255,8 @@ class Polynomial(_Record):
 
     @property
     def degree(self) -> int:
-        """Total degree; the zero polynomial reports 0."""
-        return max((card.degree for card, _ in self.terms), default=0)
+        """Total degree; the zero polynomial reports 0.  The terms are in graded order."""
+        return self.terms[-1][0].degree if self.terms else 0
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return _scaled_sum(self.n, (self, 1), (other, 1))
@@ -243,8 +298,13 @@ class Polynomial(_Record):
         factorial of each exponent.  The order is an exponent count vector.
         """
         order = _as_counts(order, self.n)
-        (terms,), den = _split([self])
-        return _from_numerators(self.n, dict(_derived(terms, order)), den)
+        keys = _Keys(self.n, self.degree)
+        (terms,), den = _split([self.terms], keys)
+        # One differentiation at a time; after the degree's worth none is left.
+        for axis, count in enumerate(order):
+            for _ in range(min(count, self.degree + 1)):
+                terms = _derived(terms, axis, keys)
+        return _from_numerators(dict(terms), den, keys)
 
     def taylor(self, center: Point, order: int) -> "Polynomial":
         """Taylor coefficients around a point, as a polynomial in the offset.
@@ -292,34 +352,37 @@ class Polynomial(_Record):
         shift = [Fraction(v) for v in offset]
         if len(rows) != n or len(shift) != n or any(len(row) != n for row in rows):
             raise ValueError("affine data dimension mismatch")
-        # Degrees only add, so every partial product can drop its terms above the cap.
-        def kept(acc: dict[Counts, int]) -> dict[Counts, int]:
-            return acc if cap is None else {key: v for key, v in acc.items() if sum(key) <= cap}
+        top = self.degree
+        keys = _Keys(n, top)
+        # Degrees only add, so every partial product can drop its terms above the cap: those are
+        # the keys from degree cap + 1 on.
+        limit = None if cap is None else (cap + 1) * keys.degree_unit
+
+        def kept(acc: dict[int, int]) -> dict[int, int]:
+            return acc if limit is None else {key: v for key, v in acc.items() if key < limit}
 
         # Replacement j is (sum_i a_ji x^i + b_j) / q over ints, zero entries skipped.
         data, q = _common_numerators([v for row, b in zip(rows, shift) for v in (*row, b)])
-        zero = (0,) * n
-        monomials = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)] + [zero]
-        (terms,), den = _split([self])
+        monomials = [*map(keys.unit, range(n)), 0]
+        nums, den = _common_numerators([c for _, c in self.terms])
         powers = []
         for j in range(n):
             row = data[j * (n + 1) : (j + 1) * (n + 1)]
             replacement = [(key, v) for key, v in zip(monomials, row) if v]
-            table = [{zero: 1}]
-            for _ in range(max((counts[j] for counts, _ in terms), default=0)):
+            table = [{0: 1}]
+            for _ in range(max((card.counts[j] for card, _ in self.terms), default=0)):
                 table.append(kept(_add_product({}, table[-1].items(), replacement)))
             powers.append(table)
         # A degree-d term is over q**d; scaling it by q**(top - d) puts every term over q**top.
-        top = max((sum(counts) for counts, _ in terms), default=0)
-        acc: dict[Counts, int] = {}
-        for counts, num in terms:
-            product = {zero: num * q ** (top - sum(counts))}
-            for j, c in enumerate(counts):
+        acc: dict[int, int] = {}
+        for (card, _), num in zip(self.terms, nums):
+            product = {0: num * q ** (top - card.degree)}
+            for j, c in enumerate(card.counts):
                 if c:
                     product = kept(_add_product({}, product.items(), powers[j][c].items()))
             for key, value in product.items():
                 acc[key] = acc.get(key, 0) + value
-        return _from_numerators(n, acc, den * q**top)
+        return _from_numerators(acc, den * q**top, keys)
 
 
 def _separable_sum(
@@ -331,14 +394,15 @@ def _separable_sum(
     face_axis: int = 0,
 ) -> Fraction:
     """``_separable_terms`` on the terms of a polynomial."""
-    (terms,), den = _split([poly])
-    return _separable_terms(poly.n, terms, den, lower, upper, skip_axes, axis_table, face_axis)
+    keys = _Keys(poly.n, poly.degree)
+    (terms,), den = _split([poly.terms], keys)
+    return _separable_terms(terms, den, keys, lower, upper, skip_axes, axis_table, face_axis)
 
 
 def _separable_terms(
-    n: int,
     terms: Terms,
     den: int,
+    keys: _Keys,
     lower: Sequence[Scalar],
     upper: Sequence[Scalar],
     skip_axes: Iterable[int],
@@ -347,8 +411,8 @@ def _separable_terms(
 ) -> Fraction:
     """Sum over terms of the coefficient times one factor per integrated axis.
 
-    The terms are nonzero (counts, int numerator) pairs over ``den``, in n
-    variables.
+    The terms are nonzero (packed key, int numerator) pairs over ``den``, in
+    the n variables of ``keys``.
 
     ``axis_table(lo, hi, q, top, exps)`` gets an axis's bounds as ``lo/q``
     and ``hi/q`` and returns the factors for the exponents ``exps`` that the
@@ -358,6 +422,7 @@ def _separable_terms(
     them.  Axis ``face_axis`` takes the factors of ``_face_pair`` instead of
     ``axis_table``'s.
     """
+    n = keys.n
     lo = [Fraction(v) for v in lower]
     hi = [Fraction(v) for v in upper]
     if len(lo) != n or len(hi) != n:
@@ -366,24 +431,21 @@ def _separable_terms(
     for axis in skip:
         if not 1 <= axis <= n:
             raise ValueError(f"axis {axis} out of range 1..{n}")
-    depends = [axis for counts, _ in terms for axis in skip if counts[axis - 1]]
+    # Each key is read once: reading one digit of a key costs time linear in n.
+    counts = [keys.counts(key) for key, _ in terms]
+    depends = [axis for c in counts for axis in skip if c[axis - 1]]
     if depends:
         raise ValueError(f"polynomial still depends on skipped axis {depends[0]}")
-    tables = []
+    values = [num for _, num in terms]
     for r in range(n):
         if r + 1 not in skip:
-            exps = {counts[r] for counts, _ in terms}
+            exps = [c[r] for c in counts]
             ends, q = _common_numerators((lo[r], hi[r]))
             table = _face_pair if r + 1 == face_axis else axis_table
-            nums, axis_den = table(*ends, q, max(exps, default=0), exps)
-            tables.append((r, nums))
+            nums, axis_den = table(*ends, q, max(exps, default=0), set(exps))
+            values = list(map(mul, values, map(nums.__getitem__, exps)))
             den *= axis_den
-    total = 0
-    for counts, num in terms:
-        for r, nums in tables:
-            num *= nums[counts[r]]
-        total += num
-    return Fraction(total, den)
+    return Fraction(sum(values), den)
 
 
 # Each axis table computes only the exponents the terms use: with long bounds, one power of a

@@ -826,6 +826,86 @@ def test_long_midpoints_under_many_exponents_are_quick_in_a_child(tmp_path):
     assert result.stdout == "0.6854019301743558\n"
 
 
+def symmetric_degree_1(n: int, variance: str) -> dict:
+    components = {str(axis): str(axis % 7 - 3) for axis in range(1, n + 1)}
+    return {"n": n, "degree": 1, "variance": variance, "storage": "symmetric",
+            "convention": "plain", "components": components}
+
+
+@pytest.mark.parametrize("command", ["dims", "pair"])
+def test_wide_index_classes_are_listed_quickly_in_a_child(tmp_path, command):
+    # In a child with a timeout: listing the classes as one n-long count tuple each, sorted, took
+    # 28 s for dims at n = 9,999 and 23.5 s for the pairing at n = 10,000; the axis lists take
+    # milliseconds.
+    if command == "dims":
+        argv = ["dims", "--n", "9999", "--l", "1"]
+        expected = "\n".join([
+            f"{'l':>3} {'sym_dim':>10} {'dense_dim':>12} {'multiplicity_sum':>18} check",
+            f"{0:>3} {1:>10} {1:>12} {1:>18} ok",
+            f"{1:>3} {9999:>10} {9999:>12} {9999:>18} ok",
+        ]) + "\n"
+    else:
+        co = write_json(tmp_path / "co.json", symmetric_degree_1(10_000, "co"))
+        contra = write_json(tmp_path / "contra.json", symmetric_degree_1(10_000, "contra"))
+        argv = ["pair", co, contra]
+        expected = f"{sum((axis % 7 - 3) ** 2 for axis in range(1, 10_001))}\n"
+    result = subprocess.run(
+        [sys.executable, "-m", "jetstress.cli", *argv],
+        env=child_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", expected)
+
+
+@pytest.mark.parametrize("command", ["jet", "power", "flux", "power --subdiv 2"])
+def test_a_field_of_huge_n_ends_in_its_one_error_line_in_a_child(tmp_path, command):
+    # In a child with a timeout: a field of n = 1,000,000 read whole, then refused by the jet's slot
+    # budget or by the stress's shape, before any kernel sizes a key to its n.
+    field = write_json(tmp_path / "field.json", {"n": 1_000_000, "m": 1, "components": [{"": "2"}]})
+    if command == "jet":
+        argv = ["jet", field, "--point", "0", "--k", "1"]
+        expected = "jet at --k 1 of a field with n=1000000, m=1 exceeds its budget of 10000 jet slots"
+    else:
+        kind, slot = ("traction", "1||1") if command == "flux" else ("variational", "1|1")
+        stress = {"n": 2, "m": 1, "k": 2, "kind": kind, "blocks": {slot: {"0,1": "1/3"}}}
+        stress_path = write_json(tmp_path / "stress.json", stress)
+        argv = [*command.split()[:1], stress_path, field, "--box", "0,0:1,1", *command.split()[1:]]
+        expected = "shape mismatch"
+    result = subprocess.run(
+        [sys.executable, "-m", "jetstress.cli", *argv],
+        env=child_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert (result.returncode, result.stderr, result.stdout) == (1, f"error: {expected}\n", "")
+
+
+def test_power_at_the_widest_n_the_stress_budget_admits_is_quick_in_a_child(tmp_path):
+    # n = 9,999, m = 1, k = 1 is 10,000 slots, the whole budget.  In a child with a timeout: a
+    # monomial's packed key is made and read in time linear in n; one held as n weights of up to
+    # n digits each took 32 s here.
+    n = 9_999
+
+    def key(*powers: tuple[int, int]) -> str:
+        counts = [0] * n
+        for axis, power in powers:
+            counts[axis - 1] += power
+        return ",".join(map(str, counts))
+
+    field = {"n": n, "m": 1, "components": [
+        {key((1, 2)): "1/3", key((n, 1), (5, 1)): "-2", key(): "7", key((n, 3)): "1"}
+    ]}
+    blocks = {"1|": {key((2, 1)): "1", key(): "1/2"}}
+    for axis in (1, 5, n, 17):
+        blocks[f"1|{axis}"] = {key((axis, 1)): "3", key((n, 2)): "-1/7"}
+    stress = {"n": n, "m": 1, "k": 1, "kind": "variational", "blocks": blocks}
+    box = ",".join(["0"] * n) + ":" + ",".join(["1"] * n)
+    argv = ["power", write_json(tmp_path / "stress.json", stress),
+            write_json(tmp_path / "field.json", field), "--box", box]
+    result = subprocess.run(
+        [sys.executable, "-m", "jetstress.cli", *argv],
+        env=child_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "1427/210\n")
+
+
 # Three degree-100 monomials in four variables, inside every budget: a jet's cost follows its
 # order and slot count, not the field's degree.
 F4 = {
@@ -891,7 +971,7 @@ def test_flag_budgets_admit_sizes_up_to_them(tmp_path, monkeypatch, capsys, argv
     # plane has 9,870 slots and one of order 140 has 10,011.  x1**99 * x2 at two 200-bit
     # coordinates is 20,000 monomial bits, and 20,001 with a 201-bit x2.  The work is stubbed out.
     monkeypatch.setattr(cli, "sym_dim", lambda n, l: 0)
-    monkeypatch.setattr(cli, "enumerate_nondecreasing", lambda n, l: [])
+    monkeypatch.setattr(cli, "class_multiplicities", lambda n, l: ())
     monkeypatch.setattr(cli, "jet_of", lambda field, point, k: None)
     monkeypatch.setattr(fileio, "jet_to_obj", lambda jet: {})
     write_json(tmp_path / "field.json", X1X2)

@@ -776,3 +776,232 @@ def test_every_format_round_trips_through_its_json_text(kind):
         assert from_obj(json.loads(fileio.dumps(to_obj(value)))) == value
 
     law()
+
+
+# The polynomial, field and stress readers as they read every term afresh, kept as the oracle of
+# the readers that check and parse each distinct key and literal text once per file.
+
+
+def fresh_polynomial(obj: dict, n: int) -> Polynomial:
+    coeffs, seen = {}, {}
+    for key, text in obj.items():
+        counts = fileio._counts(key, n)
+        multiindex._check_budget((sum(counts),), "in total degree", f"monomial {key!r}")
+        fileio._once(seen, counts, key, "monomial")
+        coeffs[counts] = fileio.parse_rational(text)
+    return Polynomial.from_map(n, coeffs)
+
+
+def fresh_field(obj: dict) -> PolyField:
+    n, m = (fileio._header(obj, "field", name) for name in "nm")
+    components = fileio._header(obj, "field", "components", list)
+    if len(components) != m:
+        raise ValueError(f"expected {m} components, got {len(components)}")
+    polys = (
+        fresh_polynomial(fileio._json_object(entry, f"field component {alpha}"), n)
+        for alpha, entry in enumerate(components, start=1)
+    )
+    return PolyField(n, m, tuple(polys))
+
+
+def fresh_slot_key(key: str, n: int, kind: str) -> tuple:
+    parts = key.split("|")
+    if len(parts) != (3 if kind == "traction" else 2):
+        raise ValueError(f"bad {kind} slot key {key!r}")
+    try:
+        (alpha,) = fileio._int_list(parts[0], "component", 1)
+        axes = fileio._int_list(parts[1], "axis list")
+        multiindex._check_axes(axes, n)
+        card = CardinalityIndex(tuple(map(fileio._nondecreasing(axes).count, range(1, n + 1))))
+        j = fileio._int_list(parts[2], "axis", 1) if kind == "traction" else ()
+    except ValueError as exc:
+        raise ValueError(f"bad {kind} slot key {key!r}: {exc}") from None
+    return (alpha, card, *j)
+
+
+def fresh_stress(obj: dict):
+    n, m, k = (fileio._header(obj, "stress", name) for name in "nmk")
+    kind = fileio._header(obj, "stress", "kind", str)
+    blocks = obj.get("blocks", {})
+    fields = {"variational": VariationalStressField, "traction": TractionStressField}
+    fileio._check_choice("kind", kind, tuple(fields))
+    if kind == "traction":
+        fileio._check_order(k)
+    fileio._check_jet_shape(n, m, k)
+    width, order = (n * m, k - 1) if kind == "traction" else (m, k)
+    fileio._check_slots(n, width, order, f"{kind} stress of n={n}, m={m}, k={k}")
+    entries, seen = {}, {}
+    for key, value in fileio._json_object(blocks, "stress blocks").items():
+        slot = fresh_slot_key(key, n, kind)
+        fileio._once(seen, slot, key, "stress slot")
+        entries[slot] = fresh_polynomial(fileio._json_object(value, f"stress slot {key!r}"), n)
+    return fields[kind].from_map(n, m, k, entries)
+
+
+def read_outcome(read, obj):
+    """The record read, or the type and text of the first error: the CLI's ``error:`` line."""
+    try:
+        return read(obj)
+    except Exception as exc:  # noqa: BLE001 - any exception type must match too
+        return type(exc).__name__, str(exc)
+
+
+# Spellings that int and Fraction read: padding, signs, underscores, leading zeros; then faults.
+COUNT_SPELLINGS = ("{}", " {}", "+{}", "0{}", "{} ")
+LITERALS = ("1", "-2/3", " 3 ", "+1", "1_0", "2.5e-1", "0", "0/4", "7/14", 1, 2.5, -3)
+BAD_LITERALS = ("x", "1/0", None, True, False, "1e4301", "")
+
+
+def polynomial_objs(st, n: int, faults: bool):
+    """Polynomial objects drawing keys and literals from small pools, so texts repeat in a file.
+
+    Without faults each monomial has one spelling per polynomial.  With them
+    keys may be respelled twice in one polynomial, have a negative count,
+    the wrong length, a degree past the budget or no integer at all, and
+    literals may be bad.
+    """
+    counts = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    spellings = st.sampled_from(COUNT_SPELLINGS)
+    key = st.tuples(counts, st.lists(spellings, min_size=n, max_size=n)).map(
+        lambda cs: ",".join(s.format(c) for c, s in zip(*cs))
+    )
+    literal = st.sampled_from(LITERALS)
+    if not faults:
+        terms = st.dictionaries(counts, st.tuples(st.lists(spellings, min_size=n, max_size=n), literal))
+        return terms.map(
+            lambda t: {",".join(s.format(c) for c, s in zip(cs, sp)): v for cs, (sp, v) in t.items()}
+        )
+    # "1_0" is the count 10 as int reads it, and "101" is past the degree budget.
+    odd = ("x", "1,", "", "1_0", "101", "1", "-1")
+    odd = st.sampled_from([text + ",0" * (n - 1) if text[-1:].isdigit() else text for text in odd])
+    literal = st.one_of(literal, st.sampled_from(BAD_LITERALS))
+    return st.dictionaries(st.one_of(key, key, odd, st.just("1" + ",0" * n)), literal, max_size=5)
+
+
+def test_field_reader_matches_reading_every_term_afresh():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(1, 3))
+        faults = data.draw(st.booleans())
+        comps = data.draw(st.lists(polynomial_objs(st, n, faults), min_size=m, max_size=m))
+        obj = {"n": n, "m": m, "components": comps}
+        assert read_outcome(fileio.field_from_obj, obj) == read_outcome(fresh_field, obj)
+
+    check()
+
+
+def test_stress_reader_matches_reading_every_term_afresh():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n, m, k = (data.draw(st.integers(1, 3)) for _ in "nmk")
+        kind = data.draw(st.sampled_from(("variational", "traction")))
+        faults = data.draw(st.sampled_from(("none", "slots", "terms")))
+        # Slot parts in range or one past it, axis lists sometimes decreasing, now and then padded.
+        bad = faults == "slots"
+        alpha = st.integers(1 - bad, m + bad).map(str)
+        axes = st.lists(st.integers(1, n + bad), max_size=k + bad).map(
+            lambda a: ",".join(map(str, a if bad else sorted(a)))
+        )
+        j = st.integers(1 - bad, n + bad).map(str)
+        parts = [alpha, axes, j] if kind == "traction" else [alpha, axes]
+        slot = st.tuples(*parts).map("|".join)
+        if bad:
+            slot = st.one_of(slot, slot.map(lambda key: " " + key.replace("|", " |", 1)))
+        polys = polynomial_objs(st, n, faults == "terms")
+        blocks = data.draw(st.dictionaries(slot, polys, min_size=1, max_size=6))
+        obj = {"n": n, "m": m, "k": k, "kind": kind, "blocks": blocks}
+        new, old = read_outcome(fileio.stress_from_obj, obj), read_outcome(fresh_stress, obj)
+        assert new == old
+        if isinstance(new, TractionStressField):
+            assert new.axes == old.axes
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        # Negative counts are found after the last term's literal, as Polynomial.from_map finds them.
+        ({"-1,0": "1", "0,0": "x"}, "bad rational 'x': Invalid literal for Fraction: 'x'"),
+        ({"-1,0": "1", "0,0": "1"}, "negative count -1"),
+        ({"1,0": "1", "0,0": True}, "bad rational 'True': Invalid literal for Fraction: 'True'"),
+        # JSON 1 and true are equal Python keys; the literal memo must tell them apart.
+        ({"1,0": 1, "0,0": True}, "bad rational 'True': Invalid literal for Fraction: 'True'"),
+        ({"1,0": "2", " 1,0": "x"}, "'1,0' and ' 1,0' name one monomial"),
+        ({"1_0,0": "1", "+10,0": "1"}, "'1_0,0' and '+10,0' name one monomial"),
+        ({"1,0": "1/0", "101,0": "1"}, "bad rational '1/0': Fraction(1, 0)"),
+    ],
+)
+def test_readers_report_a_file_first_fault_as_reading_afresh_does(poly, message):
+    stress = {"n": 2, "m": 1, "k": 1, "kind": "variational", "blocks": {"1|": {"": "1"}, "1|1": poly}}
+    field = {"n": 2, "m": 2, "components": [{"0,1": "1", "1,0": "-1/2"}, poly]}
+    for read, fresh, obj in ((fileio.stress_from_obj, fresh_stress, stress), (fileio.field_from_obj, fresh_field, field)):
+        assert read_outcome(read, obj) == read_outcome(fresh, obj) == ("ValueError", message)
+
+
+def test_readers_parse_each_distinct_key_and_literal_once(monkeypatch):
+    counted = {"counts": 0, "rational": 0}
+    for name, key in (("_counts", "counts"), ("parse_rational", "rational")):
+        original = getattr(fileio, name)
+
+        def counting(*args, original=original, key=key):
+            counted[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fileio, name, counting)
+    poly = {"1,0": "1/2", "0,1": "-1", "": "1/2"}
+    blocks = {f"1|{','.join(['1'] * l)}": poly for l in range(4)}
+    stress = {"n": 2, "m": 1, "k": 3, "kind": "variational", "blocks": blocks}
+    loaded = fileio.stress_from_obj(stress)
+    assert counted == {"counts": 3, "rational": 2}
+    assert loaded == fresh_stress(stress)
+    counted.update(counts=0, rational=0)
+    field = {"n": 2, "m": 3, "components": [poly, poly, {"1,0": "-1"}]}
+    loaded = fileio.field_from_obj(field)
+    assert counted == {"counts": 3, "rational": 2}
+    assert loaded == fresh_field(field)
+
+
+def fraction_read(text) -> Fraction:
+    """``parse_rational`` as it read every literal: the exponent check, then ``Fraction``."""
+    text = str(text)
+    try:
+        if not text.isascii():
+            raise ValueError("not ASCII")
+        text = text.strip()
+        exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\Z", text)
+        if exponent and int(exponent[1]) > multiindex._BUDGETS["in exponent"]:
+            raise ValueError(f"exponent exceeds its budget of {multiindex._BUDGETS['in exponent']}")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {text!r}: {exc}") from None
+
+
+DIGIT_SPELLINGS = [
+    "1", "-1", "0", "-0", "00", "007/014", "1/0", "-1/0", "0/0", "3/6", "-6/4", "9" * 4301,
+    "1/" + "9" * 4301, "9" * 4300, "-", "", "/", "1/", "/2", "--1", "1/-2", "1/+2", "٣",
+    "1/٣", "²", " 1", "1 ", "+1", "1_0", "1/2/3", "1.5", "1e3", True, None, 1, -3, 2.5,
+]
+
+
+def test_plain_digit_literals_read_as_fraction_reads_them():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    for text in DIGIT_SPELLINGS:
+        assert read_outcome(fileio.parse_rational, text) == read_outcome(fraction_read, text)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.text("0123456789-/+_ .e", max_size=12))
+    def check(text):
+        assert read_outcome(fileio.parse_rational, text) == read_outcome(fraction_read, text)
+
+    check()

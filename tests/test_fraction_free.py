@@ -25,6 +25,11 @@ before it added int numerators.
 before each computed only the exponents the terms use: they compute every
 exponent from 0 to the top one.
 
+``tuple_split``, ``tuple_product``, ``tuple_derive``, ``tuple_pullback`` and
+``tuple_separable_sum`` are the integer kernels as they were before a
+monomial became one packed int key: every monomial a count tuple, every
+product of monomials a sum of tuples.  The packed kernels must equal them.
+
 The draws of ``drawer`` give every kernel inputs whose denominators are small
 and shared, distinct huge and pairwise coprime, or a mix of both: the inputs
 on which one common denominator per kernel call grows as long as all of them
@@ -32,24 +37,27 @@ together.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 from functools import partial
+from operator import add, ge, sub
 
 import pytest
 
 from jetstress import fileio, polyfield
-from jetstress._linalg import _common_numerators
+from jetstress._linalg import _common_numerators, identity
 from jetstress.cli import main
 from jetstress.altforms import TopForm, Vector, contract, restrict
 from jetstress.hyperstress import BoxRegion, HyperTraction, TractionHyperStress, TractionStressField
 from jetstress.hyperstress import VariationalStressField, cauchy_traction, total_power
 from jetstress.jet import JetCovector, JetElement, pair_jet
 from jetstress.multiindex import CardinalityIndex, MultiIndex, enumerate_nondecreasing, mi_factorial
-from jetstress.multiindex import dense_classes, sym_dim
+from jetstress.multiindex import _colex_key, dense_classes, sym_dim
 from jetstress.polyfield import Point, PolyField, Polynomial, _as_counts, box_integral
-from jetstress.polyfield import _antiderivatives, _midpoint_sums, _separable_sum, midpoint_integral
+from jetstress.polyfield import _antiderivatives, _face_pair, _midpoint_sums, _powers, _separable_sum
+from jetstress.polyfield import midpoint_integral
 from jetstress.symtensor import DenseTensor, SymTensor, _class_sums, compress, convert_convention
 from jetstress.symtensor import cosymmetrize_project, include, pair, symmetrize_dense
 
@@ -860,3 +868,185 @@ def test_cauchy_traction_matches_the_fraction_sum_on_each_kind_of_denominator(ki
             for block in traction.covector.blocks:
                 for tensor in block:
                     assert all(type(c) is Fraction for c in tensor.components)
+
+
+# The count-tuple kernels that packed keys replaced, kept as the oracle of the packed ones: the
+# same splits, products, derivatives, pullbacks and separable sums, every monomial a count tuple.
+
+
+def tuple_split(polys):
+    nums, den = _common_numerators([c for p in polys for _, c in p.terms])
+    rest = iter(nums)
+    return [list(zip([card.counts for card, _ in p.terms], rest)) for p in polys], den
+
+
+def tuple_add_product(acc, left, right):
+    for counts_a, a in left:
+        for counts_b, b in right:
+            key = tuple(map(add, counts_a, counts_b))
+            acc[key] = acc.get(key, 0) + a * b
+    return acc
+
+
+def tuple_polynomial(n, acc, den) -> Polynomial:
+    terms = tuple((CardinalityIndex(c), Fraction(v, den)) for c, v in acc.items() if v)
+    return Polynomial(n, terms)
+
+
+def tuple_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    (left,), den_l = tuple_split([p])
+    (right,), den_r = tuple_split([q])
+    return tuple_polynomial(p.n, tuple_add_product({}, left, right), den_l * den_r)
+
+
+def tuple_derive(p: Polynomial, order) -> Polynomial:
+    (terms,), den = tuple_split([p])
+    derived = {
+        tuple(map(sub, counts, order)): value * math.prod(map(math.perm, counts, order))
+        for counts, value in terms
+        if all(map(ge, counts, order))
+    }
+    return tuple_polynomial(p.n, derived, den)
+
+
+def tuple_pullback(p: Polynomial, matrix, offset, cap=None) -> Polynomial:
+    n = p.n
+
+    def kept(acc):
+        return acc if cap is None else {key: v for key, v in acc.items() if sum(key) <= cap}
+
+    data, q = _common_numerators([Fraction(v) for row, b in zip(matrix, offset) for v in (*row, b)])
+    zero = (0,) * n
+    monomials = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)] + [zero]
+    (terms,), den = tuple_split([p])
+    powers = []
+    for j in range(n):
+        row = data[j * (n + 1) : (j + 1) * (n + 1)]
+        replacement = [(key, v) for key, v in zip(monomials, row) if v]
+        table = [{zero: 1}]
+        for _ in range(max((counts[j] for counts, _ in terms), default=0)):
+            table.append(kept(tuple_add_product({}, table[-1].items(), replacement)))
+        powers.append(table)
+    top = max((sum(counts) for counts, _ in terms), default=0)
+    acc: dict = {}
+    for counts, num in terms:
+        product = {zero: num * q ** (top - sum(counts))}
+        for j, c in enumerate(counts):
+            if c:
+                product = kept(tuple_add_product({}, product.items(), powers[j][c].items()))
+        for key, value in product.items():
+            acc[key] = acc.get(key, 0) + value
+    return tuple_polynomial(n, acc, den * q**top)
+
+
+def tuple_separable_sum(p: Polynomial, lower, upper, skip, axis_table, face_axis=0) -> Fraction:
+    (terms,), den = tuple_split([p])
+    tables = []
+    for r in range(p.n):
+        if r + 1 not in skip:
+            exps = {counts[r] for counts, _ in terms}
+            ends, q = _common_numerators((Fraction(lower[r]), Fraction(upper[r])))
+            table = _face_pair if r + 1 == face_axis else axis_table
+            nums, axis_den = table(*ends, q, max(exps, default=0), exps)
+            tables.append((r, nums))
+            den *= axis_den
+    total = 0
+    for counts, num in terms:
+        for r, nums in tables:
+            num *= nums[counts[r]]
+        total += num
+    return Fraction(total, den)
+
+
+def check_packed_kernels(rng: random.Random, p: Polynomial, q: Polynomial) -> None:
+    """Every packed kernel on p (and q) against the count-tuple kernels."""
+    n = p.n
+    assert_exact(p * q, tuple_product(p, q))
+    order = tuple(rng.randint(0, 2) for _ in range(n))
+    assert_exact(p.derive(order), tuple_derive(p, order))
+    center = [-coeff(rng) if rng.random() < 0.5 else rand_fraction(rng) for _ in range(n)]
+    for cap in sorted({0, max(p.degree - 1, 0), p.degree, p.degree + 1}):
+        assert_exact(p.taylor(Point(tuple(center)), cap), tuple_pullback(p, identity(n), center, cap))
+    matrix, offset = affine_data(rng, n)
+    assert_exact(p.compose_affine(matrix, offset), tuple_pullback(p, matrix, offset))
+    lower, upper = bounds(rng, n)
+    axis = rng.randint(1, n)
+    tables = (_antiderivatives, partial(_midpoint_sums, rng.randint(1, 4)), _powers)
+    for table, face_axis in itertools.product(tables, (0, axis)):
+        got = _separable_sum(p, lower, upper, (), table, face_axis)
+        assert got == tuple_separable_sum(p, lower, upper, (), table, face_axis)
+        assert type(got) is Fraction
+    face = p.substitute(axis, upper[axis - 1])
+    got = _separable_sum(face, lower, upper, (axis,), _antiderivatives)
+    assert got == tuple_separable_sum(face, lower, upper, (axis,), _antiderivatives)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_kernels_match_the_count_tuple_kernels(n):
+    rng = random.Random(350 + n)
+    degree = (6, 5, 4, 3, 2, 2)[n - 1]
+    for _ in range(10):
+        check_packed_kernels(rng, poly(rng, n, degree, 0.4), poly(rng, n, degree, 0.4))
+
+
+def test_packed_kernels_match_on_hypothesis_polynomials():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    values = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+    @st.composite
+    def pairs(draw):
+        n = draw(st.integers(1, 6))
+        counts = st.lists(st.integers(0, 9 // n + 1), min_size=n, max_size=n).map(tuple)
+        p, q = (Polynomial.from_map(n, draw(st.dictionaries(counts, values, max_size=6))) for _ in "pq")
+        return p, q, draw(st.integers(0, 2**32))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(pairs())
+    def check(drawn):
+        p, q, seed = drawn
+        check_packed_kernels(random.Random(seed), p, q)
+        # The law of the product's derivative, on keys whose sums must not carry.
+        for axis in range(1, p.n + 1):
+            unit = CardinalityIndex.unit(p.n, axis)
+            assert (p * q).derive(unit) == p.derive(unit) * q + p * q.derive(unit)
+
+    check()
+
+
+def test_degrees_past_the_file_budget_carry_no_digit():
+    x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    product = x1.power(150) * x2.power(150)
+    assert product.terms == ((CardinalityIndex((150, 150)), Fraction(1)),)
+    wide = (x1 + x2).power(120) * (x1 - x2).power(90)
+    assert_exact(wide, tuple_product((x1 + x2).power(120), (x1 - x2).power(90)))
+    assert wide.degree == 210 and len(wide.terms) == 211
+    assert_exact(product.derive((150, 149)), tuple_derive(product, (150, 149)))
+    assert product.derive((150, 149)) == Polynomial.monomial(
+        CardinalityIndex((0, 1)), math.factorial(150) * math.factorial(150)
+    )
+    assert product.derive((151, 0)) == Polynomial.zero(2)
+    center = Point((Fraction(1, 3), Fraction(-2)))
+    for cap in (0, 1, 150, 300):
+        assert_exact(product.taylor(center, cap), tuple_pullback(product, identity(2), center.coords, cap))
+    lower, upper = [Fraction(-1, 2), Fraction(1, 3)], [Fraction(1), Fraction(2)]
+    got = box_integral(product, lower, upper)
+    assert got == tuple_separable_sum(product, lower, upper, (), _antiderivatives)
+    assert got == ref_box(product, lower, upper)
+
+
+@pytest.mark.parametrize("top", [1, 255, 256, 65_535, 65_536, 2**64, 2**70])
+def test_keys_hold_every_degree_up_to_their_top(top):
+    # A digit is a whole number of bytes: one up to 255, two from 256, nine past 2**64 - 1.
+    keys = polyfield._Keys(3, top)
+    a, b = top // 2, top - top // 2
+    spread = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (top, 0, 0), (0, top - 1, 1), (0, 0, top), (a, 0, b)]
+    for counts in spread:
+        assert keys.counts(keys.pack(counts)) == counts
+    assert sorted(spread, key=keys.pack) == sorted(spread, key=_colex_key)
+    x1, x3 = Polynomial.from_map(3, {(a, 0, 0): 1}), Polynomial.from_map(3, {(0, 0, b): 2})
+    product = x1 * x3 + x1
+    assert product.terms == (
+        (CardinalityIndex((a, 0, 0)), Fraction(1)), (CardinalityIndex((a, 0, b)), Fraction(2))
+    )
+    assert product.derive((0, 0, 1)) == tuple_derive(product, (0, 0, 1))

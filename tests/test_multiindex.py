@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import sub
 
 import pytest
 
@@ -26,6 +27,8 @@ from jetstress.multiindex import (
     sym_dim,
     unrank,
 )
+
+from jetstress.multiindex import _class_axes
 
 from conftest import built_records
 
@@ -217,6 +220,24 @@ def test_dense_classes_match_the_sorted_tuple_definition():
     shapes = [(n, l) for n in range(1, 13) for l in range(14) if n**l <= 10**4]
     for n, l in shapes + [(100, 2), (1000, 1), (1000, 0)]:
         assert dense_classes.__wrapped__(n, l) == sorted_tuple_classes(n, l)
+
+
+def sorted_count_classes(n: int, l: int) -> list[tuple[int, ...]]:
+    """The classes as count tuples were listed: split l at cut points, sorted in graded colex order."""
+    cuts = itertools.combinations_with_replacement(range(l + 1), n - 1)
+    counts = (tuple(map(sub, (*q, l), (0, *q))) for q in cuts)
+    return sorted(counts, key=lambda c: (sum(c), c[::-1]))
+
+
+def test_class_axes_match_the_sorted_count_definition():
+    # Every shape of at most 10**4 classes up to n = 12 and l = 13, and wide or deep ones.
+    shapes = [(n, l) for n in range(1, 13) for l in range(14) if sym_dim(n, l) <= 10**4]
+    for n, l in shapes + [(100, 2), (1000, 1), (1000, 0), (1, 1000)]:
+        counts = sorted_count_classes(n, l)
+        assert _class_axes(n, l) == [CardinalityIndex(c).canonical().entries for c in counts]
+        expected = tuple(multiplicity(CardinalityIndex(c)) for c in counts)
+        assert class_multiplicities.__wrapped__(n, l) == expected
+        assert enumerate_nondecreasing(n, l) == [CardinalityIndex(c) for c in counts]
 
 
 def test_unrank_rejects_out_of_range():

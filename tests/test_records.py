@@ -213,6 +213,14 @@ TRUSTED = {
     "rand_sym": lambda rng: [rand_sym(rng, 3, 3, "co", "plain"), rand_sym(rng, 2, 0, "contra")],
     "taylor of a jet": lambda rng: _taylor_of_jet(rand_jet(rng, 3, 2, 3)),
     "polynomial kernels": _polynomials,
+    "Polynomial.from_map": lambda rng: [
+        Polynomial.from_map(2, {(1, 0): "1/2", (0, 2): 3, (2, 0): 0, (0, 0): Fraction(-1, 3)}),
+        Polynomial.from_map(1, {}),
+    ],
+    "polynomial and stress readers": lambda rng: [
+        *fileio.field_from_obj(fileio.field_to_obj(rand_field(rng, 3, 2, 3))).components,
+        fileio.stress_from_obj(fileio.stress_to_obj(rand_variational_field(rng, 2, 2, 2, 2))),
+    ],
     "traction from_map": lambda rng: [
         fileio.stress_from_obj(fileio.stress_to_obj(rand_traction_field(rng, 2, 1, 2, 1))),
         TractionHyperStress.from_map(2, 1, 2, {(1, (1,), 2): 3, (1, (), 1): "1/2"}),

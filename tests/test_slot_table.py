@@ -19,7 +19,7 @@ from jetstress.hyperstress import (
     VariationalStressField,
 )
 from jetstress.jet import JetCovector, JetElement, _slot_items, _slot_rows, jet_of, realize
-from jetstress.multiindex import CardinalityIndex, enumerate_nondecreasing, rank
+from jetstress.multiindex import MultiIndex, cardinality, enumerate_nondecreasing, rank
 from jetstress.polyfield import PolyField, Point, Polynomial
 
 from conftest import (
@@ -159,9 +159,10 @@ def zero_some_orders(rng, rows, zero):
 def check_slot_items_invert_slot_rows(n, m, rows, zero):
     items = list(_slot_items(n, rows, zero))
     assert all(value != zero for *_, value in items)
-    places = [(l, alpha, rank(CardinalityIndex(counts))) for l, alpha, counts, _ in items]
+    assert all(list(axes) == sorted(axes) and len(axes) == l for l, _, axes, _ in items)
+    places = [(l, alpha, rank(cardinality(MultiIndex(axes, n)))) for l, alpha, axes, _ in items]
     assert places == sorted(places) and len(set(places)) == len(places)
-    entries = {(alpha, CardinalityIndex(counts)): value for _, alpha, counts, value in items}
+    entries = {(alpha, MultiIndex(axes, n)): value for _, alpha, axes, value in items}
     assert _slot_rows(n, m, len(rows) - 1, entries, zero) == rows
 
 
@@ -191,8 +192,8 @@ def test_readers_list_the_classes_of_nonzero_orders_only(monkeypatch):
     cube = PolyField(1, 1, (Polynomial.variable(1, 1).power(3),))
     jet = jet_of(cube, Point((1,)), 200)
     calls: list = []
-    original = jet_module._class_counts
-    monkeypatch.setattr(jet_module, "_class_counts", lambda n, l: calls.append(l) or original(n, l))
+    original = jet_module._class_axes
+    monkeypatch.setattr(jet_module, "_class_axes", lambda n, l: calls.append(l) or original(n, l))
     obj = fileio.jet_to_obj(jet)
     assert sorted(calls) == [0, 1, 2, 3]
     assert len(obj["blocks"]) == 201 and obj["blocks"]["200"] == {}
