@@ -21,8 +21,9 @@ derivative and is functorial under composition.
 A jet and the Taylor polynomials of its field in the offset from the base
 point carry the same numbers: slot J of component alpha is ``J!`` times the
 coefficient of ``y^J``.  Taking a jet, realizing it and transforming it are
-therefore all pullbacks of polynomials along affine maps, done by
-``Polynomial.compose_affine``.
+therefore all pullbacks of polynomials along affine maps: taking and
+realizing one are ``Polynomial.taylor`` at the base point and at its
+negative, and transforming one is ``Polynomial.compose_affine``.
 
 Jets, jet covectors, hyper-stresses and stress fields all use the same slot
 table: slot (alpha, J) with ``|J| <= k`` sits in row ``blocks[l][alpha-1]``,
@@ -40,7 +41,7 @@ from fractions import Fraction
 from . import _linalg
 from .multiindex import CardinalityIndex, IndexLike, as_cardinality, mi_factorial, rank
 from .multiindex import _axes_counts, _class_axes, _Record, sym_dim
-from .polyfield import Point, PolyField, Polynomial, Scalar, _sum_of_products
+from .polyfield import Point, PolyField, Polynomial, Scalar, _affine, _sum_of_products
 from .symtensor import _ZERO, SymTensor, pair
 
 
@@ -229,8 +230,8 @@ def realize(jet: JetElement) -> PolyField:
     Component alpha is the sum over slots of the stored derivative divided
     by counts!, times the centered monomial of the slot.
     """
-    identity, back = _linalg.identity(jet.n), [-c for c in jet.x.coords]
-    polys = tuple(poly.compose_affine(identity, back) for poly in _taylor_of_jet(jet))
+    back = Point(tuple(-c for c in jet.x.coords))
+    polys = tuple(poly.taylor(back, poly.degree) for poly in _taylor_of_jet(jet))
     return PolyField(jet.n, jet.m, polys)
 
 
@@ -325,8 +326,9 @@ def transform_1jet(jet: JetElement, chart: ChartMap) -> JetElement:
         raise ValueError("shape mismatch")
     inv, x0 = _linalg.inverse(chart.matrix), jet.x.coords
     slots = [poly.compose_affine(inv, (0,) * jet.n) for poly in _taylor_of_jet(jet)]
+    frame_map = _affine(jet.n, inv, x0)
     new = [
-        _sum_of_products(jet.n, [(f._pullback(inv, x0, 1), t) for f, t in zip(row, slots)])
+        _sum_of_products(jet.n, [(f._pullback(frame_map, 1), t) for f, t in zip(row, slots)])
         for row in chart.frame
     ]
     return _jet_of_taylor(new, chart.apply_point(jet.x), 1)

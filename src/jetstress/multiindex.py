@@ -366,11 +366,6 @@ def _slot_sizes(n: int, width: int, k: int) -> Iterator[int]:
     return (width * math.comb(n + l - 1, l) for l in range(k + 1))
 
 
-def _colex_key(counts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Graded colex order of the canonical axis lists: degree, then counts from the last axis."""
-    return (sum(counts), counts[::-1])
-
-
 def _class_axes(n: int, l: int) -> list[tuple[int, ...]]:
     """The canonical axis list of every degree-l index class in dimension n, in rank order.
 

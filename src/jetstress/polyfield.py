@@ -19,12 +19,16 @@ its packed key (``_Keys``): the counts c_1..c_n and the degree d are its
 digits in a base B above every total degree the call can produce, so the
 key is ``d*B**n + sum(c_r * B**(r-1))``.  No digit carries, so a product of
 monomials is the sum of their keys, and int order is the graded colex order
-of the terms.  Count tuples are the format of ``Polynomial.terms`` only.
-``_sum_of_products`` sums products; a sum, a negation or a scalar multiple
-is a sum of products with constants.  ``compose_affine`` is the pullback
-along an affine map, with the replacement powers memoized per variable and
-exponent; ``substitute`` sends one variable to a constant and ``taylor`` is
-the shift ``p(center + y)`` truncated at the order as it is built.
+of the terms; ``Polynomial(n, terms)`` and ``from_map`` sort by the keys too.
+Count tuples are the format of ``Polynomial.terms`` only.  ``_sum_of_products``
+sums products; a sum, a negation or a scalar multiple is a sum of products
+with constants.  ``_pullback`` pulls back along an affine map given per
+variable as its nonzero linear coefficients and its constant; a variable not
+given is kept, and only the variables the terms use are split, their powers
+memoized per exponent.  ``taylor`` gives each x_j as ``y_j + c_j`` and drops
+the terms above the order as it builds; ``substitute`` gives one variable as
+a constant; ``compose_affine`` and ``transform_1jet`` read a dense map
+through ``_affine``.
 ``_separable_terms`` is a functional on such int terms that factors over the
 axes, one table of factors per axis: the powers of a coordinate give the
 value at a point, and the antiderivatives, midpoint sums and face pairs the
@@ -39,10 +43,9 @@ from fractions import Fraction
 from functools import partial
 from operator import mul
 
-from . import _linalg
 from ._linalg import _common_numerators
 from .multiindex import CardinalityIndex, IndexLike, MultiIndex, _Record, cardinality
-from .multiindex import _check_budget, _checked_counts, _colex_key
+from .multiindex import _check_budget, _checked_counts
 
 Scalar = Fraction | int | str
 Counts = tuple[int, ...]
@@ -168,19 +171,6 @@ def _scaled_sum(n: int, *scaled: tuple["Polynomial", Scalar]) -> "Polynomial":
     return _sum_of_products(n, [(poly, Polynomial.constant(n, f)) for poly, f in scaled])
 
 
-def _from_terms(
-    n: int, acc: Mapping[Counts, object], coeff: Callable[[Counts], Fraction]
-) -> "Polynomial":
-    """The polynomial with a term ``coeff(counts)`` for each nonzero ``acc[counts]``.
-
-    The keys are valid count vectors of length n, so neither they nor the
-    terms are validated again; each term is built once, in canonical order.
-    """
-    keys = sorted((counts for counts, value in acc.items() if value), key=_colex_key)
-    trusted = CardinalityIndex._trusted
-    return Polynomial._trusted(n, tuple([(trusted(c), coeff(c)) for c in keys]))
-
-
 def _from_numerators(acc: Mapping[int, int], den: int, keys: _Keys) -> "Polynomial":
     """The polynomial with coefficients ``acc[key] / den``.
 
@@ -214,7 +204,8 @@ class Polynomial(_Record):
                 if card in cleaned:
                     raise ValueError(f"duplicate term {card}")
                 cleaned[card] = value
-        self._store(n, tuple(sorted(cleaned.items(), key=lambda term: _colex_key(term[0].counts))))
+        pack = _Keys(n, max((card.degree for card in cleaned), default=0)).pack
+        self._store(n, tuple(sorted(cleaned.items(), key=lambda term: pack(term[0].counts))))
 
     @classmethod
     def from_map(cls, n: int, coeffs: Mapping[IndexLike, Scalar]) -> "Polynomial":
@@ -227,7 +218,10 @@ class Polynomial(_Record):
             acc[counts] = acc[counts] + value if counts in acc else value
         if n < 1:
             raise ValueError(f"dimension must be positive, got {n}")
-        return _from_terms(n, acc, acc.__getitem__)
+        # The keys are valid count vectors of length n, so no term is checked again.
+        pack, trusted = _Keys(n, max(map(sum, acc), default=0)).pack, CardinalityIndex._trusted
+        terms = [(trusted(c), v) for c, v in sorted(acc.items(), key=lambda t: pack(t[0])) if v]
+        return cls._trusted(n, tuple(terms))
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
@@ -319,7 +313,7 @@ class Polynomial(_Record):
             raise ValueError("point dimension mismatch")
         if order < 0:
             raise ValueError(f"negative order {order}")
-        return self._pullback(_linalg.identity(self.n), center.coords, order)
+        return self._pullback({j: ({j: 1}, c) for j, c in enumerate(center.coords)}, order)
 
     def substitute(self, axis: int, value: Scalar) -> "Polynomial":
         """Freeze one variable at an exact value; the axis count drops to zero.
@@ -329,11 +323,7 @@ class Polynomial(_Record):
         """
         if not 1 <= axis <= self.n:
             raise ValueError(f"axis {axis} out of range 1..{self.n}")
-        matrix = _linalg.identity(self.n)
-        matrix[axis - 1][axis - 1] = 0
-        offset = [0] * self.n
-        offset[axis - 1] = value
-        return self.compose_affine(matrix, offset)
+        return self._pullback({axis - 1: ({}, Fraction(value))})
 
     def compose_affine(
         self, matrix: Sequence[Sequence[Scalar]], offset: Sequence[Scalar]
@@ -343,16 +333,15 @@ class Polynomial(_Record):
         Variable j is replaced by ``sum_i matrix[j][i] * x^i + offset[j]``;
         the result is the pullback of the polynomial along the affine map.
         """
-        return self._pullback(matrix, offset)
+        return self._pullback(_affine(self.n, matrix, offset))
 
-    def _pullback(self, matrix: Sequence, offset: Sequence, cap: int | None = None) -> "Polynomial":
-        """``compose_affine``, keeping only the terms of total degree at most ``cap``."""
-        n = self.n
-        rows = [[Fraction(v) for v in row] for row in matrix]
-        shift = [Fraction(v) for v in offset]
-        if len(rows) != n or len(shift) != n or any(len(row) != n for row in rows):
-            raise ValueError("affine data dimension mismatch")
-        top = self.degree
+    def _pullback(self, maps: Mapping[int, tuple], cap: int | None = None) -> "Polynomial":
+        """The pullback that replaces variable j, 0-based, by ``maps[j]``, terms above ``cap`` cut.
+
+        ``maps[j]`` is its nonzero linear coefficients keyed by 0-based axis,
+        and its constant.  A variable not in ``maps`` is kept.
+        """
+        n, top = self.n, self.degree
         keys = _Keys(n, top)
         # Degrees only add, so every partial product can drop its terms above the cap: those are
         # the keys from degree cap + 1 on.
@@ -361,18 +350,21 @@ class Polynomial(_Record):
         def kept(acc: dict[int, int]) -> dict[int, int]:
             return acc if limit is None else {key: v for key, v in acc.items() if key < limit}
 
+        highest = [max(column) for column in zip(*[card.counts for card, _ in self.terms])]
+        used = [j for j, power in enumerate(highest) if power]
+        replaced = [maps.get(j, ({j: 1}, 0)) for j in used]
         # Replacement j is (sum_i a_ji x^i + b_j) / q over ints, zero entries skipped.
-        data, q = _common_numerators([v for row, b in zip(rows, shift) for v in (*row, b)])
-        monomials = [*map(keys.unit, range(n)), 0]
-        nums, den = _common_numerators([c for _, c in self.terms])
-        powers = []
-        for j in range(n):
-            row = data[j * (n + 1) : (j + 1) * (n + 1)]
-            replacement = [(key, v) for key, v in zip(monomials, row) if v]
+        data, q = _common_numerators([v for linear, b in replaced for v in (*linear.values(), b)])
+        rest = iter(data)
+        powers = {}
+        for j, (linear, _) in zip(used, replaced):
+            # zip stops at the end of the keys before it takes a numerator past them.
+            replacement = [(key, v) for key, v in zip([*map(keys.unit, linear), 0], rest) if v]
             table = [{0: 1}]
-            for _ in range(max((card.counts[j] for card, _ in self.terms), default=0)):
+            for _ in range(highest[j]):
                 table.append(kept(_add_product({}, table[-1].items(), replacement)))
-            powers.append(table)
+            powers[j] = table
+        nums, den = _common_numerators([c for _, c in self.terms])
         # A degree-d term is over q**d; scaling it by q**(top - d) puts every term over q**top.
         acc: dict[int, int] = {}
         for (card, _), num in zip(self.terms, nums):
@@ -383,6 +375,15 @@ class Polynomial(_Record):
             for key, value in product.items():
                 acc[key] = acc.get(key, 0) + value
         return _from_numerators(acc, den * q**top, keys)
+
+
+def _affine(n: int, matrix: Sequence[Sequence[Scalar]], offset: Sequence[Scalar]) -> dict:
+    """The replacements of the n variables under ``x -> matrix . x + offset``, for ``_pullback``."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    shift = [Fraction(v) for v in offset]
+    if len(rows) != n or len(shift) != n or any(len(row) != n for row in rows):
+        raise ValueError("affine data dimension mismatch")
+    return {j: ({i: v for i, v in enumerate(rows[j]) if v}, shift[j]) for j in range(n)}
 
 
 def _separable_sum(
