@@ -161,28 +161,37 @@ def cmd_verify(args: SimpleNamespace) -> int:
     from . import _checks
 
     rng = random.Random(args.seed)
+    n, cases = args.n, args.cases
     if args.suite == "epsilon":
         # permutations_of refuses an --l above the cap before l! is computed.
         permutations_of(args.l)
-        request = f"verify epsilon at --n {args.n} --l {args.l} --cases {args.cases}"
-        applied = args.cases * math.factorial(args.l)
+        request = f"verify epsilon at --n {n} --l {args.l} --cases {cases}"
+        applied = cases * math.factorial(args.l)
         _check_budget((applied,), "permutation applications", request)
-        dense = max(args.cases // 5, 1) * args.n**args.l
-        _check_budget((dense,), "components", request)
-        return _checks.verify_epsilon(rng, args.n, args.l, args.cases)
+        # The dense draws; apart from them, one n-long count tuple per case and per dense draw.
+        rounds = max(cases // 5, 1)
+        _check_budget((rounds * n**args.l,), "components", request)
+        _check_budget((n * (cases + rounds),), "components", request)
+        return _checks.verify_epsilon(rng, n, args.l, cases)
     if args.suite == "duality":
-        pairs = (sym_dim(args.n, degree) ** 2 for degree in range(args.l + 1))
-        request = f"verify duality at --n {args.n} --l {args.l}"
+        pairs = (sym_dim(n, degree) ** 2 for degree in range(args.l + 1))
+        request = f"verify duality at --n {n} --l {args.l}"
         _check_budget(pairs, "basis pairs", request)
-        return _checks.verify_duality(args.n, args.l)
+        # One n-long count tuple per index class; at --l 0 this alone bounds n.
+        _check_budget((n * sym_dim(n, d) for d in range(args.l + 1)), "components", request)
+        return _checks.verify_duality(n, args.l)
     # Each case of `jets` draws an m-component k-jet; each case of `cauchy`, n of order k-1.
     jets = args.suite == "jets"
-    order, width = (args.k, args.m) if jets else (max(args.k, 1) - 1, args.n * args.m)
-    request = f"verify {args.suite} at --n {args.n} --m {args.m} --k {args.k} --cases {args.cases}"
-    _check_slots(args.n, args.cases * width, order, request)
+    order, width = (args.k, args.m) if jets else (max(args.k, 1) - 1, n * args.m)
+    request = f"verify {args.suite} at --n {n} --m {args.m} --k {args.k} --cases {cases}"
+    _check_slots(n, cases * width, order, request)
+    # One n-long point per case, and one n-long count tuple per slot.
+    _check_budget((n * (cases + sum(_slot_sizes(n, cases * width, order))),), "components", request)
     if jets:
-        return _checks.verify_jets(rng, args.n, args.m, order, args.cases)
-    return _checks.verify_cauchy(rng, args.n, args.m, order + 1, args.cases)
+        return _checks.verify_jets(rng, n, args.m, order, cases)
+    # Each case takes n + 1 exact n x n determinants, about n**4 steps of elimination.
+    _check_budget((cases * n**4,), "elimination steps", request)
+    return _checks.verify_cauchy(rng, n, args.m, order + 1, cases)
 
 
 # Each command's positional names and its flags.  A flag maps to its type and its default;

@@ -235,12 +235,11 @@ def _multiindex(entries: tuple[int, ...], n: int) -> MultiIndex:
 
 def _checked_counts(counts: Sequence[int]) -> tuple[int, ...]:
     """``counts`` as a tuple of ints, checked to cover at least one axis with no negative count."""
-    counts = tuple(int(c) for c in counts)
+    counts = tuple(map(int, counts))
     if not counts:
         raise ValueError("cardinality index needs at least one axis")
-    for c in counts:
-        if c < 0:
-            raise ValueError(f"negative count {c}")
+    if min(counts) < 0:
+        raise ValueError(f"negative count {next(c for c in counts if c < 0)}")
     return counts
 
 
@@ -337,8 +336,11 @@ _BUDGETS = {
     "midpoint bits": 50_000_000,
     # Jet slots of a jet or stress file's header, `jet`, and `verify jets` or `cauchy`.
     "jet slots": 10_000,
-    # Stored components a tensor file's header declares, and `verify epsilon`'s dense draws.
+    # Stored components a tensor file's header declares, `verify epsilon`'s dense draws, and n per
+    # n-long point or count tuple a `verify` suite draws.
     "components": 100_000,
+    # Steps of `verify cauchy`'s exact determinants, cases * n**4; 1.4-1.9 us each.
+    "elimination steps": 1_000_000,
     # Total degree of a monomial in a field or stress file: the jet's Taylor shift and the
     # density products grow with it, and the bench fields reach degree 12.
     "in total degree": 100,
@@ -389,7 +391,12 @@ def _axes_counts(axes: Iterable[int], n: int) -> tuple[int, ...]:
 
 def enumerate_nondecreasing(n: int, l: int) -> list[CardinalityIndex]:
     """All degree-l cardinality indices in dimension n, in graded colex order
-    of their canonical non-decreasing multi-indices."""
+    of their canonical non-decreasing multi-indices.
+
+    Each class carries an n-long count tuple, so the cost is n times the class count.  The
+    one CLI caller, ``verify duality``, is held by ``basis pairs`` at degree 1 and up and by
+    ``components`` at 0.
+    """
     return [CardinalityIndex._trusted(_axes_counts(axes, n)) for axes in _class_axes(n, l)]
 
 

@@ -105,10 +105,10 @@ class _Keys:
         return (1 << self.bits * axis) + self.degree_unit
 
     def pack(self, counts: Counts) -> int:
-        digits = (*counts, sum(counts))
         if self.size == 1:
-            return int.from_bytes(bytes(digits), "little")
-        return int.from_bytes(b"".join([d.to_bytes(self.size, "little") for d in digits]), "little")
+            return int.from_bytes(bytes(counts), "little") + sum(counts) * self.degree_unit
+        raw = b"".join([c.to_bytes(self.size, "little") for c in counts])
+        return int.from_bytes(raw, "little") + sum(counts) * self.degree_unit
 
     def counts(self, key: int) -> Counts:
         size, n = self.size, self.n
@@ -220,7 +220,7 @@ class Polynomial(_Record):
             raise ValueError(f"dimension must be positive, got {n}")
         # The keys are valid count vectors of length n, so no term is checked again.
         pack, trusted = _Keys(n, max(map(sum, acc), default=0)).pack, CardinalityIndex._trusted
-        terms = [(trusted(c), v) for c, v in sorted(acc.items(), key=lambda t: pack(t[0])) if v]
+        terms = [(trusted(c), v) for c in sorted(acc, key=pack) if (v := acc[c])]
         return cls._trusted(n, tuple(terms))
 
     @classmethod

@@ -379,6 +379,31 @@ def test_verify_jet_suites_budget_admits_sizes_up_to_it(monkeypatch):
     assert calls == [(1, 1, 0, 10000), (1, 1, 1, 10000)]
 
 
+@pytest.mark.parametrize(
+    "suite, admitted, refused, budget",
+    [
+        ("duality", "--n 100000 --l 0", "--n 100001 --l 0", "100000 components"),
+        ("epsilon", "--n 50000 --l 0 --cases 1", "--n 50001 --l 0 --cases 1", "100000 components"),
+        ("jets", "--n 1000 --m 1 --k 0 --cases 50", "--n 1000 --m 1 --k 0 --cases 51",
+         "100000 components"),
+        ("cauchy", "--n 10 --m 1 --k 1 --cases 100", "--n 10 --m 1 --k 1 --cases 101",
+         "1000000 elimination steps"),
+    ],
+)
+def test_verify_draw_budgets_admit_sizes_up_to_them(monkeypatch, capsys, suite, admitted, refused,
+                                                    budget):
+    # n per drawn point, count tuple and slot: at --n 1000 --k 0, 50 one-slot jets are 100,000; one
+    # epsilon case and its dense draw hold two count tuples.  cauchy: 100 * 10**4 steps.
+    calls = []
+    monkeypatch.setattr(_checks, f"verify_{suite}", lambda *args: calls.append(args) or 0)
+    assert main(["verify", suite, *admitted.split()]) == 0
+    assert main(["verify", suite, *refused.split()]) == 1
+    assert len(calls) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: verify {suite} at {refused} exceeds its budget of {budget}\n"
+
+
 def test_verify_jet_suites_run_at_the_benchmark_shapes(capsys):
     # 6 jets cases at n=3, m=2, k=3 draw 240 jet slots; 12 cauchy cases at k=4 draw 1,440.
     assert main(["verify", "jets", "--n", "3", "--k", "3", "--m", "2", "--cases", "6"]) == 0
@@ -689,8 +714,26 @@ OVERSIZED = {
         "20000 monomial bits",
     ),
 }
+# `verify` requests past the rows that charge n per drawn point, count tuple and slot, or
+# cases * n**4 for cauchy's determinants.  Admitted, each ran for 2 s to minutes, or 400 MB to GBs.
+VERIFY_OVERSIZED = {
+    "duality --n 10000000 --l 0": "100000 components",
+    "epsilon --n 10000000 --l 0 --cases 1": "100000 components",
+    "jets --n 200000 --k 0 --m 1 --cases 1": "100000 components",
+    "jets --n 9999 --k 1 --m 1 --cases 1": "100000 components",
+    "cauchy --n 40 --m 1 --k 1 --cases 1": "1000000 elimination steps",
+    "cauchy --n 80 --m 1 --k 1 --cases 1": "1000000 elimination steps",
+    "cauchy --n 20 --m 1 --k 1 --cases 500": "100000 components",
+    "cauchy --n 9999 --m 1 --k 1 --cases 1": "100000 components",
+}
+OVERSIZED |= {
+    f"verify {flags}": ({}, ["verify", *flags.split()], budget)
+    for flags, budget in VERIFY_OVERSIZED.items()
+}
 # The requests that ran for seconds when admitted run in a child with a timeout.
-IN_A_CHILD = {"jet-point-bits", "power-subdiv-long-midpoints"}
+IN_A_CHILD = {
+    "jet-point-bits", "power-subdiv-long-midpoints", *(f"verify {f}" for f in VERIFY_OVERSIZED)
+}
 
 
 @pytest.mark.parametrize("kind", sorted(OVERSIZED))
@@ -904,6 +947,51 @@ def test_power_at_the_widest_n_the_stress_budget_admits_is_quick_in_a_child(tmp_
         env=child_env(), capture_output=True, text=True, timeout=20,
     )
     assert (result.returncode, result.stderr, result.stdout) == (0, "", "1427/210\n")
+
+
+def run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI on ``argv`` in a child with a 20-s timeout and its address space capped at 128 MB.
+
+    A dense n x n matrix of ``Fraction``s at n = 1,000 needs more than the cap.
+    """
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))"
+    script = f"{cap}; import runpy; runpy.run_module('jetstress.cli', run_name='__main__')"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=child_env(), capture_output=True, text=True,
+        timeout=20,
+    )
+
+
+@pytest.mark.parametrize("n, k", [(9_999, 1), (1_000, 0)])
+def test_jets_at_a_wide_n_are_quick_in_a_child(tmp_path, n, k):
+    # In a child with a timeout and the address-space cap.  n = 9,999 is the widest n the slot
+    # budget admits at k = 1.  A Taylor shift through an n x n identity matrix took 2.9 s and
+    # 216 MB at n = 1,000, at either order, and would need about 20 GB at n = 9,999.
+    def key(*axes: int) -> str:
+        counts = [0] * n
+        for axis in axes:
+            counts[axis - 1] += 1
+        return ",".join(map(str, counts))
+
+    field = {"n": n, "m": 1, "components": [{key(1, n): "2", key(5, 5): "1/3"}]}
+    point = ["1"] * n
+    point[0], point[4], point[n - 1] = "1/2", "3", "-2"
+    # 2 x1 xn + x5**2 / 3 there is 1, and its derivatives along x1, x5 and xn are -4, 2 and 1.
+    blocks = {"0": {f"1|{key()}": "1"}}
+    if k:
+        blocks["1"] = {f"1|{key(1)}": "-4", f"1|{key(5)}": "2", f"1|{key(n)}": "1"}
+    jet = {"blocks": blocks, "k": k, "m": 1, "n": n, "x": point}
+    field_path = write_json(tmp_path / "field.json", field)
+    result = run_capped(["jet", field_path, "--point", ",".join(point), "--k", str(k)])
+    expected = json.dumps(jet, sort_keys=True, indent=2) + "\n"
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", expected)
+
+
+def test_verify_jets_at_a_wide_n_is_quick_in_a_child():
+    # Realizing a drawn 0-jet shifted it through a 1,000 x 1,000 identity matrix: 5.3 s, 217 MB.
+    result = run_capped(["verify", "jets", "--n", "1000", "--k", "0", "--m", "1", "--cases", "1"])
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "jets: 1 cases at n=1000, m=1, k=0: OK\n"
 
 
 # Three degree-100 monomials in four variables, inside every budget: a jet's cost follows its

@@ -220,13 +220,30 @@ def test_midpoint_integral_validation():
             midpoint_integral(x(2, 1), (0, 0), (1, 1), cells)
 
 
+def random_counts(rng: random.Random, n: int, degree: int) -> tuple[int, ...]:
+    """n counts summing to ``degree``, from n - 1 random cuts of 0..degree."""
+    cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip((0, *cuts), (*cuts, degree)))
+
+
 def test_terms_are_in_graded_rank_order():
+    # Both checked constructors sort by the kernels' packed keys; the reference here is the
+    # (degree, rank) order of the index classes.  The tops 255 and 256 sit on both sides of a
+    # key's digits growing from one byte to two.
     rng = random.Random(58)
-    for n in range(1, 5):
+    for n in range(1, 7):
         for _ in range(5):
-            p = rand_poly(rng, n, 5)
+            p = rand_poly(rng, n, 5 if n <= 4 else 2)
             keys = [(card.degree, rank(card)) for card, _ in p.terms]
             assert keys == sorted(set(keys))
+        for top in (5, 254, 255, 256, 257, 300):
+            degrees = [0, 1, 2, top - 1, top, *(rng.randint(0, top) for _ in range(8))]
+            cards = dict.fromkeys(CardinalityIndex(random_counts(rng, n, d)) for d in degrees)
+            terms = [(card, Fraction(i + 1, 7)) for i, card in enumerate(cards)]
+            rng.shuffle(terms)
+            expected = tuple(sorted(terms, key=lambda term: (term[0].degree, rank(term[0]))))
+            assert Polynomial(n, tuple(terms)).terms == expected
+            assert Polynomial.from_map(n, dict(terms)).terms == expected
 
 
 def test_polyfield_components_and_call():
