@@ -715,7 +715,8 @@ OVERSIZED = {
     ),
 }
 # `verify` requests past the rows that charge n per drawn point, count tuple and slot, or
-# cases * n**4 for cauchy's determinants.  Admitted, each ran for 2 s to minutes, or 400 MB to GBs.
+# cases * n**4 for cauchy's determinants.  Admitted, each runs for seconds to minutes, or needs
+# hundreds of MB to GBs (README's budget list).
 VERIFY_OVERSIZED = {
     "duality --n 10000000 --l 0": "100000 components",
     "epsilon --n 10000000 --l 0 --cases 1": "100000 components",
@@ -988,7 +989,7 @@ def test_jets_at_a_wide_n_are_quick_in_a_child(tmp_path, n, k):
 
 
 def test_verify_jets_at_a_wide_n_is_quick_in_a_child():
-    # Realizing a drawn 0-jet shifted it through a 1,000 x 1,000 identity matrix: 5.3 s, 217 MB.
+    # Realizing a drawn 0-jet shifted it through a 1,000 x 1,000 identity matrix: 6.0 s, 216 MB.
     result = run_capped(["verify", "jets", "--n", "1000", "--k", "0", "--m", "1", "--cases", "1"])
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == "jets: 1 cases at n=1000, m=1, k=0: OK\n"
